@@ -16,18 +16,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from spectral_riesz import bounds
-from spectral_riesz.report import _valid_entry_matrix
-
-
-def failure_matrix():
-    return [
-        ("fail.hemi.polya.d≥3", {"d": d}) for d in (3, 4, 5)
-    ] + [
-        ("fail.liyau.d≥6", {"d": 6}),
-        ("fail.r1p.weyl", {}),
-        ("fail.s1.weyl", {}),
-        ("fail.sd.r1.lower.bdshift", {"d": 3}),
-    ]
+from spectral_riesz.report import _failure_entry_matrix, _valid_entry_matrix
 
 
 def main():
@@ -37,7 +26,7 @@ def main():
     args = ap.parse_args()
 
     ok = True
-    rows = _valid_entry_matrix() + failure_matrix()
+    rows = _valid_entry_matrix() + _failure_entry_matrix()
     width = max(len(r[0]) for r in rows) + 2
     for bound_id, params in rows:
         rep = bounds.verify(bound_id, params, points=args.points,

@@ -5,19 +5,22 @@ one or two sides with closed-form evaluators, recorded equality points,
 and an expected_valid flag.  Entries with expected_valid=False reproduce
 documented counterexamples and must exhibit at least one violation.
 
-Evaluators accept int/Fraction arguments and stay exact whenever the
-closed form is rational (square roots of perfect rational squares
-included), so recorded equality points test with slack exactly zero.
+Each side is one expression for both arithmetic paths: int/Fraction
+arguments stay exact whenever the closed form is rational (square roots
+of perfect rational squares included), so recorded equality points test
+with slack exactly zero, and float arguments run in binary64 because
+Fraction-float arithmetic rounds the Fraction first.  Only the
+perfect-power helpers below look at the argument type.  Each entry
+declares its parameters once; BoundSpec.validate reads that schema.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .riesz import (SpectrumQuery, Variant, counting, eigenvalue_average,
                     riesz_mean)
@@ -95,10 +98,6 @@ def _psi_of(d: int, z):
     return fluctuation(_w_of(d, z))
 
 
-def _q(x) -> Fraction:
-    return Fraction(x)
-
-
 def _normalize_arg(z):
     # Ints must ride the exact path: a bare int would hit float division.
     return Fraction(z) if isinstance(z, int) else z
@@ -106,6 +105,50 @@ def _normalize_arg(z):
 
 # ---------------------------------------------------------------------------
 # Catalog data model
+
+
+def _integer(name: str, value):
+    if not isinstance(value, int):
+        raise ValueError(f"parameter {name} must be an integer, got {value!r}")
+    return value
+
+
+def _real(name: str, value) -> float:
+    return float(value)
+
+
+def _closed_space(name: str, value) -> Space:
+    if not isinstance(value, Space):
+        raise ValueError(f"parameter {name!r} must be a Space")
+    if not value.is_closed:
+        raise ValueError("R2 sum-rule bounds apply to closed spaces")
+    if value.dim < 2:
+        # The gap-minimum positivity (d-2)/(d+2) L(L+d) needs d >= 2;
+        # on the circle the lower bound genuinely fails (z ~ 1537).
+        raise ValueError("R2 two-sided bounds require dim >= 2")
+    return value
+
+
+@dataclass(frozen=True)
+class Param:
+    """One declared entry parameter.
+
+    `kind` checks and converts a given value.  `lo`/`hi` bound it
+    inclusively.  A `default` of None makes the parameter required.
+    `default` and `hi` may be callables of the parameters declared before
+    this one (a domain's area is bounded by the area of its space).
+    """
+
+    name: str
+    kind: Callable[[str, Any], Any] = _integer
+    lo: Any = None
+    hi: Any = None
+    default: Any = None
+
+
+def _area(full: Callable[[dict], float]) -> Param:
+    return Param("area", _real, lo=0, hi=lambda prm: full(prm) * (1 + 1e-12),
+                 default=full)
 
 
 @dataclass(frozen=True)
@@ -121,17 +164,41 @@ class BoundSpec:
     quantity: str  # 'N' | 'R1' | 'R2' | 'average'
     query: Callable[[dict], SpectrumQuery]
     sides: Tuple[SideRule, ...]
-    validate: Callable[[dict], dict]
+    params: Tuple[Param, ...] = ()
     expected_valid: bool = True
     equality: Optional[Callable[[dict, int], list]] = None
     equality_side: Optional[str] = None  # None: applies to every side
     witnesses: Optional[Callable[[dict, float], list]] = None
     power_shift: Optional[Callable[[dict], Tuple[float, float, float]]] = None
-    notes: str = ""
+    rule: Optional[Callable[[dict], None]] = None  # cross-parameter check
 
     @property
-    def side_names(self):
-        return tuple(s.side for s in self.sides)
+    def param_names(self) -> Tuple[str, ...]:
+        return tuple(par.name for par in self.params)
+
+    def validate(self, params: dict) -> dict:
+        """Declared parameters with defaults filled in; ValueError if bad."""
+        unknown = set(params) - set(self.param_names)
+        if unknown:
+            raise ValueError(f"unexpected parameters {sorted(unknown)}")
+        out = {}
+        for par in self.params:
+            value = params.get(par.name)
+            if value is None:
+                if par.default is None:
+                    raise ValueError(f"parameter {par.name} is required")
+                value = par.default(out) if callable(par.default) \
+                    else par.default
+            value = par.kind(par.name, value)
+            hi = par.hi(out) if callable(par.hi) else par.hi
+            if not ((par.lo is None or par.lo <= value)
+                    and (hi is None or value <= hi)):  # NaN fails too
+                raise ValueError(f"{par.name}={value} outside declared range "
+                                 f"[{par.lo}, {'inf' if hi is None else hi}]")
+            out[par.name] = value
+        if self.rule is not None:
+            self.rule(out)
+        return out
 
 
 _CATALOG: Dict[str, BoundSpec] = {}
@@ -157,56 +224,7 @@ def get(bound_id: str) -> BoundSpec:
 
 
 # ---------------------------------------------------------------------------
-# Parameter validators
-
-
-def _no_params(defaults: dict = {}):
-    def validate(params: dict) -> dict:
-        out = dict(defaults)
-        extra = set(params) - set(defaults)
-        if extra:
-            raise ValueError(f"unexpected parameters {sorted(extra)}")
-        out.update({k: params[k] for k in params})
-        return out
-    return validate
-
-
-def _with_d(dmin: int, dmax: Optional[int] = None, extra: dict = {}):
-    def validate(params: dict) -> dict:
-        out = {"d": None, **extra}
-        out.update(params)
-        d = out.get("d")
-        if d is None:
-            raise ValueError("parameter d is required")
-        if d < dmin or (dmax is not None and d > dmax):
-            hi = dmax if dmax is not None else "inf"
-            raise ValueError(f"d={d} outside declared range [{dmin}, {hi}]")
-        unknown = set(out) - {"d", *extra}
-        if unknown:
-            raise ValueError(f"unexpected parameters {sorted(unknown)}")
-        return out
-    return validate
-
-
-def _area_validator(full_area: Callable[[dict], float], base):
-    def validate(params: dict) -> dict:
-        out = base(dict((k, v) for k, v in params.items() if k != "area"))
-        area = params.get("area")
-        if area is None:
-            area = full_area(out)
-        area = float(area)
-        if not 0 <= area <= full_area(out) * (1 + 1e-12):
-            raise ValueError(f"area {area} outside [0, {full_area(out)}]")
-        out["area"] = area
-        return out
-    return validate
-
-
-# ---------------------------------------------------------------------------
 # Shared formula pieces
-
-_SQRT_PI = math.pi ** 0.5
-
 
 def _zd(d: int) -> Fraction:
     return Fraction(d * (2 * d - 1), 12)
@@ -214,10 +232,6 @@ def _zd(d: int) -> Fraction:
 
 def _bd(d: int) -> Fraction:
     return Fraction(d * (d - 2), 6)
-
-
-def _sphere_levels(l_hi: int, base=0):
-    return [l * (l + 1) for l in range(base, l_hi)]
 
 
 def _upper_env_points(count: int):
@@ -234,8 +248,7 @@ def optimal_shift(d: int, l: int) -> float:
         raise ValueError("need d >= 2, l >= 1")
     x = (d + 2 * l) * math.prod(range(l + 1, l + d))
     val = _nth_root(Fraction(x * x, 4), d)
-    return float(Fraction(d, d + 2) * (_q(val) - l * (l + d))) \
-        if isinstance(val, Fraction) else d / (d + 2) * (val - l * (l + d))
+    return float(Fraction(d, d + 2) * (val - l * (l + d)))
 
 
 @dataclass(frozen=True)
@@ -274,22 +287,23 @@ def bly345_gap_diagnostics(d: int, level: int) -> Bly345Diagnostics:
 # Entry definitions
 
 def _build_catalog():
-    half = Fraction(1, 2)
+    # Dyadic constants are spelled with ints (z + 1/2 as (2z + 1)/2): the
+    # floats stay bit-identical, and a float z skips Fraction's mixed-type
+    # dispatch, which costs microseconds per operation.
 
     # --- S^2, closed -------------------------------------------------------
     s2_query = lambda p: SpectrumQuery(sphere(2))
 
     def s2_lower(p, z):
-        return z * z / _q(2) if not isinstance(z, float) else 0.5 * z * z
+        return z * z / 2
 
     def s2_upper(p, z):
-        t = z + (half if not isinstance(z, float) else 0.5)
-        return t * t / (_q(2) if not isinstance(z, float) else 2.0)
+        t = 2 * z + 1
+        return t * t / 8  # (z + 1/2)^2 / 2
 
     def _osc(z):
         psi = _psi_of(2, z)
-        quarter = Fraction(1, 4) if not isinstance(psi, float) else 0.25
-        return quarter - psi * psi
+        return (1 - 4 * psi * psi) / 4  # 1/4 - psi^2
 
     def s2_lower_imp(p, z):
         osc = _osc(z)
@@ -303,27 +317,27 @@ def _build_catalog():
         base = s2_lower(p, z)
         if osc == 0:
             return base
-        h = half if not isinstance(z, float) else 0.5
-        return base + 2 * osc * (z + _sqrt(z) / 2 + h)
+        # 2 osc (z + sqrt(z)/2 + 1/2)
+        return base + osc * (2 * z + _sqrt(z) + 1)
 
     lam_points = lambda p, n: [l * (l + 1) for l in range(n)]
     _register(BoundSpec(
         "s2.r1.lower", "R1 on S^2 >= z^2/2", "R1", s2_query,
-        (SideRule("lower", s2_lower),), _no_params(),
+        (SideRule("lower", s2_lower),),
         equality=lam_points,
         power_shift=lambda p: (0.5, 2.0, 0.0)))
     _register(BoundSpec(
         "s2.r1.upper", "R1 on S^2 <= (z+1/2)^2/2", "R1", s2_query,
-        (SideRule("upper", s2_upper),), _no_params(),
+        (SideRule("upper", s2_upper),),
         equality=lambda p, n: _upper_env_points(n),
         power_shift=lambda p: (0.5, 2.0, 0.5)))
     _register(BoundSpec(
         "s2.r1.lower.imp", "improved S^2 lower bound with fluctuation term",
-        "R1", s2_query, (SideRule("lower", s2_lower_imp),), _no_params(),
+        "R1", s2_query, (SideRule("lower", s2_lower_imp),),
         equality=lam_points))
     _register(BoundSpec(
         "s2.r1.upper.imp", "improved S^2 upper bound with fluctuation term",
-        "R1", s2_query, (SideRule("upper", s2_upper_imp),), _no_params(),
+        "R1", s2_query, (SideRule("upper", s2_upper_imp),),
         equality=lam_points))
 
     # --- S^2_+ -------------------------------------------------------------
@@ -332,23 +346,17 @@ def _build_catalog():
 
     _register(BoundSpec(
         "hemi2.nd.polya", "Polya on the hemisphere: N^D <= z/2", "N", hd2,
-        (SideRule("upper", lambda p, z: z / _q(2) if not isinstance(z, float)
-                  else 0.5 * z),),
-        _no_params(), equality=lam_points))
+        (SideRule("upper", lambda p, z: z / 2),), equality=lam_points))
 
     def nd_two_upper(p, z):
-        if z == 0:
-            return _q(0) if not isinstance(z, float) else 0.0
-        a = _psi_of(2, z) + (half if not isinstance(z, float) else 0.5)
-        if a == 0:
+        a = (2 * _psi_of(2, z) + 1) / 2  # psi + 1/2
+        if a == 0:  # at every level value, z = 0 included
             return z / 2
         t = _sqrt(z) - a
         return t * t / 2
 
     def nd_two_lower(p, z):
-        if z == 0:
-            return _q(0) if not isinstance(z, float) else 0.0
-        a = _psi_of(2, z) + (half if not isinstance(z, float) else 0.5)
+        a = (2 * _psi_of(2, z) + 1) / 2
         if a == 0:
             return z / 2
         return nd_two_upper(p, z) - a / (8 * _sqrt(z))
@@ -357,94 +365,79 @@ def _build_catalog():
         "hemi2.nd.twosided", "two-sided fluctuation bound for N^D on S^2_+",
         "N", hd2,
         (SideRule("lower", nd_two_lower), SideRule("upper", nd_two_upper)),
-        _no_params(), equality=lam_points))
+        equality=lam_points))
 
     def r1d_core(z):
-        quarter = Fraction(1, 4) if not isinstance(z, float) else 0.25
-        return z * z / 4 - z * _sqrt(z + quarter) / 3
+        return z * z / 4 - z * _sqrt(4 * z + 1) / 6  # z sqrt(z + 1/4) / 3
 
     _register(BoundSpec(
         "hemi2.r1d.lower", "R1^D on S^2_+ >= z^2/4 - z sqrt(z+1/4)/3",
         "R1", hd2, (SideRule("lower", lambda p, z: r1d_core(z)),),
-        _no_params(), equality=lambda p, n: [l * (l + 1)
-                                             for l in range(1, n + 1)]))
+        equality=lambda p, n: [l * (l + 1) for l in range(1, n + 1)]))
     _register(BoundSpec(
         "hemi2.r1d.upper", "R1^D on S^2_+, upper bound with +z/4 term",
-        "R1", hd2, (SideRule("upper", lambda p, z: r1d_core(z) + z / 4),),
-        _no_params()))
+        "R1", hd2, (SideRule("upper", lambda p, z: r1d_core(z) + z / 4),)))
 
     def r1n_core(z):
-        quarter = Fraction(1, 4) if not isinstance(z, float) else 0.25
-        return z * z / 4 + z * _sqrt(z + quarter) / 3
+        return z * z / 4 + z * _sqrt(4 * z + 1) / 6
 
     _register(BoundSpec(
         "hemi2.r1n.lower", "R1^N on S^2_+ >= z^2/4 + z sqrt(z+1/4)/3",
         "R1", hn2, (SideRule("lower", lambda p, z: r1n_core(z)),),
-        _no_params(), equality=lam_points))
+        equality=lam_points))
     _register(BoundSpec(
         "hemi2.r1n.upper", "R1^N on S^2_+, upper bound with +z term",
-        "R1", hn2, (SideRule("upper", lambda p, z: r1n_core(z) + z),),
-        _no_params()))
+        "R1", hn2, (SideRule("upper", lambda p, z: r1n_core(z) + z),)))
 
     # --- domains of S^2_+ and S^2 -----------------------------------------
-    area2p = lambda p: 2 * math.pi
+    area2p = _area(lambda p: 2 * math.pi)
     _register(BoundSpec(
         "dom.s2p.bly", "Berezin-Li-Yau for domains of S^2_+", "R1", hd2,
         (SideRule("upper", lambda p, z: p["area"] * float(z) ** 2
                   / (8 * math.pi)),),
-        _area_validator(area2p, _no_params())))
+        (area2p,)))
     _register(BoundSpec(
         "dom.s2p.bly.imp", "improved Berezin-Li-Yau with shift (z-1/2)^2",
         "R1", hd2,
         (SideRule("upper", lambda p, z: p["area"] * (float(z) - 0.5) ** 2
                   / (8 * math.pi)),),
-        _area_validator(area2p, _no_params())))
+        (area2p,)))
 
     buck2 = lambda p: SpectrumQuery(sphere(2), variant=Variant.BUCKLING)
     _register(BoundSpec(
         "lem.blys1", "sphere sum without l=0: <= z^2/2", "R1", buck2,
-        (SideRule("upper", s2_lower),), _no_params()))
+        (SideRule("upper", s2_lower),)))
 
     def blys2_upper(p, z):
-        t = z - (half if not isinstance(z, float) else 0.5)
-        return t * t / 2
+        t = 2 * z - 1
+        return t * t / 8  # (z - 1/2)^2 / 2
 
     _register(BoundSpec(
         "lem.blys2", "sphere sum without l=0: <= (z-1/2)^2/2", "R1", buck2,
         (SideRule("upper", blys2_upper),),
-        _no_params(), equality=lambda p, n: _upper_env_points(n)))
+        equality=lambda p, n: _upper_env_points(n)))
 
     _register(BoundSpec(
         "dom.s2.buckling", "Berezin-Li-Yau for buckling on domains of S^2",
         "R1", buck2,
         (SideRule("upper", lambda p, z: p["area"] * (float(z) - 0.5) ** 2
                   / (8 * math.pi)),),
-        _area_validator(lambda p: 4 * math.pi, _no_params())))
+        (_area(lambda p: 4 * math.pi),)))
 
     # --- S^d, closed -------------------------------------------------------
     sd_query = lambda p: SpectrumQuery(sphere(p["d"]))
 
     def sd_lower(p, z):
-        c = lclass_volume(sphere(p["d"]), 1)
-        v = _pow_half(z, p["d"] + 2)
-        return c * v if not isinstance(v, float) else float(c) * v
+        return lclass_volume(sphere(p["d"]), 1) * _pow_half(z, p["d"] + 2)
 
     def sd_lower_shift(p, z):
         d = p["d"]
-        c = lclass_volume(sphere(d), 1)
         shift = Fraction(d * (d - 2) * (d + 2), 12)
-        v = _pow_half(z, d)
-        if isinstance(v, float):
-            return float(c) * v * (float(z) + float(shift))
-        return c * v * (z + shift)
+        return lclass_volume(sphere(d), 1) * _pow_half(z, d) * (z + shift)
 
     def sd_upper_shift(p, z):
         d = p["d"]
-        c = lclass_volume(sphere(d), 1)
-        zd = _zd(d)
-        t = (z + zd) if not isinstance(z, float) else z + float(zd)
-        v = _pow_half(t, d + 2)
-        return c * v if not isinstance(v, float) else float(c) * v
+        return lclass_volume(sphere(d), 1) * _pow_half(z + _zd(d), d + 2)
 
     def sd_equality(p, n):
         d = p["d"]
@@ -454,13 +447,14 @@ def _build_catalog():
 
     _register(BoundSpec(
         "sd.r1.lower", "Weyl lower bound for R1 on S^d", "R1", sd_query,
-        (SideRule("lower", sd_lower),), _with_d(2),
+        (SideRule("lower", sd_lower),), (Param("d", lo=2),),
         equality=sd_equality,
         power_shift=lambda p: (float(lclass_volume(sphere(p["d"]), 1)),
                                p["d"] / 2 + 1, 0.0)))
     _register(BoundSpec(
         "sd.r1.lower.shift", "refined lower bound with d(d-2)(d+2)/(12z)",
-        "R1", sd_query, (SideRule("lower", sd_lower_shift),), _with_d(2),
+        "R1", sd_query, (SideRule("lower", sd_lower_shift),),
+        (Param("d", lo=2),),
         equality=sd_equality))
 
     def sd_upper_equality(p, n):
@@ -473,7 +467,8 @@ def _build_catalog():
 
     _register(BoundSpec(
         "sd.r1.upper.shift", "shifted Weyl upper bound, shift z_d=d(2d-1)/12",
-        "R1", sd_query, (SideRule("upper", sd_upper_shift),), _with_d(2),
+        "R1", sd_query, (SideRule("upper", sd_upper_shift),),
+        (Param("d", lo=2),),
         equality=sd_upper_equality,
         power_shift=lambda p: (float(lclass_volume(sphere(p["d"]), 1)),
                                p["d"] / 2 + 1, float(_zd(p["d"])))))
@@ -485,26 +480,22 @@ def _build_catalog():
         (SideRule("lower", lambda p, z: float(lclass_volume(
             sphere(p["d"]), 1)) * (float(z) + float(_bd(p["d"])))
             ** (p["d"] / 2 + 1)),),
-        _with_d(3), expected_valid=False))
+        (Param("d", lo=3),), expected_valid=False))
 
     # --- averages on S^d ---------------------------------------------------
     def avg_upper(p, k):
         d = p["d"]
         w0 = lclass_volume(sphere(d), 0)
-        val = _nth_root((Fraction(k) / w0) ** 2, d)
-        return Fraction(d, d + 2) * val if not isinstance(val, float) \
-            else d / (d + 2) * val
+        return Fraction(d, d + 2) * _nth_root((Fraction(k) / w0) ** 2, d)
 
     def avg_lower(p, k):
-        up = avg_upper(p, k)
-        zd = _zd(p["d"])
-        return up - zd if not isinstance(up, float) else up - float(zd)
+        return avg_upper(p, k) - _zd(p["d"])
 
     _register(BoundSpec(
         "sd.avg.twosided", "two-sided bounds for eigenvalue averages on S^d",
         "average", sd_query,
         (SideRule("lower", avg_lower), SideRule("upper", avg_upper)),
-        _with_d(2),
+        (Param("d", lo=2),),
         equality=lambda p, n: [1] if p["d"] == 2 else [],
         equality_side="lower"))
 
@@ -515,7 +506,7 @@ def _build_catalog():
         (SideRule("lower", lambda p, k: p["d"] / (p["d"] + 2)
                   * math.factorial(p["d"]) ** (2 / p["d"])
                   * float(k) ** (2 / p["d"])),),
-        _with_d(6), expected_valid=False), "fail.liyau.d>=6")
+        (Param("d", lo=6),), expected_valid=False), "fail.liyau.d>=6")
 
     # --- domains of S^d ----------------------------------------------------
     def sd_area(p):
@@ -527,7 +518,7 @@ def _build_catalog():
         "R1", sd_query,
         (SideRule("upper", lambda p, z: lclass(1, p["d"]).value * p["area"]
                   * (float(z) + float(_zd(p["d"]))) ** (p["d"] / 2 + 1)),),
-        _area_validator(sd_area, _with_d(2))))
+        (Param("d", lo=2), _area(sd_area))))
 
     _register(BoundSpec(
         "dom.sd.kroger.imp", "improved Kroger bound for domains of S^d",
@@ -536,27 +527,23 @@ def _build_catalog():
                   * float(z) ** (p["d"] / 2)
                   * (float(z) + float(Fraction(p["d"] * (p["d"] - 2)
                                                * (p["d"] + 2), 12)))),),
-        _area_validator(sd_area, _with_d(2))))
+        (Param("d", lo=2), _area(sd_area))))
 
     # --- S^1 ----------------------------------------------------------------
     s1_query = lambda p: SpectrumQuery(sphere(1))
 
     def s1_upper(p, z):
-        c = Fraction(1, 12)
-        t = (z + c) if not isinstance(z, float) else z + float(c)
-        v = _pow_half(t, 3)
-        return Fraction(4, 3) * v if not isinstance(v, float) else 4 / 3 * v
+        return Fraction(4, 3) * _pow_half(z + Fraction(1, 12), 3)
 
     _register(BoundSpec(
         "s1.r1.upper.shift", "R1 on the circle <= 4/3 (z+1/12)^(3/2)",
-        "R1", s1_query, (SideRule("upper", s1_upper),), _no_params(),
+        "R1", s1_query, (SideRule("upper", s1_upper),),
         equality=lambda p, n: [Fraction(3 * (2 * l + 1) ** 2 - 1, 12)
                                for l in range(n)],
         power_shift=lambda p: (4 / 3, 1.5, float(Fraction(1, 12)))))
 
     def s1_weyl(p, z):
-        v = _pow_half(z, 3)
-        return Fraction(4, 3) * v if not isinstance(v, float) else 4 / 3 * v
+        return Fraction(4, 3) * _pow_half(z, 3)
 
     def s1_witnesses(p, zmax):
         out = []
@@ -575,7 +562,7 @@ def _build_catalog():
         "fail.s1.weyl", "Weyl term is neither bound for R1 on the circle",
         "R1", s1_query,
         (SideRule("lower", s1_weyl), SideRule("upper", s1_weyl)),
-        _no_params(), expected_valid=False, witnesses=s1_witnesses))
+        expected_valid=False, witnesses=s1_witnesses))
 
     # --- hemisphere S^d_+ --------------------------------------------------
     hd_query = lambda p: SpectrumQuery(hemisphere_dirichlet(p["d"]))
@@ -586,7 +573,7 @@ def _build_catalog():
         (SideRule("upper", lambda p, z: float(lclass_volume(
             hemisphere_dirichlet(p["d"]), 1))
             * float(z) ** (p["d"] / 2 + 1)),),
-        _with_d(3, 5),
+        (Param("d", lo=3, hi=5),),
         power_shift=lambda p: (float(lclass_volume(
             hemisphere_dirichlet(p["d"]), 1)), p["d"] / 2 + 1, 0.0)))
 
@@ -595,26 +582,16 @@ def _build_catalog():
         "N", hd_query,
         (SideRule("upper", lambda p, z: float(z) ** (p["d"] / 2)
                   / math.factorial(p["d"])),),
-        _with_d(3), expected_valid=False), "fail.hemi.polya.d>=3")
+        (Param("d", lo=3),), expected_valid=False), "fail.hemi.polya.d>=3")
 
     # --- polyharmonic ------------------------------------------------------
     def sdp_query(p):
         return SpectrumQuery(sphere(p["d"]), power=p["p"])
 
-    def _validate_r1p(params: dict) -> dict:
-        out = {"d": None, "p": None}
-        out.update(params)
-        d, p = out.get("d"), out.get("p")
-        if d is None or p is None:
-            raise ValueError("parameters d and p are required")
-        if d < 2:
-            raise ValueError("d must be >= 2")
-        if p < (1 if d == 2 else 2):
+    def r1p_p_range(prm):
+        if prm["p"] < (1 if prm["d"] == 2 else 2):
             raise ValueError("p out of range (corollary allows p>=1 at d=2, "
                              "theorem needs p>=2)")
-        if set(out) - {"d", "p"}:
-            raise ValueError("unexpected parameters")
-        return out
 
     def r1p_lower(prm, z):
         d, p = prm["d"], prm["p"]
@@ -644,7 +621,7 @@ def _build_catalog():
         "sd.r1p.twosided", "two-sided shifted Weyl bounds for (-Delta)^p",
         "R1", sdp_query,
         (SideRule("lower", r1p_lower), SideRule("upper", r1p_upper)),
-        _validate_r1p))
+        (Param("d", lo=2), Param("p", lo=1)), rule=r1p_p_range))
 
     def r1p_weyl(prm, z):
         d, p = prm["d"], prm["p"]
@@ -663,54 +640,28 @@ def _build_catalog():
             l += 1
         return out
 
-    def _validate_r1p_weyl(params: dict) -> dict:
-        out = {"d": 2, "p": 2}
-        out.update(params)
-        if (out["d"], out["p"]) != (2, 2):
-            raise ValueError("documented counterexample is d = 2, p = 2")
-        return out
-
+    # The documented counterexample is d = 2, p = 2 and nothing else.
     _register(BoundSpec(
         "fail.r1p.weyl", "Weyl term is neither bound for R1 of Delta^2 on S^2",
         "R1", sdp_query,
         (SideRule("lower", r1p_weyl), SideRule("upper", r1p_weyl)),
-        _validate_r1p_weyl, expected_valid=False, witnesses=r1p_witnesses))
+        (Param("d", lo=2, hi=2, default=2),
+         Param("p", lo=2, hi=2, default=2)),
+        expected_valid=False, witnesses=r1p_witnesses))
 
     _register(BoundSpec(
         "sd.r12.lower", "Weyl lower bound for the biharmonic R1 on S^d, d>=3",
         "R1", lambda p: SpectrumQuery(sphere(p["d"]), power=2),
         (SideRule("lower", lambda p, z: float(lclass_volume(
             sphere(p["d"]), 1, 2)) * float(z) ** (1 + p["d"] / 4)),),
-        _with_d(3)))
-
-    def _validate_p(pmin):
-        def validate(params: dict) -> dict:
-            out = {"p": None}
-            out.update(params)
-            if out.get("p") is None:
-                raise ValueError("parameter p is required")
-            if out["p"] < pmin:
-                raise ValueError(f"p must be >= {pmin}")
-            if set(out) - {"p"}:
-                raise ValueError("unexpected parameters")
-            return out
-        return validate
+        (Param("d", lo=3),)))
 
     _register(BoundSpec(
         "hemi2.poly.bly", "polyharmonic Berezin-Li-Yau on S^2_+",
         "R1", lambda p: SpectrumQuery(hemisphere_dirichlet(2), power=p["p"]),
         (SideRule("upper", lambda p, z: p["p"] / (2 * (p["p"] + 1))
                   * float(z) ** (1 + 1 / p["p"])),),
-        _validate_p(1)))
-
-    def _validate_p23(params: dict) -> dict:
-        out = dict(params)
-        p = out.get("p")
-        if p not in (2, 3):
-            raise ValueError("p must be 2 or 3")
-        if set(out) - {"p", "area"}:
-            raise ValueError("unexpected parameters")
-        return {"p": p, "area": out.get("area")}
+        (Param("p", lo=1),)))
 
     def poly23_upper(prm, z):
         zf = float(z)
@@ -723,7 +674,7 @@ def _build_catalog():
         "biharmonic/triharmonic Berezin-Li-Yau for domains of S^2_+",
         "R1", lambda p: SpectrumQuery(hemisphere_dirichlet(2), power=p["p"]),
         (SideRule("upper", poly23_upper),),
-        _area_validator(lambda p: 2 * math.pi, _validate_p23)))
+        (Param("p", lo=2, hi=3), area2p)))
 
     _register(BoundSpec(
         "dom.sd.neubih.lower",
@@ -731,44 +682,23 @@ def _build_catalog():
         "R1", lambda p: SpectrumQuery(sphere(p["d"]), power=2),
         (SideRule("lower", lambda p, z: lclass(1, p["d"], 2).value
                   * p["area"] * float(z) ** (1 + p["d"] / 4)),),
-        _area_validator(sd_area, _with_d(3))))
+        (Param("d", lo=3), _area(sd_area))))
 
     # --- R2 on rank-one spaces ---------------------------------------------
-    def _validate_space(params: dict) -> dict:
-        out = {"space": sphere(2)}
-        out.update(params)
-        space = out["space"]
-        if not isinstance(space, Space):
-            raise ValueError("parameter 'space' must be a Space")
-        if not space.is_closed:
-            raise ValueError("R2 sum-rule bounds apply to closed spaces")
-        if space.dim < 2:
-            # The gap-minimum positivity (d-2)/(d+2) L(L+d) needs d >= 2;
-            # on the circle the lower bound genuinely fails (z ~ 1537).
-            raise ValueError("R2 two-sided bounds require dim >= 2")
-        if set(out) - {"space"}:
-            raise ValueError("unexpected parameters")
-        return out
-
     def r2_lower(prm, z):
         sp = prm["space"]
-        c = lclass_volume(sp, 2)
-        v = _pow_half(z, sp.dim + 4)
-        return c * v if not isinstance(v, float) else float(c) * v
+        return lclass_volume(sp, 2) * _pow_half(z, sp.dim + 4)
 
     def r2_upper(prm, z):
         sp = prm["space"]
-        c = lclass_volume(sp, 2)
         b = Fraction(sp.dim * sp.first_positive_eigenvalue, 4)
-        t = (z + b) if not isinstance(z, float) else z + float(b)
-        v = _pow_half(t, sp.dim + 4)
-        return c * v if not isinstance(v, float) else float(c) * v
+        return lclass_volume(sp, 2) * _pow_half(z + b, sp.dim + 4)
 
     _register(BoundSpec(
         "sd.r2.twosided", "two-sided Weyl bounds for R2 on rank-one spaces",
         "R2", lambda p: SpectrumQuery(p["space"]),
         (SideRule("lower", r2_lower), SideRule("upper", r2_upper)),
-        _validate_space))
+        (Param("space", _closed_space, default=sphere(2)),)))
 
 
 _build_catalog()
@@ -797,8 +727,6 @@ def bound_value(bound_id: str, params: Optional[dict] = None, z: Real = None,
         side = next(iter(rules))
     if side not in rules:
         raise ValueError(f"{spec.id} has no side {side!r}")
-    if spec.quantity == "average":
-        return rules[side].evaluate(prm, z)
     return rules[side].evaluate(prm, _normalize_arg(z))
 
 
@@ -882,14 +810,6 @@ def _target_value(spec: BoundSpec, prm: dict, x, level_cap: int):
     raise AssertionError(spec.quantity)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SPECTRAL_RIESZ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def standard_grid(bound_id: str, params: Optional[dict] = None,
                   zmax: Optional[float] = None, points: int = 2000,
                   levels: int = 40) -> list:
@@ -926,34 +846,20 @@ def standard_grid(bound_id: str, params: Optional[dict] = None,
 
 def _scan_side(spec, prm, rule: SideRule, grid: Sequence, level_cap: int,
                tol: float = 1e-9):
-    rows = []
     q = spec.query(prm)
     lam_cache: List[int] = []
 
     def gap_index(zf: float) -> int:
         while not lam_cache or lam_cache[-1] <= zf:
             lam_cache.append(q.level_value(q.min_level + len(lam_cache)))
-        import bisect
         return bisect.bisect_right(lam_cache, zf) - 1 + q.min_level
 
-    def scan_chunk(chunk):
-        out = []
-        for x in chunk:
-            tgt = float(_target_value(spec, prm, x, level_cap))
-            bnd = float(rule.evaluate(prm, x))
-            slack = (bnd - tgt) if rule.side == "upper" else (tgt - bnd)
-            out.append((float(x), tgt, bnd, slack))
-        return out
-
-    workers = _worker_count()
-    if workers > 1 and len(grid) > 64:
-        chunks = [grid[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for part in ex.map(scan_chunk, chunks):
-                rows.extend(part)
-        rows.sort(key=lambda r: r[0])
-    else:
-        rows = scan_chunk(grid)
+    rows = []
+    for x in grid:
+        tgt = float(_target_value(spec, prm, x, level_cap))
+        bnd = float(rule.evaluate(prm, x))
+        slack = (bnd - tgt) if rule.side == "upper" else (tgt - bnd)
+        rows.append((float(x), tgt, bnd, slack))
 
     min_slack, arg = math.inf, 0.0
     violations = []
@@ -1001,11 +907,10 @@ def verify(bound_id: str, params: Optional[dict] = None,
             if spec.equality_side is not None and rule.side != spec.equality_side:
                 continue
             for e in eq_pts:
-                if isinstance(e, float):
+                if not isinstance(e, (int, Fraction)):
                     continue  # informational values (e.g. b(l) shifts)
                 tgt = _target_value(spec, prm, e, level_cap)
-                bnd = rule.evaluate(prm, e if spec.quantity == "average"
-                                    else _normalize_arg(e))
+                bnd = rule.evaluate(prm, _normalize_arg(e))
                 slack = (bnd - tgt) if rule.side == "upper" else (tgt - bnd)
                 eq_checks.append(EqualityCheck(float(e), rule.side,
                                                float(slack)))
@@ -1084,8 +989,3 @@ def cor_new_average_lower(d: int, k: int) -> float:
     shifted upper bound): d/(d+2) (k / (L_0 |S^d|))^(2/d) - z_d."""
     w0 = lclass_volume(sphere(d), 0)
     return d / (d + 2) * float(Fraction(k) / w0) ** (2 / d) - float(_zd(d))
-
-
-def cor_new_average_upper(d: int, k: int) -> float:
-    return d / (d + 2) * float(Fraction(k) / lclass_volume(sphere(d), 0)) \
-        ** (2 / d)

@@ -229,36 +229,28 @@ def cmd_eval(args) -> int:
 # verify
 
 
-def _entry_params(spec, space: Optional[Space], args) -> Optional[dict]:
-    """Parameter dicts an entry might accept, derived from CLI arguments."""
-    opts = []
-    extra = {}
-    if getattr(args, "area", None) is not None:
-        extra["area"] = args.area
-    d = {"d": space.dim} if space else {}
-    p = {"p": args.power} if getattr(args, "power", None) else {}
-    sp = {"space": space} if space else {}
-    for cand in ({**d, **p, **extra}, {**d, **extra}, {**p, **extra},
-                 {**sp}, {**extra}, {}):
-        if cand not in opts:
-            opts.append(cand)
-    for cand in opts:
-        try:
-            spec.validate(dict(cand))
-            return cand
-        except (ValueError, KeyError):
-            continue
-    return None
+def _entry_params(spec, space: Optional[Space], args) -> dict:
+    """The entry's declared parameters that the command line supplies.
+
+    The space gives `d` and `space`, --power gives `p`, --area gives
+    `area`; parameters left out take the entry's declared defaults.
+    """
+    given = {"d": space.dim if space else None,
+             "p": getattr(args, "power", None),
+             "area": getattr(args, "area", None),
+             "space": space}
+    return {name: given[name] for name in spec.param_names
+            if given.get(name) is not None}
 
 
-def _query_matches(spec, params, space: Optional[Space]) -> bool:
-    if space is None:
-        return True
+def _selects(spec, params, space: Optional[Space]) -> bool:
+    """Parameters validate and the entry's spectrum lives on `space`."""
     try:
         q = spec.query(spec.validate(dict(params)))
-    except Exception:
+    except ValueError:
         return False
-    return q.space.family is space.family and q.space.dim == space.dim
+    return space is None or (q.space.family is space.family
+                             and q.space.dim == space.dim)
 
 
 def cmd_verify(args) -> int:
@@ -267,27 +259,27 @@ def cmd_verify(args) -> int:
     ids = list(args.ids)
     if not ids:
         raise UsageError("give bound ids or 'all'")
+    selected = []
     if ids == ["all"]:
-        ids = sorted(bounds.catalog())
-        selected = []
-        for bid in ids:
+        for bid in sorted(bounds.catalog()):
             spec = bounds.get(bid)
             prm = _entry_params(spec, space, args)
-            if prm is not None and _query_matches(spec, prm, space):
+            if _selects(spec, prm, space):
                 selected.append((bid, prm))
         if not selected:
             raise UsageError("no catalog entries match the given space")
     else:
-        selected = []
         for bid in ids:
             try:
                 spec = bounds.get(bid)
             except KeyError as exc:
                 raise UsageError(str(exc)) from None
             prm = _entry_params(spec, space, args)
-            if prm is None:
+            try:
+                spec.validate(dict(prm))
+            except ValueError as exc:
                 raise UsageError(f"cannot assemble parameters for {bid} "
-                                 f"from the command line")
+                                 f"from the command line: {exc}") from None
             selected.append((bid, prm))
 
     all_ok = True

@@ -168,6 +168,16 @@ def _valid_entry_matrix():
     return out
 
 
+def _failure_entry_matrix():
+    return [
+        *[("fail.hemi.polya.d≥3", {"d": d}) for d in (3, 4, 5)],
+        ("fail.liyau.d≥6", {"d": 6}),
+        ("fail.r1p.weyl", {}),
+        ("fail.s1.weyl", {}),
+        ("fail.sd.r1.lower.bdshift", {"d": 3}),
+    ]
+
+
 def criterion_2() -> str:
     worst_eq = 0.0
     n_entries = 0
@@ -421,20 +431,22 @@ def criterion_10() -> str:
 # ---------------------------------------------------------------------------
 
 
+#: The acceptance criteria: (number, name, check, time budget in seconds).
+CRITERIA = (
+    (1, "oracle equivalence of closed forms", criterion_1, 10.0),
+    (2, "bound catalog verification", criterion_2, None),
+    (3, "documented failures reproduced", criterion_3, None),
+    (4, "shifted-bound sharpness", criterion_4, None),
+    (5, "expansion remainder certification", criterion_5, None),
+    (6, "P/Q sum-rule exact identity", criterion_6, 30.0),
+    (7, "trace identity partial sums", criterion_7, None),
+    (8, "polyharmonic transform identities", criterion_8, None),
+    (9, "hemisphere Berezin-Li-Yau d=3,4,5 (+ d=6 failure)",
+     criterion_9, None),
+    (10, "average bounds and Legendre duality", criterion_10, None),
+)
+
+
 def run_acceptance() -> AcceptanceReport:
-    checks = [
-        (1, "oracle equivalence of closed forms", criterion_1, 10.0),
-        (2, "bound catalog verification", criterion_2, None),
-        (3, "documented failures reproduced", criterion_3, None),
-        (4, "shifted-bound sharpness", criterion_4, None),
-        (5, "expansion remainder certification", criterion_5, None),
-        (6, "P/Q sum-rule exact identity", criterion_6, 30.0),
-        (7, "trace identity partial sums", criterion_7, None),
-        (8, "polyharmonic transform identities", criterion_8, None),
-        (9, "hemisphere Berezin-Li-Yau d=3,4,5 (+ d=6 failure)",
-         criterion_9, None),
-        (10, "average bounds and Legendre duality", criterion_10, None),
-    ]
-    results = tuple(_run(num, name, fn, budget)
-                    for num, name, fn, budget in checks)
-    return AcceptanceReport(results)
+    return AcceptanceReport(tuple(_run(num, name, fn, budget)
+                                  for num, name, fn, budget in CRITERIA))

@@ -1,11 +1,12 @@
 """Counting functions and Riesz-means, exact and floating.
 
-Two evaluation paths everywhere: with int/Fraction arguments every result
-is an exact rational (the oracle of record); with float arguments the
-result is plain binary64 and is tested to stay within 1e-12 relative of
-the rational path.  Prefix sums over the multiplicity-expanded spectrum
-are cached per spectrum as immutable snapshots, so concurrent readers are
-safe without locking on the read side.
+One expression per formula; the argument type carries exactness.  With
+int/Fraction arguments every result is an exact rational (the oracle of
+record); with float arguments the same expression runs in plain binary64
+and is tested to stay within 1e-12 relative of the rational path.  Prefix
+sums over the multiplicity-expanded spectrum are cached per spectrum as
+immutable snapshots, so concurrent readers are safe without locking on
+the read side.
 """
 
 from __future__ import annotations
@@ -143,25 +144,22 @@ def riesz_mean(q: SpectrumQuery, gamma: int, z: Real, *,
                level_cap: int = DEFAULT_LEVEL_CAP):
     """R_gamma(z) = sum_j (z - lambda_j^p)_+^gamma for gamma in {1, 2}.
 
-    Exact Fraction for int/Fraction z, binary64 for float z.
+    Exact (int or Fraction, as z) for int/Fraction z, binary64 for float z.
     """
     if gamma not in (1, 2):
         raise ValueError("riesz_mean covers gamma in {1, 2}; use counting for 0")
     if z < 0:
         raise ValueError("riesz_mean requires z >= 0")
-    exact = not isinstance(z, float)
     L = max_level_index_pow(q, z, level_cap=level_cap)
     if L is None:
-        return Fraction(0) if exact else 0.0
-    tab = _table(q, L)
-    i = L - q.min_level
-    n, s1, s2 = tab[2][i], tab[3][i], tab[4][i]
-    if exact:
-        zq = Fraction(z)
-        return n * zq - s1 if gamma == 1 else n * zq * zq - 2 * s1 * zq + s2
+        n = s1 = s2 = 0
+    else:
+        tab = _table(q, L)
+        i = L - q.min_level
+        n, s1, s2 = tab[2][i], tab[3][i], tab[4][i]
     if gamma == 1:
-        return n * z - float(s1)
-    return (n * z - 2.0 * float(s1)) * z + float(s2)
+        return n * z - s1
+    return (n * z - 2 * s1) * z + s2
 
 
 def prefix_sums(q: SpectrumQuery, k: int, *,
@@ -240,12 +238,10 @@ def riesz1_closed_sphere(d: int, z: Real, *,
         raise ValueError("riesz1_closed_sphere requires z >= 0")
     space = sphere(d)
     L = max_level_index(space, z, level_cap=level_cap)
-    exact = not isinstance(z, float)
     gamma_ratio = math.prod(range(L + 1, L + d))  # Gamma(L+d)/Gamma(L+1)
     pre = Fraction((2 * L + d) * gamma_ratio,
                    (d + 2) * math.factorial(d))
-    lin = -d * L * (L + d) + (d + 2) * (Fraction(z) if exact else z)
-    return pre * lin if exact else float(pre) * lin
+    return pre * (-d * L * (L + d) + (d + 2) * z)
 
 
 def lemma_sum(p: int, z: Real, *, level_cap: int = DEFAULT_LEVEL_CAP):
@@ -324,7 +320,7 @@ def poly_transform_check(d: int, p: int, z: Real, *,
         raise ValueError("transforms require p >= 2")
     if z < 0:
         raise ValueError("poly_transform_check requires z >= 0")
-    zq = Fraction(z) if not isinstance(z, float) else Fraction(*z.as_integer_ratio())
+    zq = Fraction(z)  # exact for float z too
     residuals = []
 
     q1 = SpectrumQuery(sphere(d), power=1)

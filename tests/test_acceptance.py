@@ -1,41 +1,34 @@
 """Acceptance gate: one test per criterion, one printed pass/fail line each.
 
-Run with `pytest tests/test_acceptance.py -s` to see the lines, or use the
-CLI (`spectral-riesz report`) for the aggregated document.
+The report is computed once per module; each criterion test reads its own
+result from it.  Run with `pytest tests/test_acceptance.py -s` to see the
+lines, or use the CLI (`spectral-riesz report`) for the aggregated document.
 """
 
 import pytest
 
 from spectral_riesz import report
 
-CRITERIA = [
-    (1, "oracle equivalence of closed forms", report.criterion_1, 10.0),
-    (2, "bound catalog verification", report.criterion_2, None),
-    (3, "documented failures reproduced", report.criterion_3, None),
-    (4, "shifted-bound sharpness", report.criterion_4, None),
-    (5, "expansion remainder certification", report.criterion_5, None),
-    (6, "P/Q sum-rule exact identity", report.criterion_6, 30.0),
-    (7, "trace identity partial sums", report.criterion_7, None),
-    (8, "polyharmonic transform identities", report.criterion_8, None),
-    (9, "hemisphere Berezin-Li-Yau d=3,4,5 (+ d=6 failure)",
-     report.criterion_9, None),
-    (10, "average bounds and Legendre duality", report.criterion_10, None),
-]
+
+@pytest.fixture(scope="module")
+def acceptance():
+    return report.run_acceptance()
 
 
-@pytest.mark.parametrize("number,name,fn,budget", CRITERIA,
-                         ids=[f"criterion-{n}" for n, *_ in CRITERIA])
-def test_acceptance_criterion(number, name, fn, budget):
-    result = report._run(number, name, fn, budget)
+@pytest.mark.parametrize("criterion", report.CRITERIA,
+                         ids=[f"criterion-{n}" for n, *_ in report.CRITERIA])
+def test_acceptance_criterion(acceptance, criterion):
+    number, name = criterion[:2]
+    result = acceptance.results[number - 1]
+    assert (result.number, result.name) == (number, name)
     tag = "PASS" if result.passed else "FAIL"
     print(f"[{tag}] criterion {result.number}: {result.name} "
           f"({result.seconds:.2f}s) {result.detail}")
     assert result.passed, result.detail
 
 
-def test_full_report_aggregates_every_criterion():
-    rep = report.run_acceptance()
-    assert len(rep.results) == 10
-    assert rep.passed
-    md = rep.to_markdown()
+def test_full_report_aggregates_every_criterion(acceptance):
+    assert len(acceptance.results) == 10
+    assert acceptance.passed
+    md = acceptance.to_markdown()
     assert md.count("criterion") >= 10 and "Overall: PASS" in md

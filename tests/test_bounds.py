@@ -34,6 +34,14 @@ def test_bound_value_errors():
     with pytest.raises(ValueError):
         bounds.bound_value("sd.r2.twosided",
                            {"space": hemisphere_dirichlet(3)}, 1, side="lower")
+    for bound_id, params in [("dom.s2p.bly", {"area": 7.0}),
+                             ("dom.s2p.bly", {"area": math.nan}),
+                             ("dom.s2p.poly23", {"p": 2.5}),
+                             ("dom.s2p.poly23", {"p": 4}),
+                             ("fail.r1p.weyl", {"p": 3}),
+                             ("sd.r1p.twosided", {"d": 3, "p": 1})]:
+        with pytest.raises(ValueError):
+            bounds.bound_value(bound_id, params, 1, side="upper")
 
 
 def test_equality_points_examples():
@@ -202,13 +210,6 @@ def test_tolerance_override_flags_float_noise():
     assert not rep.passed  # float noise trips an absurdly tight tolerance
 
 
-def test_threaded_scan_matches_single_threaded(monkeypatch):
-    base = bounds.verify("s2.r1.upper", points=500, levels=20)
-    monkeypatch.setenv("SPECTRAL_RIESZ_THREADS", "4")
-    threaded = bounds.verify("s2.r1.upper", points=500, levels=20)
-    assert threaded.to_dict() == base.to_dict()
-
-
 def test_standard_grid_contains_levels_and_equality_points():
     grid = bounds.standard_grid("s2.r1.upper", points=50, levels=10)
     for lam in (0.0, 2.0, 6.0, 12.0):
@@ -255,3 +256,30 @@ def test_bly345_diagnostic_matches_independent_gap_maximum():
                 c1 = b - (b - a) * phi
                 f1 = ratio(c1)
         assert max(f1, f2) == pytest.approx(diag.ratio_at_crit, rel=1e-10)
+
+
+# Every catalog side is one expression for both arithmetic paths; the
+# float path must track the exact one at rational arguments.
+def _every_side():
+    from spectral_riesz.report import (_failure_entry_matrix,
+                                       _valid_entry_matrix)
+    for bound_id, params in _valid_entry_matrix() + _failure_entry_matrix():
+        for rule in bounds.get(bound_id).sides:
+            label = ",".join(f"{k}={getattr(v, 'describe', lambda: v)()}"
+                             for k, v in sorted(params.items()))
+            yield pytest.param(bound_id, params, rule.side,
+                               id=f"{bound_id}[{label}]-{rule.side}")
+
+
+@pytest.mark.parametrize("bound_id,params,side", list(_every_side()))
+def test_float_path_matches_exact_path(bound_id, params, side):
+    if bounds.get(bound_id).quantity == "average":
+        args = [Fraction(1), Fraction(7), Fraction(40)]
+    else:
+        args = [Fraction(9, 4), Fraction(47, 7), Fraction(12),
+                Fraction(301, 3)]
+    for z in args:
+        exact = bounds.bound_value(bound_id, params, z, side=side)
+        approx = bounds.bound_value(bound_id, params, float(z), side=side)
+        assert float(approx) == pytest.approx(float(exact), rel=1e-12,
+                                              abs=0), z

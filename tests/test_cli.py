@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from spectral_riesz.cli import main
 from spectral_riesz.output import dumps_json
 
@@ -185,3 +187,22 @@ def test_verify_all_without_space(capsys):
     code, out, _ = run(capsys, "verify", "all", "--points", "150")
     assert code == 0
     assert "s2.r1.lower" in out and "hemi2.nd.polya" in out
+
+
+@pytest.mark.parametrize("space", ["rp:3", "sphere:3"])
+def test_verify_all_passes_the_space_to_r2_entry(capsys, tmp_path, space):
+    code, out, _ = run(capsys, "verify", space, "all", "--points", "100",
+                       "--out", str(tmp_path))
+    assert code == 0
+    assert "sd.r2.twosided [ok]" in out
+    rep = json.load(open(tmp_path / "verify-sd.r2.twosided.json"))
+    assert rep["params"] == f"space={space}"
+
+
+@pytest.mark.parametrize("space,count", [
+    ("sphere:1", 2), ("sphere:2", 15), ("sphere:3", 10), ("hemisphere-d:2", 6),
+    ("hemisphere-d:3", 2), ("hemisphere-n:2", 2), ("cp:4", 1), (None, 19)])
+def test_verify_all_selects_entries_of_the_space(capsys, space, count):
+    argv = ["verify"] + ([space] if space else []) + ["all", "--points", "20"]
+    _, out, _ = run(capsys, *argv)
+    assert len(out.splitlines()) == count
