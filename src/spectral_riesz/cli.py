@@ -274,12 +274,21 @@ def cmd_verify(args) -> int:
                 spec = bounds.get(bid)
             except KeyError as exc:
                 raise UsageError(str(exc)) from None
+            unused = [flag for flag, name, value in (
+                          ("--power", "p", args.power),
+                          ("--area", "area", args.area))
+                      if value is not None and name not in spec.param_names]
+            if unused:
+                raise UsageError(f"{bid} takes no {' or '.join(unused)}")
             prm = _entry_params(spec, space, args)
             try:
                 spec.validate(dict(prm))
             except ValueError as exc:
                 raise UsageError(f"cannot assemble parameters for {bid} "
                                  f"from the command line: {exc}") from None
+            if not _selects(spec, prm, space):
+                raise UsageError(f"{bid} is not an entry of "
+                                 f"{space.describe()}")
             selected.append((bid, prm))
 
     all_ok = True

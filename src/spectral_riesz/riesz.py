@@ -3,23 +3,30 @@
 One expression per formula; the argument type carries exactness.  With
 int/Fraction arguments every result is an exact rational (the oracle of
 record); with float arguments the same expression runs in plain binary64
-and is tested to stay within 1e-12 relative of the rational path.  Prefix
-sums over the multiplicity-expanded spectrum are cached per spectrum as
-immutable snapshots, so concurrent readers are safe without locking on
-the read side.
+and is tested to stay within 1e-12 relative of the rational path.
+
+Every quantity is read off one exact prefix table per spectrum (`_table`,
+one row per level with named columns lam, mult, count, s1, s2) through one
+of two exact bisects: by value, `bisect_right` on lam, for N, R_1, R_2 and
+the level inversion; by count, `bisect_left` on count, for the prefix sums
+and the j-th eigenvalue.  Python compares int with float and Fraction
+exactly, so no float ever seeds a lookup.  Tables are cached as immutable
+snapshots that are only replaced by longer ones, so concurrent readers are
+safe without locking on the read side.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, eigenvalue,
-                     max_level_index, multiplicity, sphere,
+                     max_level_index, multiplicity, require_finite, sphere,
                      hemisphere_dirichlet)
 
 
@@ -66,33 +73,42 @@ class PrefixSums:
     sum2: int  # sum of lambda_j^2
 
 
-# Per-query cached columns: levels' lambda^p, mult, cumulative count,
-# cumulative sum of m*lambda^p and of m*lambda^(2p).
-_Table = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...],
-               Tuple[int, ...], Tuple[int, ...]]
+class _Table(NamedTuple):
+    """Per-query prefix table, one row per level from min_level on.
+
+    lam: level value lambda_(l)^p; mult: multiplicity; count: cumulative
+    multiplicity N; s1, s2: cumulative sums of m lambda^p and m lambda^(2p).
+    """
+
+    lam: Tuple[int, ...]
+    mult: Tuple[int, ...]
+    count: Tuple[int, ...]
+    s1: Tuple[int, ...]
+    s2: Tuple[int, ...]
+
+
 _tables: dict = {}
 _tables_lock = threading.Lock()
 
 
 def _table(q: SpectrumQuery, upto_level: int) -> _Table:
-    """Immutable prefix table covering levels min_level..upto_level (>=)."""
+    """Immutable prefix table covering levels min_level..upto_level (>=).
+
+    Row i is level min_level + i.  A shorter table is replaced by one built
+    exactly to upto_level; the two lookups grow it by doubling (`_grown`).
+    """
     tab = _tables.get(q)
-    if tab is not None and len(tab[0]) > upto_level - q.min_level:
+    if tab is not None and len(tab.lam) > upto_level - q.min_level:
         return tab
     with _tables_lock:
         tab = _tables.get(q)
-        have = len(tab[0]) if tab else 0
+        have = len(tab.lam) if tab else 0
         need = upto_level - q.min_level + 1
         if have >= need:
             return tab
-        lams = list(tab[0]) if tab else []
-        mults = list(tab[1]) if tab else []
-        cnt = list(tab[2]) if tab else []
-        s1 = list(tab[3]) if tab else []
-        s2 = list(tab[4]) if tab else []
-        grow_to = max(need, 2 * have, 16)
-        for i in range(have, grow_to):
-            l = q.min_level + i
+        cols = [list(c) for c in tab] if tab else [[], [], [], [], []]
+        lams, mults, cnt, s1, s2 = cols
+        for l in range(q.min_level + have, q.min_level + need):
             lam = q.level_value(l)
             m = multiplicity(q.space, l)
             lams.append(lam)
@@ -100,44 +116,65 @@ def _table(q: SpectrumQuery, upto_level: int) -> _Table:
             cnt.append((cnt[-1] if cnt else 0) + m)
             s1.append((s1[-1] if s1 else 0) + m * lam)
             s2.append((s2[-1] if s2 else 0) + m * lam * lam)
-        new = (tuple(lams), tuple(mults), tuple(cnt), tuple(s1), tuple(s2))
+        new = _Table(*map(tuple, cols))
         _tables[q] = new
         return new
+
+
+def _grown(q: SpectrumQuery, column: str, x, level_cap: int) -> _Table:
+    """The table of q, doubled as needed until its last `column` entry
+    exceeds x.
+
+    Growth stops at level level_cap + 1, so a lookup past the cap finds
+    its answer in the last row and raises, without building further.
+    """
+    top = level_cap + 1
+    tab = _tables.get(q)
+    while tab is None or (getattr(tab, column)[-1] <= x
+                          and q.min_level + len(tab.lam) <= top):
+        rows = max(2 * len(tab.lam), 16) if tab else 16
+        tab = _table(q, min(q.min_level + rows - 1, top))
+    return tab
+
+
+def _rows_upto(q: SpectrumQuery, z: Real, level_cap: int):
+    """(table, i): rows 0..i-1 are the levels with lambda^p <= z.
+
+    Lookup by value: an exact bisect of the lam column, since Python
+    compares int with float and Fraction exactly.
+    """
+    require_finite(z)
+    tab = _grown(q, "lam", z, level_cap)
+    i = bisect_right(tab.lam, z)
+    if q.min_level + i - 1 > level_cap:  # z >= level_value(level_cap + 1)
+        raise ValueError(f"level cap {level_cap} exceeded at z={z!r}")
+    return tab, i
+
+
+def _row_of(q: SpectrumQuery, k: int, level_cap: int):
+    """(table, i): row i is the level holding the k-th eigenvalue.
+
+    Lookup by count: an exact bisect of the count column.
+    """
+    tab = _grown(q, "count", k - 1, level_cap)
+    i = bisect_left(tab.count, k)
+    if q.min_level + i > level_cap:
+        raise ValueError(f"level cap {level_cap} exceeded at k={k}")
+    return tab, i
 
 
 def max_level_index_pow(q: SpectrumQuery, z: Real, *,
                         level_cap: int = DEFAULT_LEVEL_CAP) -> Optional[int]:
     """Largest l with lambda_(l)^p <= z (exact comparisons), or None."""
-    if z < 0:
-        return None
-    lmin = q.min_level
-    if q.level_value(lmin) > z:
-        return None
-    if q.power == 1:
-        base = max_level_index(q.space, z, level_cap=level_cap)
-    else:
-        zroot = float(z) ** (1.0 / q.power)
-        # Overshoot the seed by a whisker; exact comparisons fix it below.
-        base = max_level_index(q.space, zroot * (1 + 1e-12) + 1,
-                               level_cap=level_cap)
-    l = base if base is not None else lmin
-    while l > lmin and q.level_value(l) > z:
-        l -= 1
-    while q.level_value(l + 1) <= z:
-        l += 1
-        if l > level_cap:
-            raise ValueError(f"level cap {level_cap} exceeded at z={z!r}")
-    return l if q.level_value(l) <= z else None
+    _, i = _rows_upto(q, z, level_cap)
+    return q.min_level + i - 1 if i else None
 
 
 def counting(q: SpectrumQuery, z: Real, *,
              level_cap: int = DEFAULT_LEVEL_CAP) -> int:
     """N(z): number of eigenvalues lambda_j^p <= z, inclusive at equality."""
-    L = max_level_index_pow(q, z, level_cap=level_cap)
-    if L is None:
-        return 0
-    tab = _table(q, L)
-    return tab[2][L - q.min_level]
+    tab, i = _rows_upto(q, z, level_cap)
+    return tab.count[i - 1] if i else 0
 
 
 def riesz_mean(q: SpectrumQuery, gamma: int, z: Real, *,
@@ -150,13 +187,11 @@ def riesz_mean(q: SpectrumQuery, gamma: int, z: Real, *,
         raise ValueError("riesz_mean covers gamma in {1, 2}; use counting for 0")
     if z < 0:
         raise ValueError("riesz_mean requires z >= 0")
-    L = max_level_index_pow(q, z, level_cap=level_cap)
-    if L is None:
-        n = s1 = s2 = 0
+    tab, i = _rows_upto(q, z, level_cap)
+    if i:
+        n, s1, s2 = tab.count[i - 1], tab.s1[i - 1], tab.s2[i - 1]
     else:
-        tab = _table(q, L)
-        i = L - q.min_level
-        n, s1, s2 = tab[2][i], tab[3][i], tab[4][i]
+        n = s1 = s2 = 0
     if gamma == 1:
         return n * z - s1
     return (n * z - 2 * s1) * z + s2
@@ -167,21 +202,11 @@ def prefix_sums(q: SpectrumQuery, k: int, *,
     """Exact Sigma lambda_j and Sigma lambda_j^2 over the first k eigenvalues."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    l = q.min_level
-    while True:
-        tab = _table(q, l)
-        i = l - q.min_level
-        if tab[2][i] >= k:
-            break
-        l += 1
-        if l > level_cap:
-            raise ValueError(f"level cap {level_cap} exceeded at k={k}")
-    prev_cnt = tab[2][i - 1] if i else 0
-    prev_s1 = tab[3][i - 1] if i else 0
-    prev_s2 = tab[4][i - 1] if i else 0
-    take = k - prev_cnt
-    lam = tab[0][i]
-    return PrefixSums(k, prev_s1 + take * lam, prev_s2 + take * lam * lam)
+    tab, i = _row_of(q, k, level_cap)
+    # Row i sums its whole level; take back the eigenvalues past the k-th.
+    extra = tab.count[i] - k
+    lam = tab.lam[i]
+    return PrefixSums(k, tab.s1[i] - extra * lam, tab.s2[i] - extra * lam * lam)
 
 
 def eigenvalue_average(q: SpectrumQuery, k: int, *,
@@ -195,15 +220,8 @@ def nth_eigenvalue(q: SpectrumQuery, j: int, *,
     """lambda_j of the flattened spectrum (1-based, nondecreasing)."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    l = q.min_level
-    while True:
-        tab = _table(q, l)
-        i = l - q.min_level
-        if tab[2][i] >= j:
-            return tab[0][i]
-        l += 1
-        if l > level_cap:
-            raise ValueError(f"level cap {level_cap} exceeded at j={j}")
+    tab, i = _row_of(q, j, level_cap)
+    return tab.lam[i]
 
 
 # ---------------------------------------------------------------------------
@@ -259,29 +277,23 @@ def lemma_sum(p: int, z: Real, *, level_cap: int = DEFAULT_LEVEL_CAP):
 # ---------------------------------------------------------------------------
 # Integral transforms for polyharmonic Riesz means (exact piecewise form)
 
-def _breakpoints_below(q: SpectrumQuery, z: Real, level_cap: int):
-    L = max_level_index_pow(q, z, level_cap=level_cap)
-    if L is None:
-        return []
-    tab = _table(q, L)
-    return list(tab[0][:L - q.min_level + 1])
+def _pieces(q: SpectrumQuery, z: Real, level_cap: int):
+    """(N, S1, lo, hi) for each piece [lo, hi) from one level to the next,
+    the last one ending at z; on it N(u) = N and R_1(u) = N u - S1.
+    """
+    tab, i = _rows_upto(q, z, level_cap)
+    lam = tab.lam
+    return [(tab.count[j], tab.s1[j], lam[j], min(lam[j + 1], z))
+            for j in range(i)]
 
 
 def _integral_power_times_r1(q: SpectrumQuery, z, p: int, level_cap: int):
     """integral_0^z u^(p-2) R_1(u) du, exactly on the piecewise-linear pieces.
 
-    On [lambda_(l), lambda_(l+1)) the mean is R_1(u) = N_l u - S_l; the
-    antiderivative of u^(p-2) (N u - S) is N u^p / p - S u^(p-1) / (p-1).
+    The antiderivative of u^(p-2) (N u - S) is N u^p / p - S u^(p-1) / (p-1).
     """
-    bps = _breakpoints_below(q, z, level_cap)
     total = Fraction(0)
-    n = s1 = 0
-    lmin = q.min_level
-    for i, lo in enumerate(bps):
-        m = multiplicity(q.space, lmin + i)
-        n += m
-        s1 += m * lo
-        hi = bps[i + 1] if i + 1 < len(bps) else z
+    for n, s1, lo, hi in _pieces(q, z, level_cap):
         if hi > lo:
             total += Fraction(n, p) * (hi ** p - lo ** p) \
                 - Fraction(s1, p - 1) * (hi ** (p - 1) - lo ** (p - 1))
@@ -290,13 +302,8 @@ def _integral_power_times_r1(q: SpectrumQuery, z, p: int, level_cap: int):
 
 def _integral_power_times_counting(q: SpectrumQuery, z, p: int, level_cap: int):
     """integral_0^z u^(p-1) N(u) du = (1/p) Sigma_l N_l (b_{l+1}^p - b_l^p)."""
-    bps = _breakpoints_below(q, z, level_cap)
     total = Fraction(0)
-    n = 0
-    lmin = q.min_level
-    for i, lo in enumerate(bps):
-        n += multiplicity(q.space, lmin + i)
-        hi = bps[i + 1] if i + 1 < len(bps) else z
+    for n, _, lo, hi in _pieces(q, z, level_cap):
         if hi > lo:
             total += Fraction(n, p) * (hi ** p - lo ** p)
     return total

@@ -175,53 +175,46 @@ def energy_level(space: Space, l: int) -> EnergyLevel:
     return EnergyLevel(l, eigenvalue(space, l), multiplicity(space, l))
 
 
+def require_finite(z: Real) -> None:
+    """ValueError for NaN and +-inf, the one check on non-finite input."""
+    if isinstance(z, float) and not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
+
+
 def max_level_index(space: Space, z: Real, *,
                     level_cap: int = DEFAULT_LEVEL_CAP) -> Optional[int]:
-    """Largest l with lambda_(l) <= z, by exact integer comparison.
+    """Largest l with lambda_(l) <= z, in exact integer arithmetic.
 
     Returns None for the Dirichlet hemisphere when z < lambda_(1); for all
-    other spaces z >= 0 guarantees at least the bottom level.  The float
-    inversion of the level equation only seeds the search; the answer is
-    fixed up with exact int-versus-z comparisons (Python compares int to
-    float and Fraction exactly).
+    other spaces z >= 0 guarantees at least the bottom level.  With
+    s lambda(l) = a l^2 + b l (integers a, b, s), and lambda(l) an integer,
+    lambda(l) <= z exactly when a l^2 + b l <= s floor(z); the largest such
+    l is (isqrt(b^2 + 4 a s floor(z)) - b) // (2a), with no rounding.
     """
+    require_finite(z)
     if z < 0:
         raise ValueError("max_level_index requires z >= 0")
-    lmin = space.min_level
-    if eigenvalue(space, lmin) > z:
-        return None if lmin == 1 else _unreachable_for_closed(space, z)
-    # Seed from the quadratic lambda(l) = a l^2 + b l.
-    a, b = _level_quadratic(space)
-    zf = float(z)
-    guess = int((-b + math.sqrt(b * b + 4 * a * zf)) / (2 * a))
-    guess = max(lmin, min(guess, level_cap))
-    while guess > lmin and eigenvalue(space, guess) > z:
-        guess -= 1
-    while eigenvalue(space, guess + 1) <= z:
-        guess += 1
-        if guess > level_cap:
-            raise ValueError(f"level cap {level_cap} exceeded at z={z!r}")
-    return guess
-
-
-def _unreachable_for_closed(space: Space, z: Real) -> int:
-    # Closed spaces and the Neumann hemisphere have lambda_(0) = 0 <= z.
-    raise AssertionError(f"no level below z={z!r} on {space.describe()}")
+    a, b, s = _level_quadratic(space)
+    l = (math.isqrt(b * b + 4 * a * s * math.floor(z)) - b) // (2 * a)
+    if l > level_cap:
+        raise ValueError(f"level cap {level_cap} exceeded at z={z!r}")
+    return l if l >= space.min_level else None
 
 
 def _level_quadratic(space: Space):
+    """(a, b, s) with s lambda(l) = a l^2 + b l, all integers."""
     d = space.dim
     fam = space.family
     if fam in (Family.SPHERE, *_HEMISPHERES):
-        return 1.0, d - 1.0
+        return 1, d - 1, 1
     if fam is Family.REAL_PROJECTIVE:
-        return 4.0, 2.0 * (d - 1)
+        return 4, 2 * (d - 1), 1
     if fam is Family.COMPLEX_PROJECTIVE:
-        return 1.0, d / 2.0
+        return 2, d, 2
     if fam is Family.QUATERNION_PROJECTIVE:
-        return 1.0, (d + 2) / 2.0
+        return 2, d + 2, 2
     if fam is Family.CAYLEY_PLANE:
-        return 1.0, (d + 6) / 2.0
+        return 2, d + 6, 2
     raise AssertionError(fam)
 
 

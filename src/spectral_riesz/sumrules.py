@@ -8,14 +8,14 @@ tolerance; floating point never enters them.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .riesz import SpectrumQuery, _table, riesz_mean
-from .spaces import DEFAULT_LEVEL_CAP, Real, Space, eigenvalue, multiplicity
+from .riesz import (SpectrumQuery, _table, nth_eigenvalue, prefix_sums,
+                    riesz_mean)
+from .spaces import Real, Space
 from .weyl import lclass_volume
 
 
@@ -42,34 +42,6 @@ def _require_closed(space: Space):
         raise ValueError("sum rules apply to closed spaces only")
 
 
-def _prefix_upto(q: SpectrumQuery, n_min: int):
-    """Table index state covering at least n_min eigenvalues."""
-    l = q.min_level
-    while True:
-        tab = _table(q, l)
-        if tab[2][l - q.min_level] >= n_min:
-            return tab
-        l += 1
-        if l > DEFAULT_LEVEL_CAP:
-            raise ValueError("level cap exceeded")
-
-
-def _sums_first_n(space: Space, n: int) -> Tuple[int, int, int, int]:
-    """(Sigma lambda_j, Sigma lambda_j^2, lambda_N, lambda_{N+1}) for j <= N=n."""
-    q = SpectrumQuery(space)
-    tab = _prefix_upto(q, n + 1)
-    counts = tab[2]
-    # Level holding the n-th eigenvalue.
-    i = bisect.bisect_left(counts, n)
-    prev_cnt = counts[i - 1] if i else 0
-    s1 = (tab[3][i - 1] if i else 0) + (n - prev_cnt) * tab[0][i]
-    s2 = (tab[4][i - 1] if i else 0) + (n - prev_cnt) * tab[0][i] ** 2
-    lam_n = tab[0][i]
-    j = bisect.bisect_left(counts, n + 1)
-    lam_n1 = tab[0][j]
-    return s1, s2, lam_n, lam_n1
-
-
 def pn(space: Space, n: int) -> QuadPoly:
     """P_N(z) = Sigma_{j<=N} (z - lambda_j)(z - lambda - (d+4)/d lambda_j).
 
@@ -81,9 +53,9 @@ def pn(space: Space, n: int) -> QuadPoly:
         raise ValueError("N must be >= 1")
     d = space.dim
     lam1 = space.first_positive_eigenvalue
-    s1, s2, _, _ = _sums_first_n(space, n)
-    c1 = -2 * Fraction(d + 2, d) * s1 - Fraction(lam1 * n)
-    c0 = Fraction(d + 4, d) * s2 + Fraction(lam1 * s1)
+    ps = prefix_sums(SpectrumQuery(space), n)
+    c1 = -2 * Fraction(d + 2, d) * ps.sum1 - Fraction(lam1 * n)
+    c0 = Fraction(d + 4, d) * ps.sum2 + Fraction(lam1 * ps.sum1)
     return QuadPoly(Fraction(n), c1, c0)
 
 
@@ -92,7 +64,8 @@ def qn(space: Space, n: int) -> QuadPoly:
     _require_closed(space)
     if n < 1:
         raise ValueError("N must be >= 1")
-    _, _, lam_n, lam_n1 = _sums_first_n(space, n)
+    q = SpectrumQuery(space)
+    lam_n, lam_n1 = nth_eigenvalue(q, n), nth_eigenvalue(q, n + 1)
     return QuadPoly(Fraction(n), Fraction(-n * (lam_n + lam_n1)),
                     Fraction(n * lam_n * lam_n1))
 
@@ -100,12 +73,7 @@ def qn(space: Space, n: int) -> QuadPoly:
 def gap_indices(space: Space, l_max: int) -> List[int]:
     """Cumulative multiplicities N = Sigma_{l<=L} m_l for L = 0..l_max."""
     _require_closed(space)
-    total = 0
-    out = []
-    for l in range(0, l_max + 1):
-        total += multiplicity(space, l)
-        out.append(total)
-    return out
+    return list(_table(SpectrumQuery(space), l_max).count[:l_max + 1])
 
 
 @dataclass(frozen=True)
@@ -217,10 +185,9 @@ def trace_identity_term(space: Space, l: int) -> float:
     _require_closed(space)
     d = space.dim
     b = float(natural_shift(space))
-    q = SpectrumQuery(space)
-    tab = _table(q, l + 1)
-    n_l = tab[2][l]
-    lam, lam1 = tab[0][l], tab[0][l + 1]
+    tab = _table(SpectrumQuery(space), l + 1)
+    n_l = tab.count[l]
+    lam, lam1 = tab.lam[l], tab.lam[l + 1]
     tl, tl1 = lam + b, lam1 + b
     e = d / 2.0
     return n_l * (tl1 ** -e - tl ** -e
@@ -249,6 +216,7 @@ def trace_identity_partial(space: Space, l_max: int) -> TraceReport:
     _require_closed(space)
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
+    _table(SpectrumQuery(space), l_max + 1)  # one build for all the terms
     terms = [trace_identity_term(space, l) for l in range(l_max + 1)]
     partial = math.fsum(terms)
     tail = abs(terms[-1]) * (l_max + 8) / 2.0
@@ -265,8 +233,9 @@ def q_plus_dr1_at_gap_minimum(space: Space, l: int) -> Tuple[Fraction, Fraction]
     _require_closed(space)
     d = space.dim
     n = gap_indices(space, l)[-1]
-    _, _, lam_n, lam_n1 = _sums_first_n(space, n)
+    q = SpectrumQuery(space)
+    lam_n, lam_n1 = nth_eigenvalue(q, n), nth_eigenvalue(q, n + 1)
     z0 = Fraction(lam_n + lam_n1 - space.first_positive_eigenvalue, 2)
-    value = (qn(space, n)(z0) + d * riesz_mean(SpectrumQuery(space), 1, z0)) / n
+    value = (qn(space, n)(z0) + d * riesz_mean(q, 1, z0)) / n
     predicted = Fraction(d - 2, d + 2) * l * (l + d)
     return value, predicted

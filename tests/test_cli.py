@@ -103,6 +103,18 @@ def test_verify_all_for_space(capsys):
     assert "hemi2.nd.polya" not in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["rp:3", "sd.r1.lower"], "not an entry of rp:3"),
+    (["sphere:3", "s2.r1.lower"], "not an entry of sphere:3"),
+    (["sphere:2", "s2.r1.lower", "--power", "3"], "takes no --power"),
+    (["sphere:2", "sd.r1.lower", "--area", "1"], "takes no --area"),
+])
+def test_verify_explicit_id_rejects_mismatched_space_and_flags(
+        capsys, argv, message):
+    code, _, err = run(capsys, "verify", *argv)
+    assert code == 2 and message in err
+
+
 def test_verify_bad_space_exit_two(capsys):
     code, _, err = run(capsys, "verify", "moebius:2", "s2.r1.lower")
     assert code == 2 and "unknown space family" in err

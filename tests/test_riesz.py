@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,7 +15,8 @@ from spectral_riesz.riesz import (SpectrumQuery, Variant, counting,
                                   prefix_sums, riesz1_closed_sphere,
                                   riesz_mean)
 from spectral_riesz.spaces import (hemisphere_dirichlet, hemisphere_neumann,
-                                   max_level_index, sphere)
+                                   max_level_index, multiplicity, parse_space,
+                                   sphere)
 
 S2 = SpectrumQuery(sphere(2))
 S3 = SpectrumQuery(sphere(3))
@@ -167,19 +170,49 @@ def test_eigenvalue_average_examples():
         eigenvalue_average(S2, 0)
 
 
-def test_prefix_sums_match_flattened_spectrum():
-    q = SpectrumQuery(sphere(2))
-    flat = []
-    l = 0
-    while len(flat) < 60:
-        lam = l * (l + 1)
-        flat.extend([lam] * (2 * l + 1))
+TABLE_QUERIES = [
+    SpectrumQuery(parse_space(desc), power=p)
+    for desc in ("sphere:1", "sphere:2", "sphere:7", "hemisphere-d:5",
+                 "hemisphere-n:4", "rp:3", "cp:6", "hp:12", "cayley:16")
+    for p in (1, 2)
+] + [SpectrumQuery(sphere(2), variant=Variant.BUCKLING)]
+
+
+def _flattened_levels(q, n_min):
+    """(lambda, mult) of whole levels until at least n_min eigenvalues,
+    from eigenvalue and multiplicity alone."""
+    levels, n, l = [], 0, q.min_level
+    while n < n_min:
+        m = multiplicity(q.space, l)
+        levels.append((q.level_value(l), m))
+        n += m
         l += 1
-    for k in (1, 2, 4, 9, 10, 25, 59):
+    return levels
+
+
+@pytest.mark.parametrize("q", TABLE_QUERIES, ids=lambda q: (
+    f"{q.space.describe()}-{q.variant.value}-p{q.power}"))
+def test_prefix_sums_match_flattened_spectrum(q):
+    levels = _flattened_levels(q, 2002)
+    flat = [lam for lam, m in levels for _ in range(m)]
+    gaps = list(itertools.accumulate(m for _, m in levels))
+    sum1 = [0, *itertools.accumulate(flat)]
+    sum2 = [0, *itertools.accumulate(v * v for v in flat)]
+    ks = set(range(1, 2001))
+    ks.update(k for n in gaps for k in (n - 1, n, n + 1) if 1 <= k <= len(flat))
+    for k in sorted(ks):
         ps = prefix_sums(q, k)
-        assert ps.sum1 == sum(flat[:k])
-        assert ps.sum2 == sum(v * v for v in flat[:k])
+        assert (ps.sum1, ps.sum2) == (sum1[k], sum2[k])
         assert nth_eigenvalue(q, k) == flat[k - 1]
+    # By value: every level value (inclusive) and the midpoints between,
+    # as z = h/2 so that the brute-force sums stay in integers.
+    lams = [2 * lam for lam, _ in levels]
+    for h in lams + [(a + b) // 2 for a, b in zip(lams, lams[1:])]:
+        z = Fraction(h, 2)
+        gaps_below = [h - 2 * v for v in flat[:bisect.bisect_right(flat, z)]]
+        assert counting(q, z) == len(gaps_below)
+        assert riesz_mean(q, 1, z) * 2 == sum(gaps_below)
+        assert riesz_mean(q, 2, z) * 4 == sum(g * g for g in gaps_below)
 
 
 def test_prefix_sums_nondecreasing():
@@ -214,3 +247,15 @@ def test_max_level_index_pow():
 def test_level_cap_is_enforced():
     with pytest.raises(ValueError):
         counting(S2, 10 ** 9, level_cap=100)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [
+    lambda z: counting(S2, z),
+    lambda z: riesz_mean(S2, 1, z),
+    lambda z: riesz_mean(SpectrumQuery(sphere(2), power=3), 2, z),
+    lambda z: max_level_index(sphere(2), z),
+], ids=["counting", "riesz_mean", "riesz_mean_p3", "max_level_index"])
+def test_non_finite_z_is_a_value_error(fn, z):
+    with pytest.raises(ValueError):
+        fn(z)

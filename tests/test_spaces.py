@@ -105,11 +105,14 @@ def test_max_level_index_examples():
     assert max_level_index(sphere(2), 6) == 2      # inclusive at lambda_(2)
     assert max_level_index(sphere(2), 5.9) == 1
     assert max_level_index(hemisphere_dirichlet(3), 2.5) is None
+    # Beyond float range: the level cap, not an OverflowError.
+    with pytest.raises(ValueError, match="level cap"):
+        max_level_index(sphere(2), Fraction(10 ** 400))
 
 
 def test_max_level_index_right_continuous_and_unit_steps():
     for space in (sphere(2), sphere(5), hemisphere_dirichlet(3),
-                  Space(Family.COMPLEX_PROJECTIVE, 4)):
+                  Space(Family.COMPLEX_PROJECTIVE, 4), *ALL_SPACES):
         for l in range(space.min_level, space.min_level + 30):
             lam = eigenvalue(space, l)
             assert max_level_index(space, lam) == l
