@@ -19,8 +19,8 @@ from .weyl import (ExpansionEval, SemiclassicalConstant, Volumes, expansion,
 from .bounds import (BoundSpec, ScanReport, bound_value, bly345_gap_diagnostics,
                      catalog, equality_points, legendre_average_bound,
                      optimal_shift, standard_grid, verify)
-from .sumrules import (QuadPoly, check_pq_identity, pn, qn, r2_bounds_check,
-                       r2_shifted_ratio, trace_identity_partial)
+from .sumrules import (QuadPoly, check_pq_identity, pn, qn, r2_shifted_ratio,
+                       trace_identity_partial)
 from .scan import GapExtremum, GridPolicy, Series, figure, gap_extrema
 
 __version__ = "1.0.0"

@@ -16,17 +16,17 @@ declares its parameters once; BoundSpec.validate reads that schema.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .riesz import (SpectrumQuery, Variant, counting, eigenvalue_average,
-                    riesz_mean)
+                    max_level_index_pow, riesz_mean)
 from .spaces import (DEFAULT_LEVEL_CAP, Real, Space, fluctuation,
                      hemisphere_dirichlet, hemisphere_neumann, invert_w,
                      sphere)
+from .sumrules import natural_shift
 from .weyl import lclass, lclass_volume
 
 # ---------------------------------------------------------------------------
@@ -691,8 +691,8 @@ def _build_catalog():
 
     def r2_upper(prm, z):
         sp = prm["space"]
-        b = Fraction(sp.dim * sp.first_positive_eigenvalue, 4)
-        return lclass_volume(sp, 2) * _pow_half(z + b, sp.dim + 4)
+        return lclass_volume(sp, 2) * _pow_half(z + natural_shift(sp),
+                                                sp.dim + 4)
 
     _register(BoundSpec(
         "sd.r2.twosided", "two-sided Weyl bounds for R2 on rank-one spaces",
@@ -708,17 +708,12 @@ _build_catalog()
 # Evaluation, equality points, verification
 
 
-def bound_value(bound_id: str, params: Optional[dict] = None, z: Real = None,
-                side: Optional[str] = None):
-    """Evaluate the bound's closed form; exact rational when it is rational.
-
-    `side` is required for two-sided entries; z is the spectral parameter
-    (or k for average entries).
-    """
+def _resolve_side(bound_id: str, params: Optional[dict],
+                  side: Optional[str]) -> Tuple[BoundSpec, dict, SideRule]:
+    """(spec, validated parameters, side rule); `side` is required for
+    two-sided entries."""
     spec = get(bound_id)
     prm = spec.validate(dict(params or {}))
-    if z is None:
-        raise ValueError("z (or k) is required")
     rules = {s.side: s for s in spec.sides}
     if side is None:
         if len(rules) > 1:
@@ -727,7 +722,29 @@ def bound_value(bound_id: str, params: Optional[dict] = None, z: Real = None,
         side = next(iter(rules))
     if side not in rules:
         raise ValueError(f"{spec.id} has no side {side!r}")
-    return rules[side].evaluate(prm, _normalize_arg(z))
+    return spec, prm, rules[side]
+
+
+def bound_function(bound_id: str, params: Optional[dict] = None,
+                   side: Optional[str] = None) -> Callable[[Real], Real]:
+    """One side of a bound as a function of z (or k), resolved once:
+    parameters validated and side picked before any evaluation."""
+    _, prm, rule = _resolve_side(bound_id, params, side)
+    evaluate = rule.evaluate
+    return lambda z: evaluate(prm, _normalize_arg(z))
+
+
+def bound_value(bound_id: str, params: Optional[dict] = None, z: Real = None,
+                side: Optional[str] = None):
+    """Evaluate the bound's closed form; exact rational when it is rational.
+
+    `side` is required for two-sided entries; z is the spectral parameter
+    (or k for average entries).
+    """
+    bound = bound_function(bound_id, params, side)
+    if z is None:
+        raise ValueError("z (or k) is required")
+    return bound(z)
 
 
 def equality_points(bound_id: str, params: Optional[dict] = None,
@@ -797,16 +814,15 @@ class ScanReport:
         return d
 
 
-def _target_value(spec: BoundSpec, prm: dict, x, level_cap: int):
-    q = spec.query(prm)
+def _target_value(spec: BoundSpec, q: SpectrumQuery, x):
     if spec.quantity == "N":
-        return counting(q, x, level_cap=level_cap)
+        return counting(q, x)
     if spec.quantity == "R1":
-        return riesz_mean(q, 1, x, level_cap=level_cap)
+        return riesz_mean(q, 1, x)
     if spec.quantity == "R2":
-        return riesz_mean(q, 2, x, level_cap=level_cap)
+        return riesz_mean(q, 2, x)
     if spec.quantity == "average":
-        return eigenvalue_average(q, x, level_cap=level_cap)
+        return eigenvalue_average(q, x)
     raise AssertionError(spec.quantity)
 
 
@@ -844,32 +860,19 @@ def standard_grid(bound_id: str, params: Optional[dict] = None,
     return sorted(pts)
 
 
-def _scan_side(spec, prm, rule: SideRule, grid: Sequence, level_cap: int,
-               tol: float = 1e-9):
-    q = spec.query(prm)
-    lam_cache: List[int] = []
-
-    def gap_index(zf: float) -> int:
-        while not lam_cache or lam_cache[-1] <= zf:
-            lam_cache.append(q.level_value(q.min_level + len(lam_cache)))
-        return bisect.bisect_right(lam_cache, zf) - 1 + q.min_level
-
-    rows = []
-    for x in grid:
-        tgt = float(_target_value(spec, prm, x, level_cap))
+def _scan_side(rule: SideRule, prm: dict, grid: Sequence, zs: List[float],
+               targets: List[float], gaps: Optional[List[int]], tol: float):
+    rows, violations = [], []
+    min_slack, arg = math.inf, 0.0
+    gap_min: Dict[int, float] = {}
+    for i, (x, zf, tgt) in enumerate(zip(grid, zs, targets)):
         bnd = float(rule.evaluate(prm, x))
         slack = (bnd - tgt) if rule.side == "upper" else (tgt - bnd)
-        rows.append((float(x), tgt, bnd, slack))
-
-    min_slack, arg = math.inf, 0.0
-    violations = []
-    gap_min: Dict[int, float] = {}
-    for zf, tgt, bnd, slack in rows:
+        rows.append((zf, tgt, bnd, slack))
         if slack < min_slack:
             min_slack, arg = slack, zf
-        if spec.quantity != "average":
-            gi = gap_index(zf)
-            gap_min[gi] = min(gap_min.get(gi, math.inf), slack)
+        if gaps is not None:
+            gap_min[gaps[i]] = min(gap_min.get(gaps[i], math.inf), slack)
         if slack < -tol * max(1.0, abs(bnd)):
             violations.append(Violation(zf, tgt, bnd, slack, rule.side))
     return SideReport(
@@ -881,20 +884,31 @@ def _scan_side(spec, prm, rule: SideRule, grid: Sequence, level_cap: int,
 def verify(bound_id: str, params: Optional[dict] = None,
            grid: Optional[Sequence] = None, *,
            zmax: Optional[float] = None, points: int = 2000,
-           levels: int = 40, tol: float = 1e-9,
-           level_cap: int = DEFAULT_LEVEL_CAP) -> ScanReport:
+           levels: int = 40, tol: float = 1e-9) -> ScanReport:
     """Scan a bound over a grid and report slacks, violations, equalities.
 
-    Violations are slacks below -1e-9 * max(1, |bound|); the documented
+    Violations are slacks below -tol * max(1, |bound|); the documented
     counterexamples (expected_valid=False) must produce at least one and
     report the first witness.  Failures are report content, never raises.
+    The parameters, the query, the target column and the per-point gap
+    level are resolved once and shared by every side.
     """
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     spec = get(bound_id)
     prm = spec.validate(dict(params or {}))
+    q = spec.query(prm)
     if grid is None:
         grid = standard_grid(bound_id, prm, zmax=zmax, points=points,
                              levels=levels)
-    sides = tuple(_scan_side(spec, prm, rule, grid, level_cap, tol)
+    zs = [float(x) for x in grid]
+    targets = [float(_target_value(spec, q, x)) for x in grid]
+    gaps = None
+    if spec.quantity != "average":
+        # Level of the gap holding z; min_level - 1 below the first level.
+        gaps = [max_level_index_pow(q, zf) for zf in zs]
+        gaps = [q.min_level - 1 if l is None else l for l in gaps]
+    sides = tuple(_scan_side(rule, prm, grid, zs, targets, gaps, tol)
                   for rule in spec.sides)
 
     eq_checks = []
@@ -903,13 +917,13 @@ def verify(bound_id: str, params: Optional[dict] = None,
             eq_pts = spec.equality(prm, min(levels, 12))
         except ValueError:
             eq_pts = []
+        # Informational values (e.g. b(l) shifts) are not exact z's.
+        eq_targets = [(e, _target_value(spec, q, e)) for e in eq_pts
+                      if isinstance(e, (int, Fraction))]
         for rule in spec.sides:
             if spec.equality_side is not None and rule.side != spec.equality_side:
                 continue
-            for e in eq_pts:
-                if not isinstance(e, (int, Fraction)):
-                    continue  # informational values (e.g. b(l) shifts)
-                tgt = _target_value(spec, prm, e, level_cap)
+            for e, tgt in eq_targets:
                 bnd = rule.evaluate(prm, _normalize_arg(e))
                 slack = (bnd - tgt) if rule.side == "upper" else (tgt - bnd)
                 eq_checks.append(EqualityCheck(float(e), rule.side,
@@ -917,8 +931,8 @@ def verify(bound_id: str, params: Optional[dict] = None,
     prm_repr = ", ".join(
         f"{k}={prm[k].describe() if isinstance(prm[k], Space) else prm[k]}"
         for k in sorted(prm) if prm[k] is not None)
-    return ScanReport(spec.id, prm_repr, spec.expected_valid, level_cap,
-                      sides, tuple(eq_checks))
+    return ScanReport(spec.id, prm_repr, spec.expected_valid,
+                      DEFAULT_LEVEL_CAP, sides, tuple(eq_checks))
 
 
 # ---------------------------------------------------------------------------
@@ -933,18 +947,11 @@ def legendre_average_bound(bound_id: str, params: Optional[dict] = None,
     average; a lower bound yields an upper bound.  Closed form when B is
     a pure shifted power, golden-section refinement to 1e-10 otherwise.
     """
-    spec = get(bound_id)
+    spec, prm, rule = _resolve_side(bound_id, params, side)
     if spec.quantity != "R1":
         raise ValueError(f"{spec.id} does not bound R1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    prm = spec.validate(dict(params or {}))
-    rules = {s.side: s for s in spec.sides}
-    if side is None:
-        if len(rules) > 1:
-            raise ValueError(f"{spec.id} is two-sided; pass side=...")
-        side = next(iter(rules))
-    rule = rules[side]
 
     if spec.power_shift is not None:
         c, qexp, b = spec.power_shift(prm)
@@ -967,21 +974,30 @@ def legendre_average_bound(bound_id: str, params: Optional[dict] = None,
     best_i = max(range(n + 1), key=lambda i: g(4 * zhi * i / n))
     lo = 4 * zhi * max(best_i - 1, 0) / n
     hi = 4 * zhi * min(best_i + 1, n) / n
+    _, best = golden_section_max(g, lo, hi, 1e-10 * max(1.0, hi))
+    return best / k
+
+
+def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
+                       tol: float) -> Tuple[float, float]:
+    """(z, f(z)) at the maximum of a unimodal f on [lo, hi], with the
+    bracket narrowed by golden sections to width tol."""
     invphi = (math.sqrt(5) - 1) / 2
-    a, bspan = lo, hi
-    c1 = bspan - (bspan - a) * invphi
-    c2 = a + (bspan - a) * invphi
-    f1, f2 = g(c1), g(c2)
-    while bspan - a > 1e-10 * max(1.0, abs(bspan)):
+    a, b = lo, hi
+    c1 = b - (b - a) * invphi
+    c2 = a + (b - a) * invphi
+    f1, f2 = f(c1), f(c2)
+    while b - a > tol:
         if f1 < f2:
             a, c1, f1 = c1, c2, f2
-            c2 = a + (bspan - a) * invphi
-            f2 = g(c2)
+            c2 = a + (b - a) * invphi
+            f2 = f(c2)
         else:
-            bspan, c2, f2 = c2, c1, f1
-            c1 = bspan - (bspan - a) * invphi
-            f1 = g(c1)
-    return max(f1, f2) / k
+            b, c2, f2 = c2, c1, f1
+            c1 = b - (b - a) * invphi
+            f1 = f(c1)
+    z = (a + b) / 2
+    return z, f(z)
 
 
 def cor_new_average_lower(d: int, k: int) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
@@ -30,29 +29,6 @@ from .weyl import expansion
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run configuration shared by the space-and-grid commands.
-
-    Descriptors map bijectively onto Space values; tolerances are positive.
-    """
-
-    space: Space
-    power: int = 1
-    gamma: Optional[int] = None
-    zmin: float = 0.0
-    zmax: Optional[float] = None
-    points: int = 200
-    grid: GridPolicy = GridPolicy.UNIFORM_IN_Z
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise UsageError("tolerance must be positive")
-        if self.power < 1:
-            raise UsageError("power must be >= 1")
 
 
 def _shift_nonspace_positional(args, *targets: str):
@@ -92,18 +68,6 @@ def _resolve_space(args, required: bool = True) -> Optional[Space]:
                              "(positionally or via --space)")
         return None
     return _parse_space_arg(descriptor)
-
-
-def _config(args, space: Space) -> RunConfig:
-    return RunConfig(space=space,
-                     power=getattr(args, "power", 1) or 1,
-                     gamma=getattr(args, "gamma", None),
-                     zmin=getattr(args, "zmin", 0.0),
-                     zmax=getattr(args, "zmax", None),
-                     points=getattr(args, "points", 200),
-                     grid=GridPolicy(getattr(args, "grid",
-                                             GridPolicy.UNIFORM_IN_Z.value)),
-                     tol=getattr(args, "tol", 1e-9))
 
 
 def _parse_space_arg(descriptor: str) -> Space:
@@ -166,13 +130,12 @@ def _grid_from_args(space: Space, args) -> List[float]:
             return [float(Fraction(t)) for t in args.z.split(",")]
         except ValueError:
             raise UsageError(f"bad z list {args.z!r}") from None
-    cfg = _config(args, space)
-    zmin, zmax, n = cfg.zmin, cfg.zmax, cfg.points
+    zmin, zmax, n = args.zmin, args.zmax, args.points
     if zmax is None:
         zmax = float(eigenvalue(space, space.min_level + 39))
     if zmin < 0 or zmax <= zmin or n < 2:
         raise UsageError("need 0 <= zmin < zmax and points >= 2")
-    policy = cfg.grid
+    policy = GridPolicy(args.grid)
     if policy is GridPolicy.UNIFORM_IN_Z:
         return [zmin + (zmax - zmin) * i / (n - 1) for i in range(n)]
     if policy is GridPolicy.UNIFORM_IN_W:
@@ -204,8 +167,7 @@ def cmd_eval(args) -> int:
         quantity = {0: "N", 1: "R1", 2: "R2"}.get(args.gamma)
     if quantity not in ("N", "R1", "R2"):
         raise UsageError("quantity must be N, R1 or R2 (gamma 0, 1 or 2)")
-    cfg = _config(args, space)
-    q = SpectrumQuery(space, power=cfg.power)
+    q = SpectrumQuery(space, power=args.power)
     rows = []
     for z in _grid_from_args(space, args):
         if quantity == "N":
@@ -374,10 +336,11 @@ def cmd_sumrule(args) -> int:
         lmax = args.lmax or 40
         zmax = float(eigenvalue(space, lmax))
         grid = [zmax * i / 2000 for i in range(2001)]
-        rep = sumrules.r2_bounds_check(space, grid)
+        rep = bounds.verify("sd.r2.twosided", {"space": space}, grid)
+        lower, upper = rep.sides
         print(f"r2 {space.describe()}: min lower slack "
-              f"{fmt_number(rep.min_lower_slack)}, min upper slack "
-              f"{fmt_number(rep.min_upper_slack)}, "
+              f"{fmt_number(lower.min_slack)}, min upper slack "
+              f"{fmt_number(upper.min_slack)}, "
               f"{'ok' if rep.passed else 'VIOLATION'}")
         return 0 if rep.passed else 1
     raise UsageError(f"unknown sumrule kind {kind!r}")

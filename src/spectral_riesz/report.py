@@ -21,9 +21,8 @@ from .riesz import (SpectrumQuery, counting,
                     lemma_sum, poly_transform_check, riesz1_closed_sphere,
                     riesz_mean)
 from .spaces import (Family, Space, hemisphere_dirichlet,
-                     hemisphere_neumann, max_level_index, sphere)
-from .weyl import expansion_coefficients, lclass_volume, snapped_fluctuation
-from .spaces import invert_w
+                     hemisphere_neumann, invert_w, max_level_index, sphere)
+from .weyl import expansion, lclass_volume
 
 _SEED = 20250809
 
@@ -284,15 +283,7 @@ def _scaled_residuals(space: Space, quantity: str, terms: int, power: float):
     for z in _certification_grid(d):
         if not 100.0 <= z <= 1e6:
             continue
-        w = invert_w(d, z)
-        psi = snapped_fluctuation(w)
-        _, c_half, c_one, max_terms, _ = expansion_coefficients(
-            space, quantity, psi)
-        bracket = 1.0
-        coeffs = [c_half, c_one] if max_terms == 3 else [c_one]
-        scales = [z ** -0.5, 1.0 / z] if max_terms == 3 else [1.0 / z]
-        for ci, si in zip(coeffs[:terms - 1], scales[:terms - 1]):
-            bracket += ci * si
+        bracket = expansion(space, quantity, z, terms).ratio
         raw = counting(q, z) if quantity == "N" else float(riesz_mean(q, 1, z))
         resid = abs(raw / (lead * z ** exponent) - bracket) * z ** power
         everywhere = max(everywhere, resid)

@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
 from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, eigenvalue,
-                     max_level_index, multiplicity, require_finite, sphere,
-                     hemisphere_dirichlet)
+                     max_level_index, multiplicity,
+                     require_finite_nonnegative, sphere, hemisphere_dirichlet)
 
 
 class Variant(Enum):
@@ -121,14 +121,14 @@ def _table(q: SpectrumQuery, upto_level: int) -> _Table:
         return new
 
 
-def _grown(q: SpectrumQuery, column: str, x, level_cap: int) -> _Table:
+def _grown(q: SpectrumQuery, column: str, x) -> _Table:
     """The table of q, doubled as needed until its last `column` entry
     exceeds x.
 
-    Growth stops at level level_cap + 1, so a lookup past the cap finds
-    its answer in the last row and raises, without building further.
+    Growth stops at level DEFAULT_LEVEL_CAP + 1, so a lookup past the cap
+    finds its answer in the last row and raises, without building further.
     """
-    top = level_cap + 1
+    top = DEFAULT_LEVEL_CAP + 1
     tab = _tables.get(q)
     while tab is None or (getattr(tab, column)[-1] <= x
                           and q.min_level + len(tab.lam) <= top):
@@ -137,57 +137,52 @@ def _grown(q: SpectrumQuery, column: str, x, level_cap: int) -> _Table:
     return tab
 
 
-def _rows_upto(q: SpectrumQuery, z: Real, level_cap: int):
+def _rows_upto(q: SpectrumQuery, z: Real):
     """(table, i): rows 0..i-1 are the levels with lambda^p <= z.
 
     Lookup by value: an exact bisect of the lam column, since Python
     compares int with float and Fraction exactly.
     """
-    require_finite(z)
-    tab = _grown(q, "lam", z, level_cap)
+    require_finite_nonnegative(z)
+    tab = _grown(q, "lam", z)
     i = bisect_right(tab.lam, z)
-    if q.min_level + i - 1 > level_cap:  # z >= level_value(level_cap + 1)
-        raise ValueError(f"level cap {level_cap} exceeded at z={z!r}")
+    if q.min_level + i - 1 > DEFAULT_LEVEL_CAP:  # z >= level_value(cap + 1)
+        raise ValueError(f"level cap {DEFAULT_LEVEL_CAP} exceeded at z={z!r}")
     return tab, i
 
 
-def _row_of(q: SpectrumQuery, k: int, level_cap: int):
+def _row_of(q: SpectrumQuery, k: int):
     """(table, i): row i is the level holding the k-th eigenvalue.
 
     Lookup by count: an exact bisect of the count column.
     """
-    tab = _grown(q, "count", k - 1, level_cap)
+    tab = _grown(q, "count", k - 1)
     i = bisect_left(tab.count, k)
-    if q.min_level + i > level_cap:
-        raise ValueError(f"level cap {level_cap} exceeded at k={k}")
+    if q.min_level + i > DEFAULT_LEVEL_CAP:
+        raise ValueError(f"level cap {DEFAULT_LEVEL_CAP} exceeded at k={k}")
     return tab, i
 
 
-def max_level_index_pow(q: SpectrumQuery, z: Real, *,
-                        level_cap: int = DEFAULT_LEVEL_CAP) -> Optional[int]:
+def max_level_index_pow(q: SpectrumQuery, z: Real) -> Optional[int]:
     """Largest l with lambda_(l)^p <= z (exact comparisons), or None."""
-    _, i = _rows_upto(q, z, level_cap)
+    _, i = _rows_upto(q, z)
     return q.min_level + i - 1 if i else None
 
 
-def counting(q: SpectrumQuery, z: Real, *,
-             level_cap: int = DEFAULT_LEVEL_CAP) -> int:
+def counting(q: SpectrumQuery, z: Real) -> int:
     """N(z): number of eigenvalues lambda_j^p <= z, inclusive at equality."""
-    tab, i = _rows_upto(q, z, level_cap)
+    tab, i = _rows_upto(q, z)
     return tab.count[i - 1] if i else 0
 
 
-def riesz_mean(q: SpectrumQuery, gamma: int, z: Real, *,
-               level_cap: int = DEFAULT_LEVEL_CAP):
+def riesz_mean(q: SpectrumQuery, gamma: int, z: Real):
     """R_gamma(z) = sum_j (z - lambda_j^p)_+^gamma for gamma in {1, 2}.
 
     Exact (int or Fraction, as z) for int/Fraction z, binary64 for float z.
     """
     if gamma not in (1, 2):
         raise ValueError("riesz_mean covers gamma in {1, 2}; use counting for 0")
-    if z < 0:
-        raise ValueError("riesz_mean requires z >= 0")
-    tab, i = _rows_upto(q, z, level_cap)
+    tab, i = _rows_upto(q, z)
     if i:
         n, s1, s2 = tab.count[i - 1], tab.s1[i - 1], tab.s2[i - 1]
     else:
@@ -197,30 +192,27 @@ def riesz_mean(q: SpectrumQuery, gamma: int, z: Real, *,
     return (n * z - 2 * s1) * z + s2
 
 
-def prefix_sums(q: SpectrumQuery, k: int, *,
-                level_cap: int = DEFAULT_LEVEL_CAP) -> PrefixSums:
+def prefix_sums(q: SpectrumQuery, k: int) -> PrefixSums:
     """Exact Sigma lambda_j and Sigma lambda_j^2 over the first k eigenvalues."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    tab, i = _row_of(q, k, level_cap)
+    tab, i = _row_of(q, k)
     # Row i sums its whole level; take back the eigenvalues past the k-th.
     extra = tab.count[i] - k
     lam = tab.lam[i]
     return PrefixSums(k, tab.s1[i] - extra * lam, tab.s2[i] - extra * lam * lam)
 
 
-def eigenvalue_average(q: SpectrumQuery, k: int, *,
-                       level_cap: int = DEFAULT_LEVEL_CAP) -> Fraction:
+def eigenvalue_average(q: SpectrumQuery, k: int) -> Fraction:
     """(1/k) Sigma_{j<=k} lambda_j, exact."""
-    return Fraction(prefix_sums(q, k, level_cap=level_cap).sum1, k)
+    return Fraction(prefix_sums(q, k).sum1, k)
 
 
-def nth_eigenvalue(q: SpectrumQuery, j: int, *,
-                   level_cap: int = DEFAULT_LEVEL_CAP) -> int:
+def nth_eigenvalue(q: SpectrumQuery, j: int) -> int:
     """lambda_j of the flattened spectrum (1-based, nondecreasing)."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    tab, i = _row_of(q, j, level_cap)
+    tab, i = _row_of(q, j)
     return tab.lam[i]
 
 
@@ -244,73 +236,67 @@ def counting_closed_sphere(d: int, L: int) -> int:
     return (2 * L + d) * math.comb(L + d - 1, d - 1) // d
 
 
-def riesz1_closed_sphere(d: int, z: Real, *,
-                         level_cap: int = DEFAULT_LEVEL_CAP):
+def riesz1_closed_sphere(d: int, z: Real):
     """Closed form for R_1 on the d-sphere.
 
     (2L+d) Gamma(L+d) / ((d+2) Gamma(L+1) Gamma(d+1)) * (-dL(L+d) + (d+2)z)
     with L the largest level index below z; the Gamma ratio is evaluated as
     an integer product.  Exact rational for rational z.
     """
-    if z < 0:
-        raise ValueError("riesz1_closed_sphere requires z >= 0")
     space = sphere(d)
-    L = max_level_index(space, z, level_cap=level_cap)
+    L = max_level_index(space, z)
     gamma_ratio = math.prod(range(L + 1, L + d))  # Gamma(L+d)/Gamma(L+1)
     pre = Fraction((2 * L + d) * gamma_ratio,
                    (d + 2) * math.factorial(d))
     return pre * (-d * L * (L + d) + (d + 2) * z)
 
 
-def lemma_sum(p: int, z: Real, *, level_cap: int = DEFAULT_LEVEL_CAP):
+def lemma_sum(p: int, z: Real):
     """Sigma_{l>=1} (2l+1) (z - l^p (l+1)^p)_+  (the S^2 sum without l=0).
 
     Identical to the first Riesz-mean of the buckling spectrum on S^2
     raised to the power p.
     """
     q = SpectrumQuery(sphere(2), power=p, variant=Variant.BUCKLING)
-    if z < 0:
-        raise ValueError("lemma_sum requires z >= 0")
-    return riesz_mean(q, 1, z, level_cap=level_cap)
+    return riesz_mean(q, 1, z)
 
 
 # ---------------------------------------------------------------------------
 # Integral transforms for polyharmonic Riesz means (exact piecewise form)
 
-def _pieces(q: SpectrumQuery, z: Real, level_cap: int):
+def _pieces(q: SpectrumQuery, z: Real):
     """(N, S1, lo, hi) for each piece [lo, hi) from one level to the next,
     the last one ending at z; on it N(u) = N and R_1(u) = N u - S1.
     """
-    tab, i = _rows_upto(q, z, level_cap)
+    tab, i = _rows_upto(q, z)
     lam = tab.lam
     return [(tab.count[j], tab.s1[j], lam[j], min(lam[j + 1], z))
             for j in range(i)]
 
 
-def _integral_power_times_r1(q: SpectrumQuery, z, p: int, level_cap: int):
+def _integral_power_times_r1(q: SpectrumQuery, z, p: int):
     """integral_0^z u^(p-2) R_1(u) du, exactly on the piecewise-linear pieces.
 
     The antiderivative of u^(p-2) (N u - S) is N u^p / p - S u^(p-1) / (p-1).
     """
     total = Fraction(0)
-    for n, s1, lo, hi in _pieces(q, z, level_cap):
+    for n, s1, lo, hi in _pieces(q, z):
         if hi > lo:
             total += Fraction(n, p) * (hi ** p - lo ** p) \
                 - Fraction(s1, p - 1) * (hi ** (p - 1) - lo ** (p - 1))
     return total
 
 
-def _integral_power_times_counting(q: SpectrumQuery, z, p: int, level_cap: int):
+def _integral_power_times_counting(q: SpectrumQuery, z, p: int):
     """integral_0^z u^(p-1) N(u) du = (1/p) Sigma_l N_l (b_{l+1}^p - b_l^p)."""
     total = Fraction(0)
-    for n, _, lo, hi in _pieces(q, z, level_cap):
+    for n, _, lo, hi in _pieces(q, z):
         if hi > lo:
             total += Fraction(n, p) * (hi ** p - lo ** p)
     return total
 
 
-def poly_transform_check(d: int, p: int, z: Real, *,
-                         level_cap: int = DEFAULT_LEVEL_CAP):
+def poly_transform_check(d: int, p: int, z: Real):
     """Residual of the two polyharmonic integral-transform identities.
 
     Identity 1 (whole sphere spectrum):
@@ -325,22 +311,21 @@ def poly_transform_check(d: int, p: int, z: Real, *,
     """
     if p < 2:
         raise ValueError("transforms require p >= 2")
-    if z < 0:
-        raise ValueError("poly_transform_check requires z >= 0")
+    require_finite_nonnegative(z)
     zq = Fraction(z)  # exact for float z too
     residuals = []
 
     q1 = SpectrumQuery(sphere(d), power=1)
     qp = SpectrumQuery(sphere(d), power=p)
-    lhs1 = riesz_mean(qp, 1, zq ** p, level_cap=level_cap)
-    integ = _integral_power_times_r1(q1, zq, p, level_cap)
+    lhs1 = riesz_mean(qp, 1, zq ** p)
+    integ = _integral_power_times_r1(q1, zq, p)
     rhs1 = -p * (p - 1) * integ + p * zq ** (p - 1) * riesz_mean(q1, 1, zq)
     residuals.append(abs(lhs1 - rhs1))
 
     h1 = SpectrumQuery(hemisphere_dirichlet(d), power=1)
     hp = SpectrumQuery(hemisphere_dirichlet(d), power=p)
-    lhs2 = riesz_mean(hp, 1, zq ** p, level_cap=level_cap)
-    rhs2 = p * _integral_power_times_counting(h1, zq, p, level_cap)
+    lhs2 = riesz_mean(hp, 1, zq ** p)
+    rhs2 = p * _integral_power_times_counting(h1, zq, p)
     residuals.append(abs(lhs2 - rhs2))
 
     worst = max(residuals)

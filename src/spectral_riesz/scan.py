@@ -15,7 +15,8 @@ from typing import Callable, List, Sequence, Tuple
 
 from . import bounds
 from .riesz import SpectrumQuery, riesz_mean, counting
-from .spaces import Space, hemisphere_dirichlet, hemisphere_neumann, sphere
+from .spaces import (Family, Space, hemisphere_dirichlet, hemisphere_neumann,
+                     sphere)
 from .weyl import expansion, lclass_volume
 
 
@@ -74,17 +75,12 @@ def _series(label: str, zs: Sequence[float], ratio: Callable[[float], float],
 
 def _bound_ratio(query: SpectrumQuery, bound_id: str, prm: dict, side: str,
                  gamma: int = 1):
-    def ratio(z: float) -> float:
-        target = float(riesz_mean(query, gamma, z))
-        ref = float(bounds.bound_value(bound_id, prm, z, side=side))
-        return target / ref - 1.0
-    return ratio
+    """Ratio minus one of R_gamma (N for gamma 0) to one resolved bound side."""
+    bound = bounds.bound_function(bound_id, prm, side)
 
-
-def _counting_ratio(query: SpectrumQuery, bound_id: str, prm: dict, side: str):
     def ratio(z: float) -> float:
-        return counting(query, z) / float(
-            bounds.bound_value(bound_id, prm, z, side=side)) - 1.0
+        raw = counting(query, z) if gamma == 0 else riesz_mean(query, gamma, z)
+        return float(raw) / float(bound(z)) - 1.0
     return ratio
 
 
@@ -146,9 +142,9 @@ def _figure_f2(res, l_max):
     q = SpectrumQuery(hemisphere_dirichlet(2))
     zs = w_grid(2, l_max, res)
     base = [
-        ("nd_vs_weyl", _counting_ratio(q, "hemi2.nd.polya", {}, "upper")),
-        ("nd_vs_upper", _counting_ratio(q, "hemi2.nd.twosided", {}, "upper")),
-        ("nd_vs_lower", _counting_ratio(q, "hemi2.nd.twosided", {}, "lower")),
+        ("nd_vs_weyl", _bound_ratio(q, "hemi2.nd.polya", {}, "upper", 0)),
+        ("nd_vs_upper", _bound_ratio(q, "hemi2.nd.twosided", {}, "upper", 0)),
+        ("nd_vs_lower", _bound_ratio(q, "hemi2.nd.twosided", {}, "lower", 0)),
     ]
     panels = [l_max, l_max // 2, l_max // 4, l_max // 8]
     out = []
@@ -257,43 +253,19 @@ def _figure_f10(res, l_max):
 # Per-gap extrema
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                tol: float) -> Tuple[float, float]:
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c1 = b - (b - a) * invphi
-    c2 = a + (b - a) * invphi
-    f1, f2 = f(c1), f(c2)
-    while b - a > tol:
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + (b - a) * invphi
-            f2 = f(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - (b - a) * invphi
-            f1 = f(c1)
-    z = (a + b) / 2
-    return z, f(z)
-
-
 def gap_extrema(space: Space, l_range: Sequence[int],
-                reference: Tuple[float, float, float],
-                quantity: str = "R1", power: int = 1,
-                subgrid: int = 256) -> List[GapExtremum]:
-    """Maximum of quantity / (C (z+b)^q) inside each level gap.
+                reference: Tuple[float, float, float]) -> List[GapExtremum]:
+    """Maximum of R_1 / (C (z+b)^q) inside each level gap of the Laplacian.
 
     reference = (C, q, b).  Golden-section localization to
     |dz| <= 1e-10 lambda_(l+1); uniqueness certified by counting the sign
     changes of the numerical derivative over a 256-point subgrid.
     """
-    from .spaces import Family
     if space.family is not Family.SPHERE:
         raise ValueError("gap extrema scans expect a sphere")
     c_ref, q_ref, b_ref = reference
-    q = SpectrumQuery(space, power=power)
-    if quantity != "R1":
-        raise ValueError("gap extrema are defined for R1 scans")
+    q = SpectrumQuery(space)
+    subgrid = 256
 
     def ratio(z: float) -> float:
         return float(riesz_mean(q, 1, z)) / (c_ref * (z + b_ref) ** q_ref)
@@ -302,7 +274,7 @@ def gap_extrema(space: Space, l_range: Sequence[int],
     for l in l_range:
         lo = float(q.level_value(l))
         hi = float(q.level_value(l + 1))
-        z_star, r_star = _golden_max(ratio, lo, hi, 1e-10 * hi)
+        z_star, r_star = bounds.golden_section_max(ratio, lo, hi, 1e-10 * hi)
         values = [ratio(lo + (hi - lo) * i / subgrid) for i in range(subgrid + 1)]
         diffs = [b - a for a, b in zip(values, values[1:])]
         signs = [d for d in diffs if d != 0.0]

@@ -17,7 +17,8 @@ from typing import Optional, Union
 
 Real = Union[int, float, Fraction]
 
-#: Levels beyond this cap are refused instead of silently enumerated.
+#: The one level guard: levels beyond this cap are refused instead of
+#: silently enumerated, by every lookup and inversion.
 DEFAULT_LEVEL_CAP = 10_000
 
 
@@ -175,14 +176,15 @@ def energy_level(space: Space, l: int) -> EnergyLevel:
     return EnergyLevel(l, eigenvalue(space, l), multiplicity(space, l))
 
 
-def require_finite(z: Real) -> None:
-    """ValueError for NaN and +-inf, the one check on non-finite input."""
+def require_finite_nonnegative(z: Real) -> None:
+    """ValueError for NaN, +-inf and z < 0, the one check on bad z."""
     if isinstance(z, float) and not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
+    if z < 0:
+        raise ValueError(f"z must be >= 0, got {z!r}")
 
 
-def max_level_index(space: Space, z: Real, *,
-                    level_cap: int = DEFAULT_LEVEL_CAP) -> Optional[int]:
+def max_level_index(space: Space, z: Real) -> Optional[int]:
     """Largest l with lambda_(l) <= z, in exact integer arithmetic.
 
     Returns None for the Dirichlet hemisphere when z < lambda_(1); for all
@@ -191,13 +193,11 @@ def max_level_index(space: Space, z: Real, *,
     lambda(l) <= z exactly when a l^2 + b l <= s floor(z); the largest such
     l is (isqrt(b^2 + 4 a s floor(z)) - b) // (2a), with no rounding.
     """
-    require_finite(z)
-    if z < 0:
-        raise ValueError("max_level_index requires z >= 0")
+    require_finite_nonnegative(z)
     a, b, s = _level_quadratic(space)
     l = (math.isqrt(b * b + 4 * a * s * math.floor(z)) - b) // (2 * a)
-    if l > level_cap:
-        raise ValueError(f"level cap {level_cap} exceeded at z={z!r}")
+    if l > DEFAULT_LEVEL_CAP:
+        raise ValueError(f"level cap {DEFAULT_LEVEL_CAP} exceeded at z={z!r}")
     return l if l >= space.min_level else None
 
 

@@ -1,9 +1,10 @@
 """Exact sum rules for closed rank-one symmetric spaces.
 
 The P_N / Q_N quadratic-polynomial identity at spectral gaps, the shifted
-R_2 monotonicity ratios, the trace-identity series, and the two-sided R_2
-Weyl bounds.  Identity checks run in exact rational arithmetic with zero
-tolerance; floating point never enters them.
+R_2 monotonicity ratios and the trace-identity series.  The two-sided R_2
+Weyl bounds are the catalog entry sd.r2.twosided (see bounds).  Identity
+checks run in exact rational arithmetic with zero tolerance; floating
+point never enters them.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def check_pq_identity(space: Space, l_max: int) -> PQReport:
 
 
 # ---------------------------------------------------------------------------
-# Shifted R_2 ratios and two-sided Weyl bounds
+# Shifted R_2 ratios
 
 
 def r2_shifted_ratio(space: Space, z: Real, shift: Real) -> float:
@@ -118,57 +119,6 @@ def r2_shifted_ratio(space: Space, z: Real, shift: Real) -> float:
 def natural_shift(space: Space) -> Fraction:
     """b = d lambda / 4 with lambda the first positive eigenvalue."""
     return Fraction(space.dim * space.first_positive_eigenvalue, 4)
-
-
-@dataclass(frozen=True)
-class R2BoundsReport:
-    space: str
-    n_points: int
-    min_lower_slack: float
-    min_upper_slack: float
-    violations: Tuple[Tuple[float, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def r2_bounds_check(space: Space, grid) -> R2BoundsReport:
-    """L_{2,d}|M^d| z^(2+d/2) <= R_2(z) <= L_{2,d}|M^d| (z + d lambda/4)^(2+d/2).
-
-    Valid on closed rank-one spaces of dimension >= 2; on the circle the
-    lower bound fails (the gap-minimum term (d-2)/(d+2) L(L+d) flips
-    sign), so d = 1 is rejected.  Slack tolerance 1e-9 relative.
-    """
-    _require_closed(space)
-    if space.dim < 2:
-        raise ValueError("R2 two-sided bounds require dim >= 2")
-    d = space.dim
-    const = float(lclass_volume(space, 2))
-    b = float(natural_shift(space))
-    q = SpectrumQuery(space)
-    lo_min = math.inf
-    up_min = math.inf
-    bad = []
-    npts = 0
-    for z in grid:
-        zf = float(z)
-        if zf < 0:
-            continue
-        npts += 1
-        r2 = float(riesz_mean(q, 2, zf))
-        lower = const * zf ** (2 + d / 2.0)
-        upper = const * (zf + b) ** (2 + d / 2.0)
-        slo = r2 - lower
-        sup = upper - r2
-        lo_min = min(lo_min, slo)
-        up_min = min(up_min, sup)
-        tol = 1e-9 * max(1.0, upper)
-        if slo < -tol:
-            bad.append((zf, "lower"))
-        if sup < -tol:
-            bad.append((zf, "upper"))
-    return R2BoundsReport(space.describe(), npts, lo_min, up_min, tuple(bad))
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,17 @@ def test_verify_explicit_id_rejects_mismatched_space_and_flags(
     assert code == 2 and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "sphere:2", "N", "--z", "6", "--power", "0"],
+    ["verify", "s2.r1.upper", "--tol", "-1"],
+    ["verify", "s2.r1.upper", "--tol", "0"],
+    ["verify", "s2.r1.upper", "--tol", "nan"],
+], ids=["power-0", "tol-negative", "tol-zero", "tol-nan"])
+def test_bad_power_and_tolerance_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_verify_bad_space_exit_two(capsys):
     code, _, err = run(capsys, "verify", "moebius:2", "s2.r1.lower")
     assert code == 2 and "unknown space family" in err

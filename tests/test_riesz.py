@@ -27,7 +27,8 @@ rational_z = st.fractions(min_value=0, max_value=2000)
 def test_counting_examples():
     assert counting(S2, 6) == 9
     assert counting(SpectrumQuery(hemisphere_dirichlet(2)), 2) == 1
-    assert counting(S2, -1) == 0
+    with pytest.raises(ValueError):
+        counting(S2, -1)
     assert counting(SpectrumQuery(hemisphere_neumann(2)), 2) == 3
 
 
@@ -245,8 +246,10 @@ def test_max_level_index_pow():
 
 
 def test_level_cap_is_enforced():
-    with pytest.raises(ValueError):
-        counting(S2, 10 ** 9, level_cap=100)
+    # The cap is the last level admitted: 10,000.
+    assert counting(S2, S2.level_value(10_000)) == 10_001 ** 2
+    with pytest.raises(ValueError, match="level cap"):
+        counting(S2, S2.level_value(10_001))
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from spectral_riesz.bounds import verify
 from spectral_riesz.riesz import SpectrumQuery, riesz_mean
 from spectral_riesz.spaces import (Family, Space, hemisphere_dirichlet,
                                    sphere)
 from spectral_riesz.sumrules import (QuadPoly, check_pq_identity, gap_indices,
                                      natural_shift, pn, q_plus_dr1_at_gap_minimum,
-                                     qn, r2_bounds_check, r2_shifted_ratio,
+                                     qn, r2_shifted_ratio,
                                      trace_identity_partial)
 
 RP2 = Space(Family.REAL_PROJECTIVE, 2)
@@ -134,15 +135,16 @@ def test_r2_bounds_check_spaces():
     for space in (sphere(2), RP3, CP4):
         zmax = 40 * (40 + space.dim)
         grid = [zmax * i / 500 for i in range(501)]
-        rep = r2_bounds_check(space, grid)
+        rep = verify("sd.r2.twosided", {"space": space}, grid)
         assert rep.passed, space.describe()
     # z = 0 end: 0 <= 0 <= L (d lambda/4)^(2+d/2)
-    rep = r2_bounds_check(sphere(2), [0.0])
-    assert rep.passed and rep.min_lower_slack == 0.0
+    rep = verify("sd.r2.twosided", {"space": sphere(2)}, [0.0])
+    lower = next(s for s in rep.sides if s.side == "lower")
+    assert rep.passed and lower.min_slack == 0.0
 
 
 def test_r2_bounds_check_rejects_circle_and_hemisphere():
     with pytest.raises(ValueError):
-        r2_bounds_check(sphere(1), [1.0])
+        verify("sd.r2.twosided", {"space": sphere(1)}, [1.0])
     with pytest.raises(ValueError):
-        r2_bounds_check(hemisphere_dirichlet(2), [1.0])
+        verify("sd.r2.twosided", {"space": hemisphere_dirichlet(2)}, [1.0])
