@@ -14,8 +14,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from spectral_riesz import scan
 from spectral_riesz.output import write_series_csv, write_series_svg
 
-FIGS = ("f1", "f2", "f34", "f4", "f5", "f6", "f7", "f8", "f9", "f10")
-
 
 def main():
     ap = argparse.ArgumentParser()
@@ -24,7 +22,7 @@ def main():
     ap.add_argument("--lmax", type=int, default=60)
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
-    for fid in FIGS:
+    for fid in scan.FIGURES:
         series = scan.figure(fid, resolution=args.resolution, l_max=args.lmax)
         base = os.path.join(args.out, fid)
         write_series_csv(base + ".csv", series)

@@ -975,7 +975,9 @@ def legendre_average_bound(bound_id: str, params: Optional[dict] = None,
     lo = 4 * zhi * max(best_i - 1, 0) / n
     hi = 4 * zhi * min(best_i + 1, n) / n
     _, best = golden_section_max(g, lo, hi, 1e-10 * max(1.0, hi))
-    return best / k
+    # A maximum at the bracket's lower end (z = 0 behind a sqrt term) is
+    # only approached by the search; g(lo) holds it exactly.
+    return max(best, g(lo)) / k
 
 
 def golden_section_max(f: Callable[[float], float], lo: float, hi: float,

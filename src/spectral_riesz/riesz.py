@@ -10,20 +10,19 @@ one row per level with named columns lam, mult, count, s1, s2) through one
 of two exact bisects: by value, `bisect_right` on lam, for N, R_1, R_2 and
 the level inversion; by count, `bisect_left` on count, for the prefix sums
 and the j-th eigenvalue.  Python compares int with float and Fraction
-exactly, so no float ever seeds a lookup.  Tables are cached as immutable
-snapshots that are only replaced by longer ones, so concurrent readers are
-safe without locking on the read side.
+exactly, so no float ever seeds a lookup.  Each table is plain
+single-threaded state: one growth rule (`_table`) extends its columns in
+place by doubling, up to level DEFAULT_LEVEL_CAP + 1.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, eigenvalue,
                      max_level_index, multiplicity,
@@ -80,35 +79,32 @@ class _Table(NamedTuple):
     multiplicity N; s1, s2: cumulative sums of m lambda^p and m lambda^(2p).
     """
 
-    lam: Tuple[int, ...]
-    mult: Tuple[int, ...]
-    count: Tuple[int, ...]
-    s1: Tuple[int, ...]
-    s2: Tuple[int, ...]
+    lam: List[int]
+    mult: List[int]
+    count: List[int]
+    s1: List[int]
+    s2: List[int]
 
 
 _tables: dict = {}
-_tables_lock = threading.Lock()
 
 
-def _table(q: SpectrumQuery, upto_level: int) -> _Table:
-    """Immutable prefix table covering levels min_level..upto_level (>=).
+def _table(q: SpectrumQuery, column: str, x) -> _Table:
+    """The prefix table of q, grown until its last `column` entry exceeds x.
 
-    Row i is level min_level + i.  A shorter table is replaced by one built
-    exactly to upto_level; the two lookups grow it by doubling (`_grown`).
+    Row i is level min_level + i.  The columns grow in place, doubling the
+    row count, and growth stops at level DEFAULT_LEVEL_CAP + 1, so a lookup
+    past the cap finds its answer in the last row and raises, without
+    building further.
     """
-    tab = _tables.get(q)
-    if tab is not None and len(tab.lam) > upto_level - q.min_level:
-        return tab
-    with _tables_lock:
-        tab = _tables.get(q)
-        have = len(tab.lam) if tab else 0
-        need = upto_level - q.min_level + 1
-        if have >= need:
-            return tab
-        cols = [list(c) for c in tab] if tab else [[], [], [], [], []]
-        lams, mults, cnt, s1, s2 = cols
-        for l in range(q.min_level + have, q.min_level + need):
+    tab = _tables.setdefault(q, _Table([], [], [], [], []))
+    lams, mults, cnt, s1, s2 = tab
+    col = getattr(tab, column)
+    top = DEFAULT_LEVEL_CAP + 1
+    while (not col or col[-1] <= x) and q.min_level + len(lams) <= top:
+        start = q.min_level + len(lams)
+        stop = min(q.min_level + max(2 * len(lams), 16), top + 1)
+        for l in range(start, stop):
             lam = q.level_value(l)
             m = multiplicity(q.space, l)
             lams.append(lam)
@@ -116,24 +112,6 @@ def _table(q: SpectrumQuery, upto_level: int) -> _Table:
             cnt.append((cnt[-1] if cnt else 0) + m)
             s1.append((s1[-1] if s1 else 0) + m * lam)
             s2.append((s2[-1] if s2 else 0) + m * lam * lam)
-        new = _Table(*map(tuple, cols))
-        _tables[q] = new
-        return new
-
-
-def _grown(q: SpectrumQuery, column: str, x) -> _Table:
-    """The table of q, doubled as needed until its last `column` entry
-    exceeds x.
-
-    Growth stops at level DEFAULT_LEVEL_CAP + 1, so a lookup past the cap
-    finds its answer in the last row and raises, without building further.
-    """
-    top = DEFAULT_LEVEL_CAP + 1
-    tab = _tables.get(q)
-    while tab is None or (getattr(tab, column)[-1] <= x
-                          and q.min_level + len(tab.lam) <= top):
-        rows = max(2 * len(tab.lam), 16) if tab else 16
-        tab = _table(q, min(q.min_level + rows - 1, top))
     return tab
 
 
@@ -144,9 +122,11 @@ def _rows_upto(q: SpectrumQuery, z: Real):
     compares int with float and Fraction exactly.
     """
     require_finite_nonnegative(z)
-    tab = _grown(q, "lam", z)
+    tab = _tables.get(q)
+    if tab is None or tab.lam[-1] <= z:
+        tab = _table(q, "lam", z)
     i = bisect_right(tab.lam, z)
-    if q.min_level + i - 1 > DEFAULT_LEVEL_CAP:  # z >= level_value(cap + 1)
+    if i == len(tab.lam):  # growth stopped at the cap: z >= its last level
         raise ValueError(f"level cap {DEFAULT_LEVEL_CAP} exceeded at z={z!r}")
     return tab, i
 
@@ -156,7 +136,11 @@ def _row_of(q: SpectrumQuery, k: int):
 
     Lookup by count: an exact bisect of the count column.
     """
-    tab = _grown(q, "count", k - 1)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    tab = _tables.get(q)
+    if tab is None or tab.count[-1] < k:
+        tab = _table(q, "count", k - 1)
     i = bisect_left(tab.count, k)
     if q.min_level + i > DEFAULT_LEVEL_CAP:
         raise ValueError(f"level cap {DEFAULT_LEVEL_CAP} exceeded at k={k}")
@@ -194,8 +178,6 @@ def riesz_mean(q: SpectrumQuery, gamma: int, z: Real):
 
 def prefix_sums(q: SpectrumQuery, k: int) -> PrefixSums:
     """Exact Sigma lambda_j and Sigma lambda_j^2 over the first k eigenvalues."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     tab, i = _row_of(q, k)
     # Row i sums its whole level; take back the eigenvalues past the k-th.
     extra = tab.count[i] - k
@@ -210,8 +192,6 @@ def eigenvalue_average(q: SpectrumQuery, k: int) -> Fraction:
 
 def nth_eigenvalue(q: SpectrumQuery, j: int) -> int:
     """lambda_j of the flattened spectrum (1-based, nondecreasing)."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
     tab, i = _row_of(q, j)
     return tab.lam[i]
 

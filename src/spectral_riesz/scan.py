@@ -110,16 +110,10 @@ def figure(fig_id: str, resolution: int = DEFAULT_POINTS_PER_INTERVAL,
     resolution is the number of grid points per level interval (uniform in
     the auxiliary variable w); ranges default to z in (0, lambda_(l_max)].
     """
-    builders = {
-        "f1": _figure_f1, "f2": _figure_f2, "f34": _figure_f34,
-        "f4": _figure_f4, "f5": _figure_f5, "f6": _figure_f6,
-        "f7": _figure_f7, "f8": _figure_f8, "f9": _figure_f9,
-        "f10": _figure_f10,
-    }
-    if fig_id not in builders:
+    if fig_id not in FIGURES:
         raise ValueError(f"unknown figure id {fig_id!r}; "
-                         f"valid: {', '.join(sorted(builders))}")
-    return builders[fig_id](resolution, l_max)
+                         f"valid: {', '.join(sorted(FIGURES))}")
+    return FIGURES[fig_id](resolution, l_max)
 
 
 def _figure_f1(res, l_max):
@@ -247,6 +241,15 @@ def _figure_f10(res, l_max):
                            _weyl_ratio_power(q, lead, 1 + 1 / p,
                                              drop_zero_level=True)))
     return out
+
+
+#: The builder of each figure id, in figure order.
+FIGURES = {
+    "f1": _figure_f1, "f2": _figure_f2, "f34": _figure_f34,
+    "f4": _figure_f4, "f5": _figure_f5, "f6": _figure_f6,
+    "f7": _figure_f7, "f8": _figure_f8, "f9": _figure_f9,
+    "f10": _figure_f10,
+}
 
 
 # ---------------------------------------------------------------------------

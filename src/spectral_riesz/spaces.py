@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 Real = Union[int, float, Fraction]
 
@@ -32,7 +32,66 @@ class Family(Enum):
     CAYLEY_PLANE = "cayley"
 
 
-_HEMISPHERES = (Family.HEMISPHERE_DIRICHLET, Family.HEMISPHERE_NEUMANN)
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"non-integer quotient {num}/{den}")
+    return q
+
+
+class _FamilyRecord(NamedTuple):
+    """Every per-family fact of the spectrum, as functions of dimension d."""
+
+    admits: Callable[[int], bool]  # d is an admissible dimension
+    closed: bool
+    min_level: int
+    # (a, b, s), integers with s lambda(l) = a l^2 + b l: the eigenvalue
+    # and the level inversion both read it.
+    quadratic: Callable[[int], Tuple[int, int, int]]
+    mult: Callable[[int, int], int]  # m(l) for l >= 1; m_0 = 1 everywhere
+    # L^class_{0,d} |M^d|, the volume normalization of the eigenvalue
+    # conventions, as an exact rational.
+    w0: Callable[[int], Fraction]
+
+
+_FAMILIES = {
+    Family.SPHERE: _FamilyRecord(
+        lambda d: d >= 1, True, 0, lambda d: (1, d - 1, 1),
+        lambda d, l: math.comb(d + l, d) - math.comb(d + l - 2, d),
+        lambda d: Fraction(2, math.factorial(d))),
+    Family.HEMISPHERE_DIRICHLET: _FamilyRecord(
+        lambda d: d >= 2, False, 1, lambda d: (1, d - 1, 1),
+        lambda d, l: math.comb(d + l - 2, d - 1),
+        lambda d: Fraction(1, math.factorial(d))),
+    Family.HEMISPHERE_NEUMANN: _FamilyRecord(
+        lambda d: d >= 2, False, 0, lambda d: (1, d - 1, 1),
+        lambda d, l: math.comb(d + l - 1, d - 1),
+        lambda d: Fraction(1, math.factorial(d))),
+    Family.REAL_PROJECTIVE: _FamilyRecord(
+        lambda d: d >= 2, True, 0, lambda d: (4, 2 * (d - 1), 1),
+        lambda d, l: _exact_div(
+            (4 * l + d - 1) * math.comb(d + 2 * l - 2, d - 1), 2 * l),
+        lambda d: Fraction(1, math.factorial(d))),
+    Family.COMPLEX_PROJECTIVE: _FamilyRecord(
+        lambda d: d >= 4 and d % 2 == 0, True, 0, lambda d: (2, d, 2),
+        lambda d, l: _exact_div(
+            (d + 4 * l) * math.comb(d // 2 + l - 1, d // 2 - 1) ** 2, d),
+        lambda d: Fraction(1, math.factorial(d // 2) ** 2)),
+    Family.QUATERNION_PROJECTIVE: _FamilyRecord(
+        lambda d: d >= 8 and d % 4 == 0, True, 0, lambda d: (2, d + 2, 2),
+        lambda d, l: _exact_div(
+            (4 * l + d + 2) * math.comb(d // 2 + l - 1, d // 2 - 1)
+            * math.comb(d // 2 + l, d // 2 + 1), 2 * l * (l + 1)),
+        lambda d: Fraction(2, d * math.factorial(d // 2 - 1)
+                           * math.factorial(d // 2 + 1))),
+    Family.CAYLEY_PLANE: _FamilyRecord(
+        lambda d: d == 16, True, 0, lambda d: (2, d + 6, 2),
+        lambda d, l: _exact_div(
+            3 * (4 * l + d + 6) * math.comb(d // 2 + l - 1, d // 2 - 1)
+            * math.comb(d // 2 + l + 2, d // 2 + 3),
+            l * (l + 1) * (l + 2) * (l + 3)),
+        lambda d: Fraction(3, 4 * math.factorial(7) * math.factorial(11))),
+}
 
 
 @dataclass(frozen=True)
@@ -47,28 +106,22 @@ class Space:
     dim: int
 
     def __post_init__(self):
-        d = self.dim
-        fam = self.family
-        ok = {
-            Family.SPHERE: d >= 1,
-            Family.HEMISPHERE_DIRICHLET: d >= 2,
-            Family.HEMISPHERE_NEUMANN: d >= 2,
-            Family.REAL_PROJECTIVE: d >= 2,
-            Family.COMPLEX_PROJECTIVE: d >= 4 and d % 2 == 0,
-            Family.QUATERNION_PROJECTIVE: d >= 8 and d % 4 == 0,
-            Family.CAYLEY_PLANE: d == 16,
-        }[fam]
-        if not ok:
-            raise ValueError(f"dimension {d} out of range for {fam.value}")
+        if not _FAMILIES[self.family].admits(self.dim):
+            raise ValueError(f"dimension {self.dim} out of range "
+                             f"for {self.family.value}")
+
+    @property
+    def record(self) -> _FamilyRecord:
+        return _FAMILIES[self.family]
 
     @property
     def is_closed(self) -> bool:
-        return self.family not in _HEMISPHERES
+        return _FAMILIES[self.family].closed
 
     @property
     def min_level(self) -> int:
         """Smallest admissible level index (1 for the Dirichlet hemisphere)."""
-        return 1 if self.family is Family.HEMISPHERE_DIRICHLET else 0
+        return _FAMILIES[self.family].min_level
 
     @property
     def first_positive_eigenvalue(self) -> int:
@@ -104,36 +157,18 @@ class EnergyLevel:
     mult: int
 
 
-def _h(d: int, l: int) -> int:
-    # H_{l,d} = C(d+l, l); zero for negative l.
-    return math.comb(d + l, l) if l >= 0 else 0
-
-
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"non-integer multiplicity {num}/{den}")
-    return q
-
-
-def eigenvalue(space: Space, l: int) -> int:
-    """Exact integer eigenvalue lambda_(l) of the Laplacian on the space."""
+def _require_level(space: Space, l: int) -> None:
     if l < space.min_level:
         raise ValueError(f"level {l} below minimum {space.min_level} "
                          f"for {space.describe()}")
-    d = space.dim
-    fam = space.family
-    if fam in (Family.SPHERE, *_HEMISPHERES):
-        return l * (l + d - 1)
-    if fam is Family.REAL_PROJECTIVE:
-        return 2 * l * (2 * l + d - 1)
-    if fam is Family.COMPLEX_PROJECTIVE:
-        return _exact_div(l * (2 * l + d), 2)
-    if fam is Family.QUATERNION_PROJECTIVE:
-        return _exact_div(l * (2 * l + d + 2), 2)
-    if fam is Family.CAYLEY_PLANE:
-        return _exact_div(l * (2 * l + d + 6), 2)
-    raise AssertionError(fam)
+
+
+def eigenvalue(space: Space, l: int) -> int:
+    """Exact integer eigenvalue lambda_(l) = (a l^2 + b l) / s of the
+    Laplacian, from the same quadratic as the level inversion."""
+    _require_level(space, l)
+    a, b, s = space.record.quadratic(space.dim)
+    return _exact_div(a * l * l + b * l, s)
 
 
 def multiplicity(space: Space, l: int) -> int:
@@ -142,33 +177,8 @@ def multiplicity(space: Space, l: int) -> int:
     The projective-family formulas have l in a denominator; the l = 0
     eigenspace is the constants, so m_0 = 1 by definition.
     """
-    if l < space.min_level:
-        raise ValueError(f"level {l} below minimum {space.min_level} "
-                         f"for {space.describe()}")
-    d = space.dim
-    fam = space.family
-    if fam is Family.SPHERE:
-        return _h(d, l) - _h(d, l - 2)
-    if fam is Family.HEMISPHERE_DIRICHLET:
-        return math.comb(d + l - 2, d - 1)
-    if fam is Family.HEMISPHERE_NEUMANN:
-        return math.comb(d + l - 1, d - 1)
-    if l == 0:
-        return 1
-    if fam is Family.REAL_PROJECTIVE:
-        return _exact_div((4 * l + d - 1) * math.comb(d + 2 * l - 2, d - 1),
-                          2 * l)
-    h = d // 2
-    if fam is Family.COMPLEX_PROJECTIVE:
-        return _exact_div((d + 4 * l) * math.comb(h + l - 1, h - 1) ** 2, d)
-    if fam is Family.QUATERNION_PROJECTIVE:
-        return _exact_div((4 * l + d + 2) * math.comb(h + l - 1, h - 1)
-                          * math.comb(h + l, h + 1), 2 * l * (l + 1))
-    if fam is Family.CAYLEY_PLANE:
-        return _exact_div(3 * (4 * l + d + 6) * math.comb(h + l - 1, h - 1)
-                          * math.comb(h + l + 2, h + 3),
-                          l * (l + 1) * (l + 2) * (l + 3))
-    raise AssertionError(fam)
+    _require_level(space, l)
+    return space.record.mult(space.dim, l) if l else 1
 
 
 def energy_level(space: Space, l: int) -> EnergyLevel:
@@ -194,28 +204,11 @@ def max_level_index(space: Space, z: Real) -> Optional[int]:
     l is (isqrt(b^2 + 4 a s floor(z)) - b) // (2a), with no rounding.
     """
     require_finite_nonnegative(z)
-    a, b, s = _level_quadratic(space)
+    a, b, s = space.record.quadratic(space.dim)
     l = (math.isqrt(b * b + 4 * a * s * math.floor(z)) - b) // (2 * a)
     if l > DEFAULT_LEVEL_CAP:
         raise ValueError(f"level cap {DEFAULT_LEVEL_CAP} exceeded at z={z!r}")
     return l if l >= space.min_level else None
-
-
-def _level_quadratic(space: Space):
-    """(a, b, s) with s lambda(l) = a l^2 + b l, all integers."""
-    d = space.dim
-    fam = space.family
-    if fam in (Family.SPHERE, *_HEMISPHERES):
-        return 1, d - 1, 1
-    if fam is Family.REAL_PROJECTIVE:
-        return 4, 2 * (d - 1), 1
-    if fam is Family.COMPLEX_PROJECTIVE:
-        return 2, d, 2
-    if fam is Family.QUATERNION_PROJECTIVE:
-        return 2, d + 2, 2
-    if fam is Family.CAYLEY_PLANE:
-        return 2, d + 6, 2
-    raise AssertionError(fam)
 
 
 def invert_w(d: int, z: Real) -> float:

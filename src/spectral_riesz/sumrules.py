@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 from .riesz import (SpectrumQuery, _table, nth_eigenvalue, prefix_sums,
                     riesz_mean)
-from .spaces import Real, Space
+from .spaces import DEFAULT_LEVEL_CAP, Real, Space
 from .weyl import lclass_volume
 
 
@@ -41,6 +41,16 @@ class QuadPoly:
 def _require_closed(space: Space):
     if not space.is_closed:
         raise ValueError("sum rules apply to closed spaces only")
+
+
+def _levels(space: Space, l_max: int):
+    """The Laplacian's prefix table on closed space, through level l_max + 1."""
+    _require_closed(space)
+    if l_max > DEFAULT_LEVEL_CAP:
+        raise ValueError(f"level cap {DEFAULT_LEVEL_CAP} exceeded "
+                         f"at l_max={l_max}")
+    q = SpectrumQuery(space)
+    return _table(q, "lam", q.level_value(l_max))
 
 
 def pn(space: Space, n: int) -> QuadPoly:
@@ -73,8 +83,7 @@ def qn(space: Space, n: int) -> QuadPoly:
 
 def gap_indices(space: Space, l_max: int) -> List[int]:
     """Cumulative multiplicities N = Sigma_{l<=L} m_l for L = 0..l_max."""
-    _require_closed(space)
-    return list(_table(SpectrumQuery(space), l_max).count[:l_max + 1])
+    return _levels(space, l_max).count[:l_max + 1]
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,6 @@ def check_pq_identity(space: Space, l_max: int) -> PQReport:
 
     A mismatch is a hard failure; the report carries the indices checked.
     """
-    _require_closed(space)
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     gaps = gap_indices(space, l_max)
@@ -125,25 +133,6 @@ def natural_shift(space: Space) -> Fraction:
 # Trace identity series
 
 
-def trace_identity_term(space: Space, l: int) -> float:
-    """Single term of the trace series at level l.
-
-    N_l (lamt_{l+1}^(-d/2) - lamt_l^(-d/2)
-         + d/4 (lamt_{l+1}^(-1-d/2) + lamt_l^(-1-d/2)) (lam_{l+1} - lam_l))
-    with lamt = lam + d lambda/4 and N_l the cumulative multiplicity.
-    """
-    _require_closed(space)
-    d = space.dim
-    b = float(natural_shift(space))
-    tab = _table(SpectrumQuery(space), l + 1)
-    n_l = tab.count[l]
-    lam, lam1 = tab.lam[l], tab.lam[l + 1]
-    tl, tl1 = lam + b, lam1 + b
-    e = d / 2.0
-    return n_l * (tl1 ** -e - tl ** -e
-                  + (d / 4.0) * (tl1 ** (-1 - e) + tl ** (-1 - e)) * (lam1 - lam))
-
-
 @dataclass(frozen=True)
 class TraceReport:
     space: str
@@ -158,16 +147,28 @@ class TraceReport:
 
 
 def trace_identity_partial(space: Space, l_max: int) -> TraceReport:
-    """Partial sum of the trace series and a conservative tail estimate.
+    """Partial sum over l = 0..l_max of the trace series
 
-    Terms decay like C l^-3, so the tail behaves like |last| * l_max / 2;
-    the estimate uses (l_max + 8)/2 as a validated safety margin.
+        N_l (lamt_{l+1}^(-d/2) - lamt_l^(-d/2)
+             + d/4 (lamt_{l+1}^(-1-d/2) + lamt_l^(-1-d/2)) (lam_{l+1} - lam_l))
+
+    with lamt = lam + d lambda/4 and N_l the cumulative multiplicity, and a
+    conservative tail estimate.  Terms decay like C l^-3, so the tail
+    behaves like |last| * l_max / 2; the estimate uses (l_max + 8)/2 as a
+    validated safety margin.
     """
-    _require_closed(space)
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    _table(SpectrumQuery(space), l_max + 1)  # one build for all the terms
-    terms = [trace_identity_term(space, l) for l in range(l_max + 1)]
+    tab = _levels(space, l_max)
+    d = space.dim
+    b = float(natural_shift(space))
+    e = d / 2.0
+    terms = []
+    for n_l, lam, lam1 in zip(tab.count[:l_max + 1], tab.lam, tab.lam[1:]):
+        tl, tl1 = lam + b, lam1 + b
+        terms.append(n_l * (tl1 ** -e - tl ** -e
+                            + (d / 4.0) * (tl1 ** (-1 - e) + tl ** (-1 - e))
+                            * (lam1 - lam)))
     partial = math.fsum(terms)
     tail = abs(terms[-1]) * (l_max + 8) / 2.0
     return TraceReport(space.describe(), l_max, partial,
@@ -180,7 +181,6 @@ def q_plus_dr1_at_gap_minimum(space: Space, l: int) -> Tuple[Fraction, Fraction]
     Returns the exact value and the predicted (d-2)/(d+2) L(L+d) for the
     sphere gap after level L (lambda = d there).
     """
-    _require_closed(space)
     d = space.dim
     n = gap_indices(space, l)[-1]
     q = SpectrumQuery(space)

@@ -10,6 +10,7 @@ derived symbolically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,13 +86,17 @@ class SemiclassicalConstant:
     exact: PiMultiple
 
 
-def _pochhammer(x: Fraction, n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(n):
-        out *= x + i
-    return out
+def _gamma_ratio(gamma: int, d: int, p: int) -> Fraction:
+    """Gamma(gamma+1) Gamma(1 + d/2p) / Gamma(1 + gamma + d/2p)
+    = gamma! / (1 + d/2p)_gamma, for gamma in {0, 1, 2}."""
+    if gamma not in (0, 1, 2):
+        raise ValueError("gamma must be 0, 1 or 2")
+    x = 1 + Fraction(d, 2 * p)
+    return Fraction(math.factorial(gamma)) / math.prod(
+        (x + i for i in range(gamma)), start=Fraction(1))
 
 
+@functools.cache
 def lclass(gamma: int, d: int, p: int = 1) -> SemiclassicalConstant:
     """L^class_{gamma,d,p} = (4 pi)^(-d/2) Gamma(gamma+1) Gamma(1 + d/2p)
     / (Gamma(1 + d/2) Gamma(1 + gamma + d/2p)).
@@ -100,15 +105,11 @@ def lclass(gamma: int, d: int, p: int = 1) -> SemiclassicalConstant:
     reciprocal Pochhammer product, so the value is an exact rational
     multiple of pi^(-d/2) (times 1/sqrt(pi) in odd dimension).
     """
-    if gamma not in (0, 1, 2):
-        raise ValueError("gamma must be 0, 1 or 2")
     if d < 1 or p < 1:
         raise ValueError("d and p must be >= 1")
-    four_pow = Fraction(1, 2 ** d)  # 4^(-d/2) exactly
-    ratio = Fraction(math.factorial(gamma)) / _pochhammer(1 + Fraction(d, 2 * p),
-                                                          gamma)
-    exact = PiMultiple(four_pow * ratio, 0) / gamma_exact_half(d + 2)
-    exact = PiMultiple(exact.coef, exact.pi_halves - d)
+    # (4 pi)^(-d/2) = 2^(-d) pi^(-d/2) exactly.
+    exact = PiMultiple(Fraction(1, 2 ** d) * _gamma_ratio(gamma, d, p),
+                       -d) / gamma_exact_half(d + 2)
     return SemiclassicalConstant(gamma, d, p, float(exact), exact)
 
 
@@ -138,36 +139,15 @@ def volumes(d: int) -> Volumes:
     return Volumes(sph, hemi, bnd, ball)
 
 
-_W0 = {
-    # L^class_{0,d} |M^d| as an exact rational, per family.
-    Family.SPHERE: lambda d: Fraction(2, math.factorial(d)),
-    Family.HEMISPHERE_DIRICHLET: lambda d: Fraction(1, math.factorial(d)),
-    Family.HEMISPHERE_NEUMANN: lambda d: Fraction(1, math.factorial(d)),
-    Family.REAL_PROJECTIVE: lambda d: Fraction(1, math.factorial(d)),
-    Family.COMPLEX_PROJECTIVE:
-        lambda d: Fraction(1, math.factorial(d // 2) ** 2),
-    Family.QUATERNION_PROJECTIVE:
-        lambda d: Fraction(2, d * math.factorial(d // 2 - 1)
-                           * math.factorial(d // 2 + 1)),
-    Family.CAYLEY_PLANE:
-        lambda d: Fraction(3, 4 * math.factorial(7) * math.factorial(11)),
-}
-
-
+@functools.cache
 def lclass_volume(space: Space, gamma: int, p: int = 1) -> Fraction:
     """L^class_{gamma,d,p} * |M^d| as an exact rational.
 
-    For hemisphere spaces the measure is |S^d_+|.  The gamma = 0 value
-    fixes the volume normalization implied by the eigenvalue conventions
-    (e.g. 2/d! for the sphere); higher gamma follows from the rational
-    ratio of the semiclassical constants.
+    For hemisphere spaces the measure is |S^d_+|.  The gamma = 0 value is
+    the family record's w0 (e.g. 2/d! for the sphere); higher gamma
+    follows from the rational ratio of the semiclassical constants.
     """
-    if gamma not in (0, 1, 2):
-        raise ValueError("gamma must be 0, 1 or 2")
-    w0 = _W0[space.family](space.dim)
-    ratio = Fraction(math.factorial(gamma)) / _pochhammer(
-        1 + Fraction(space.dim, 2 * p), gamma)
-    return w0 * ratio
+    return space.record.w0(space.dim) * _gamma_ratio(gamma, space.dim, p)
 
 
 def lclass_boundary_volume(d: int, gamma: int) -> Fraction:

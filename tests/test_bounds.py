@@ -176,6 +176,12 @@ def test_legendre_average_bound_examples():
         bounds.legendre_average_bound("hemi2.nd.polya", {}, 1)
 
 
+def test_legendre_numeric_path_keeps_maximum_at_bracket_end():
+    # k z - B(z) = -L z^1.5 - sqrt(z)/4 has its supremum 0 at z = 0.
+    assert bounds.legendre_average_bound(
+        "sd.r1p.twosided", {"d": 2, "p": 2}, 1, side="upper") == 0.0
+
+
 def test_legendre_numeric_path_matches_closed_form():
     # hemi.d.bly345 has a closed power form; compare against a blinded
     # numeric run by stripping the power_shift hint.

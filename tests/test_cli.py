@@ -154,6 +154,12 @@ def test_sumrule_commands(capsys):
     assert code == 0 and "ok" in out
 
 
+def test_sumrule_past_level_cap_exits_two(capsys):
+    code, _, err = run(capsys, "sumrule", "sphere:2", "trace",
+                       "--lmax", "12000")
+    assert code == 2 and "level cap" in err
+
+
 def test_sumrule_usage_error_on_circle_r2(capsys):
     code, _, err = run(capsys, "sumrule", "circle:1", "r2")
     assert code == 2

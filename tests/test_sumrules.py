@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from spectral_riesz.bounds import verify
-from spectral_riesz.riesz import SpectrumQuery, riesz_mean
-from spectral_riesz.spaces import (Family, Space, hemisphere_dirichlet,
-                                   sphere)
+from spectral_riesz.riesz import SpectrumQuery, _tables, riesz_mean
+from spectral_riesz.spaces import (DEFAULT_LEVEL_CAP, Family, Space,
+                                   hemisphere_dirichlet, sphere)
 from spectral_riesz.sumrules import (QuadPoly, check_pq_identity, gap_indices,
                                      natural_shift, pn, q_plus_dr1_at_gap_minimum,
                                      qn, r2_shifted_ratio,
@@ -39,6 +39,24 @@ def test_pn_rejects_hemispheres_and_bad_n():
 def test_gap_indices_are_cumulative_multiplicities():
     assert gap_indices(sphere(2), 3) == [1, 4, 9, 16]
     assert gap_indices(sphere(3), 2) == [1, 5, 14]
+
+
+@pytest.mark.parametrize("check,dim", [(gap_indices, 9),
+                                       (check_pq_identity, 10),
+                                       (trace_identity_partial, 11)])
+def test_sum_rules_refuse_levels_past_cap_before_building(check, dim):
+    space = Space(Family.REAL_PROJECTIVE, dim)  # a spectrum no other test reads
+    rows = len(_tables.get(SpectrumQuery(space), ([],))[0])
+    with pytest.raises(ValueError, match="level cap"):
+        check(space, DEFAULT_LEVEL_CAP + 500)
+    assert len(_tables.get(SpectrumQuery(space), ([],))[0]) == rows
+
+
+def test_sum_rules_reach_the_level_cap():
+    space = sphere(1)
+    assert len(gap_indices(space, DEFAULT_LEVEL_CAP)) == DEFAULT_LEVEL_CAP + 1
+    rep = trace_identity_partial(space, DEFAULT_LEVEL_CAP)
+    assert abs(rep.partial_sum - rep.target) <= rep.tail_estimate
 
 
 @pytest.mark.parametrize("space,lmax", [
