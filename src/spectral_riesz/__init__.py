@@ -11,8 +11,9 @@ from .spaces import (Family, Space, EnergyLevel, circle, energy_level,
                      hemisphere_neumann, invert_w, max_level_index,
                      multiplicity, parse_space, sphere)
 from .riesz import (PrefixSums, SpectrumQuery, Variant, counting,
-                    eigenvalue_average, lemma_sum, poly_transform_check,
-                    prefix_sums, riesz1_closed_sphere, riesz_mean)
+                    eigenvalue_average, evaluate_grid, lemma_sum,
+                    poly_transform_check, prefix_sums, riesz1_closed_sphere,
+                    riesz_mean)
 from .weyl import (ExpansionEval, SemiclassicalConstant, Volumes, expansion,
                    gamma_asymptotic_check, lclass, lclass_volume, pab,
                    pab_product, volumes)

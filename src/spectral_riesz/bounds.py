@@ -16,13 +16,13 @@ declares its parameters once; BoundSpec.validate reads that schema.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .riesz import (SpectrumQuery, Variant, counting, eigenvalue_average,
-                    max_level_index_pow, riesz_mean)
+from .riesz import SpectrumQuery, Variant, evaluate_grid, riesz_mean
 from .spaces import (DEFAULT_LEVEL_CAP, Real, Space, fluctuation,
                      hemisphere_dirichlet, hemisphere_neumann, invert_w,
                      sphere)
@@ -226,10 +226,12 @@ def get(bound_id: str) -> BoundSpec:
 # ---------------------------------------------------------------------------
 # Shared formula pieces
 
+@functools.cache
 def _zd(d: int) -> Fraction:
     return Fraction(d * (2 * d - 1), 12)
 
 
+@functools.cache
 def _bd(d: int) -> Fraction:
     return Fraction(d * (d - 2), 6)
 
@@ -814,18 +816,6 @@ class ScanReport:
         return d
 
 
-def _target_value(spec: BoundSpec, q: SpectrumQuery, x):
-    if spec.quantity == "N":
-        return counting(q, x)
-    if spec.quantity == "R1":
-        return riesz_mean(q, 1, x)
-    if spec.quantity == "R2":
-        return riesz_mean(q, 2, x)
-    if spec.quantity == "average":
-        return eigenvalue_average(q, x)
-    raise AssertionError(spec.quantity)
-
-
 def standard_grid(bound_id: str, params: Optional[dict] = None,
                   zmax: Optional[float] = None, points: int = 2000,
                   levels: int = 40) -> list:
@@ -835,6 +825,8 @@ def standard_grid(bound_id: str, params: Optional[dict] = None,
     40th level value), all level endpoints, recorded equality points and
     documented witness points.  average entries: k = 1..points range.
     """
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     spec = get(bound_id)
     prm = spec.validate(dict(params or {}))
     if spec.quantity == "average":
@@ -891,7 +883,9 @@ def verify(bound_id: str, params: Optional[dict] = None,
     counterexamples (expected_valid=False) must produce at least one and
     report the first witness.  Failures are report content, never raises.
     The parameters, the query, the target column and the per-point gap
-    level are resolved once and shared by every side.
+    level are resolved once and shared by every side; the targets, gap
+    levels and equality-point targets each come from one prefix-table
+    sweep (riesz.evaluate_grid), so grids may be unsorted.
     """
     if not 0 < tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -902,12 +896,8 @@ def verify(bound_id: str, params: Optional[dict] = None,
         grid = standard_grid(bound_id, prm, zmax=zmax, points=points,
                              levels=levels)
     zs = [float(x) for x in grid]
-    targets = [float(_target_value(spec, q, x)) for x in grid]
-    gaps = None
-    if spec.quantity != "average":
-        # Level of the gap holding z; min_level - 1 below the first level.
-        gaps = [max_level_index_pow(q, zf) for zf in zs]
-        gaps = [q.min_level - 1 if l is None else l for l in gaps]
+    targets, gaps = evaluate_grid(q, spec.quantity, grid)
+    targets = [float(t) for t in targets]
     sides = tuple(_scan_side(rule, prm, grid, zs, targets, gaps, tol)
                   for rule in spec.sides)
 
@@ -918,12 +908,12 @@ def verify(bound_id: str, params: Optional[dict] = None,
         except ValueError:
             eq_pts = []
         # Informational values (e.g. b(l) shifts) are not exact z's.
-        eq_targets = [(e, _target_value(spec, q, e)) for e in eq_pts
-                      if isinstance(e, (int, Fraction))]
+        eq_pts = [e for e in eq_pts if isinstance(e, (int, Fraction))]
+        eq_targets, _ = evaluate_grid(q, spec.quantity, eq_pts)
         for rule in spec.sides:
             if spec.equality_side is not None and rule.side != spec.equality_side:
                 continue
-            for e, tgt in eq_targets:
+            for e, tgt in zip(eq_pts, eq_targets):
                 bnd = rule.evaluate(prm, _normalize_arg(e))
                 slack = (bnd - tgt) if rule.side == "upper" else (tgt - bnd)
                 eq_checks.append(EqualityCheck(float(e), rule.side,

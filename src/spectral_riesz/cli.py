@@ -16,14 +16,15 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import bounds, report, scan, sumrules
-from .riesz import (SpectrumQuery, counting, counting_closed_hemisphere_dirichlet,
+from .riesz import (SpectrumQuery, counting_closed_hemisphere_dirichlet,
                     counting_closed_hemisphere_neumann, counting_closed_sphere,
-                    riesz1_closed_sphere, riesz_mean)
+                    evaluate_grid, riesz1_closed_sphere)
 from .output import (dumps_json, fmt_number, table_csv, atomic_write,
                      write_json, write_series_csv, write_series_svg)
 from .scan import GridPolicy, Series
-from .spaces import Family, Space, energy_level, eigenvalue, \
-    is_space_descriptor, max_level_index, parse_space
+from .spaces import DEFAULT_LEVEL_CAP, Family, Space, eigenvalue, \
+    is_space_descriptor, level_cap_exceeded, max_level_index, multiplicity, \
+    parse_space
 from .weyl import expansion
 
 
@@ -67,21 +68,18 @@ def _resolve_space(args, required: bool = True) -> Optional[Space]:
             raise UsageError("a space descriptor is required "
                              "(positionally or via --space)")
         return None
-    return _parse_space_arg(descriptor)
+    return parse_space(descriptor)  # a bad descriptor exits 2 via main
 
 
-def _parse_space_arg(descriptor: str) -> Space:
-    try:
-        return parse_space(descriptor)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _write_output(path: Optional[str], text: str):
-    if path:
-        atomic_write(path, text)
+def _emit_table(args, header, rows, json_row) -> int:
+    """Rows as CSV, or as a JSON list of json_row(row), to --out or stdout."""
+    text = (dumps_json([json_row(r) for r in rows]) + "\n"
+            if args.format == "json" else table_csv(header, rows))
+    if args.out:
+        atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -90,17 +88,15 @@ def _write_output(path: Optional[str], text: str):
 
 def cmd_levels(args) -> int:
     space = _resolve_space(args)
-    rows = []
-    for l in range(space.min_level, args.lmax + 1):
-        lev = energy_level(space, l)
-        rows.append((lev.l, lev.lam, lev.mult))
-    if args.format == "json":
-        obj = [{"l": r[0], "lambda": r[1], "mult": str(r[2])} for r in rows]
-        text = dumps_json(obj) + "\n"
-    else:
-        text = table_csv(("l", "lambda", "mult"), rows)
-    _write_output(args.out, text)
-    return 0
+    if args.lmax > DEFAULT_LEVEL_CAP:
+        raise level_cap_exceeded("l_max", args.lmax)
+    if args.lmax < space.min_level:
+        raise UsageError(f"--lmax {args.lmax} is below the minimum level "
+                         f"{space.min_level} of {space.describe()}")
+    rows = [(l, eigenvalue(space, l), multiplicity(space, l))
+            for l in range(space.min_level, args.lmax + 1)]
+    return _emit_table(args, ("l", "lambda", "mult"), rows, lambda r: {
+        "l": r[0], "lambda": r[1], "mult": str(r[2])})
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +104,9 @@ def cmd_levels(args) -> int:
 
 
 def _closed_form(space: Space, power: int, quantity: str, z: float):
+    """The closed-form value at z, or "" where the family has none."""
     if power != 1:
-        return None
+        return ""
     fam = space.family
     if quantity == "N":
         L = max_level_index(space, z)
@@ -121,7 +118,7 @@ def _closed_form(space: Space, power: int, quantity: str, z: float):
             return counting_closed_hemisphere_neumann(space.dim, L)
     if quantity == "R1" and fam is Family.SPHERE:
         return riesz1_closed_sphere(space.dim, z)
-    return None
+    return ""
 
 
 def _grid_from_args(space: Space, args) -> List[float]:
@@ -130,6 +127,9 @@ def _grid_from_args(space: Space, args) -> List[float]:
             return [float(Fraction(t)) for t in args.z.split(",")]
         except ValueError:
             raise UsageError(f"bad z list {args.z!r}") from None
+        except OverflowError:
+            raise UsageError(f"z list {args.z!r} holds a value beyond "
+                             "float range") from None
     zmin, zmax, n = args.zmin, args.zmax, args.points
     if zmax is None:
         zmax = float(eigenvalue(space, space.min_level + 39))
@@ -167,24 +167,15 @@ def cmd_eval(args) -> int:
         quantity = {0: "N", 1: "R1", 2: "R2"}.get(args.gamma)
     if quantity not in ("N", "R1", "R2"):
         raise UsageError("quantity must be N, R1 or R2 (gamma 0, 1 or 2)")
-    q = SpectrumQuery(space, power=args.power)
-    rows = []
-    for z in _grid_from_args(space, args):
-        if quantity == "N":
-            brute = counting(q, z)
-        else:
-            brute = riesz_mean(q, 1 if quantity == "R1" else 2, z)
-        closed = _closed_form(space, args.power, quantity, z)
-        rows.append((z, brute, "" if closed is None else closed))
-    if args.format == "json":
-        obj = [{"z": r[0], "brute_force": fmt_number(r[1]),
-                "closed_form": fmt_number(r[2]) if r[2] != "" else None}
-               for r in rows]
-        text = dumps_json(obj) + "\n"
-    else:
-        text = table_csv(("z", "brute_force", "closed_form"), rows)
-    _write_output(args.out, text)
-    return 0
+    zs = _grid_from_args(space, args)
+    brute, _ = evaluate_grid(SpectrumQuery(space, power=args.power),
+                             quantity, zs)
+    rows = [(z, value, _closed_form(space, args.power, quantity, z))
+            for z, value in zip(zs, brute)]
+    return _emit_table(args, ("z", "brute_force", "closed_form"), rows,
+                       lambda r: {"z": r[0], "brute_force": fmt_number(r[1]),
+                                  "closed_form": fmt_number(r[2])
+                                  if r[2] != "" else None})
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +223,7 @@ def cmd_verify(args) -> int:
             raise UsageError("no catalog entries match the given space")
     else:
         for bid in ids:
-            try:
-                spec = bounds.get(bid)
-            except KeyError as exc:
-                raise UsageError(str(exc)) from None
+            spec = bounds.get(bid)  # an unknown id exits 2 via main
             unused = [flag for flag, name, value in (
                           ("--power", "p", args.power),
                           ("--area", "area", args.area))
@@ -466,10 +454,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,8 +18,8 @@ from . import bounds, scan, sumrules
 from .riesz import (SpectrumQuery, counting,
                     counting_closed_hemisphere_dirichlet,
                     counting_closed_hemisphere_neumann, eigenvalue_average,
-                    lemma_sum, poly_transform_check, riesz1_closed_sphere,
-                    riesz_mean)
+                    evaluate_grid, lemma_sum, poly_transform_check,
+                    riesz1_closed_sphere, riesz_mean)
 from .spaces import (Family, Space, hemisphere_dirichlet,
                      hemisphere_neumann, invert_w, max_level_index, sphere)
 from .weyl import expansion, lclass_volume
@@ -280,11 +280,9 @@ def _scaled_residuals(space: Space, quantity: str, terms: int, power: float):
     lead = float(lclass_volume(space, 0 if quantity == "N" else 1))
     exponent = d / 2 if quantity == "N" else d / 2 + 1
     first, everywhere = 0.0, 0.0
-    for z in _certification_grid(d):
-        if not 100.0 <= z <= 1e6:
-            continue
+    zs = [z for z in _certification_grid(d) if 100.0 <= z <= 1e6]
+    for z, raw in zip(zs, evaluate_grid(q, quantity, zs)[0]):
         bracket = expansion(space, quantity, z, terms).ratio
-        raw = counting(q, z) if quantity == "N" else float(riesz_mean(q, 1, z))
         resid = abs(raw / (lead * z ** exponent) - bracket) * z ** power
         everywhere = max(everywhere, resid)
         if z <= 1e3:

@@ -10,9 +10,11 @@ one row per level with named columns lam, mult, count, s1, s2) through one
 of two exact bisects: by value, `bisect_right` on lam, for N, R_1, R_2 and
 the level inversion; by count, `bisect_left` on count, for the prefix sums
 and the j-th eigenvalue.  Python compares int with float and Fraction
-exactly, so no float ever seeds a lookup.  Each table is plain
-single-threaded state: one growth rule (`_table`) extends its columns in
-place by doubling, up to level DEFAULT_LEVEL_CAP + 1.
+exactly, so no float ever seeds a lookup.  The third lookup, the per-grid
+sweep `evaluate_grid`, grows the table once to the largest point and
+bisects it per point.  Each table is plain single-threaded state: one
+growth rule (`_table`) extends its columns in place by doubling, up to
+level DEFAULT_LEVEL_CAP + 1.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Sequence
 
 from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, eigenvalue,
-                     max_level_index, multiplicity,
+                     level_cap_exceeded, max_level_index, multiplicity,
                      require_finite_nonnegative, sphere, hemisphere_dirichlet)
 
 
@@ -127,7 +129,7 @@ def _rows_upto(q: SpectrumQuery, z: Real):
         tab = _table(q, "lam", z)
     i = bisect_right(tab.lam, z)
     if i == len(tab.lam):  # growth stopped at the cap: z >= its last level
-        raise ValueError(f"level cap {DEFAULT_LEVEL_CAP} exceeded at z={z!r}")
+        raise level_cap_exceeded("z", z)
     return tab, i
 
 
@@ -143,8 +145,64 @@ def _row_of(q: SpectrumQuery, k: int):
         tab = _table(q, "count", k - 1)
     i = bisect_left(tab.count, k)
     if q.min_level + i > DEFAULT_LEVEL_CAP:
-        raise ValueError(f"level cap {DEFAULT_LEVEL_CAP} exceeded at k={k}")
+        raise level_cap_exceeded("k", k)
     return tab, i
+
+
+def _value_at(tab: _Table, i: int, gamma: int, z: Real):
+    """N (gamma 0), R_1 or R_2 at z, from rows 0..i-1: the levels <= z."""
+    if i:
+        n, s1, s2 = tab.count[i - 1], tab.s1[i - 1], tab.s2[i - 1]
+    else:
+        n = s1 = s2 = 0
+    if gamma == 0:
+        return n
+    if gamma == 1:
+        return n * z - s1
+    return (n * z - 2 * s1) * z + s2
+
+
+def _prefix_sums_at(tab: _Table, i: int, k: int) -> PrefixSums:
+    # Row i sums its whole level; take back the eigenvalues past the k-th.
+    extra = tab.count[i] - k
+    lam = tab.lam[i]
+    return PrefixSums(k, tab.s1[i] - extra * lam, tab.s2[i] - extra * lam * lam)
+
+
+def evaluate_grid(q: SpectrumQuery, quantity: str, grid: Sequence):
+    """(values, gap_levels) of N, R1, R2 or average over a grid, in one sweep.
+
+    values equal counting / riesz_mean / eigenvalue_average point by point,
+    type included, for grids in any order and with duplicates.
+    gap_levels[i] is the largest level l with lambda_(l)^p <= float(grid[i]),
+    min_level - 1 below the first level; None for average (points are k).
+    """
+    by_count = quantity == "average"
+    lookup = _row_of if by_count else _rows_upto
+    lowest = 1 if by_count else 0
+    try:  # one per-point lookup, at the largest point, grows the table
+        tab = lookup(q, max(grid, default=1))[0]
+        # max(grid) passed, so only NaN and points below `lowest` can fail.
+        ok = all(x >= lowest for x in grid)
+    except ValueError:
+        ok = False
+    if not ok:  # the first bad point in grid order raises its own error
+        for x in grid:
+            lookup(q, x)
+    if by_count:
+        return [Fraction(_prefix_sums_at(tab, bisect_left(tab.count, k), k)
+                         .sum1, k) for k in grid], None
+    lam, gamma = tab.lam, {"N": 0, "R1": 1, "R2": 2}[quantity]
+    rows = [bisect_right(lam, x) for x in grid]
+    values = [_value_at(tab, i, gamma, x) for x, i in zip(grid, rows)]
+    # The gap level reads float(x), which for a float point is its row.
+    rows = [i if isinstance(x, float) else bisect_right(lam, float(x))
+            for x, i in zip(grid, rows)]
+    below, end = q.min_level - 1, len(lam)
+    # float(x) can round up onto the last row: there the per-point lookup
+    # grows the table or raises.
+    return values, [below + i if i < end else max_level_index_pow(q, float(x))
+                    for x, i in zip(grid, rows)]
 
 
 def max_level_index_pow(q: SpectrumQuery, z: Real) -> Optional[int]:
@@ -167,22 +225,13 @@ def riesz_mean(q: SpectrumQuery, gamma: int, z: Real):
     if gamma not in (1, 2):
         raise ValueError("riesz_mean covers gamma in {1, 2}; use counting for 0")
     tab, i = _rows_upto(q, z)
-    if i:
-        n, s1, s2 = tab.count[i - 1], tab.s1[i - 1], tab.s2[i - 1]
-    else:
-        n = s1 = s2 = 0
-    if gamma == 1:
-        return n * z - s1
-    return (n * z - 2 * s1) * z + s2
+    return _value_at(tab, i, gamma, z)
 
 
 def prefix_sums(q: SpectrumQuery, k: int) -> PrefixSums:
     """Exact Sigma lambda_j and Sigma lambda_j^2 over the first k eigenvalues."""
     tab, i = _row_of(q, k)
-    # Row i sums its whole level; take back the eigenvalues past the k-th.
-    extra = tab.count[i] - k
-    lam = tab.lam[i]
-    return PrefixSums(k, tab.s1[i] - extra * lam, tab.s2[i] - extra * lam * lam)
+    return _prefix_sums_at(tab, i, k)
 
 
 def eigenvalue_average(q: SpectrumQuery, k: int) -> Fraction:

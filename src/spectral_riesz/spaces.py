@@ -9,6 +9,7 @@ around l ~ 40 in dimension 16.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -132,6 +133,7 @@ class Space:
         return f"{self.family.value}:{self.dim}"
 
 
+@functools.cache
 def sphere(d: int) -> Space:
     return Space(Family.SPHERE, d)
 
@@ -186,6 +188,12 @@ def energy_level(space: Space, l: int) -> EnergyLevel:
     return EnergyLevel(l, eigenvalue(space, l), multiplicity(space, l))
 
 
+def level_cap_exceeded(name: str, value) -> ValueError:
+    """The one error for a lookup past DEFAULT_LEVEL_CAP."""
+    return ValueError(f"level cap {DEFAULT_LEVEL_CAP} exceeded "
+                      f"at {name}={value!r}")
+
+
 def require_finite_nonnegative(z: Real) -> None:
     """ValueError for NaN, +-inf and z < 0, the one check on bad z."""
     if isinstance(z, float) and not math.isfinite(z):
@@ -207,7 +215,7 @@ def max_level_index(space: Space, z: Real) -> Optional[int]:
     a, b, s = space.record.quadratic(space.dim)
     l = (math.isqrt(b * b + 4 * a * s * math.floor(z)) - b) // (2 * a)
     if l > DEFAULT_LEVEL_CAP:
-        raise ValueError(f"level cap {DEFAULT_LEVEL_CAP} exceeded at z={z!r}")
+        raise level_cap_exceeded("z", z)
     return l if l >= space.min_level else None
 
 

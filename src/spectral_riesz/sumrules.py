@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 from .riesz import (SpectrumQuery, _table, nth_eigenvalue, prefix_sums,
                     riesz_mean)
-from .spaces import DEFAULT_LEVEL_CAP, Real, Space
+from .spaces import DEFAULT_LEVEL_CAP, Real, Space, level_cap_exceeded
 from .weyl import lclass_volume
 
 
@@ -47,8 +47,7 @@ def _levels(space: Space, l_max: int):
     """The Laplacian's prefix table on closed space, through level l_max + 1."""
     _require_closed(space)
     if l_max > DEFAULT_LEVEL_CAP:
-        raise ValueError(f"level cap {DEFAULT_LEVEL_CAP} exceeded "
-                         f"at l_max={l_max}")
+        raise level_cap_exceeded("l_max", l_max)
     q = SpectrumQuery(space)
     return _table(q, "lam", q.level_value(l_max))
 

@@ -224,6 +224,24 @@ def test_standard_grid_contains_levels_and_equality_points():
     assert grid == sorted(grid)
 
 
+@pytest.mark.parametrize("bound_id,params", [
+    ("s2.r1.upper", {}), ("sd.avg.twosided", {"d": 3})])
+@pytest.mark.parametrize("points", [0, -5])
+def test_standard_grid_rejects_fewer_than_one_point(bound_id, params, points):
+    with pytest.raises(ValueError, match="points must be >= 1"):
+        bounds.standard_grid(bound_id, params, points=points)
+
+
+def test_verify_accepts_unsorted_grids_with_duplicates():
+    grid = [6.5, 2.0, 0.25, 6.5, 12.0, 2.0]
+    rows = {side.side: side.points
+            for side in bounds.verify("s2.r1.upper", grid=grid).sides}
+    ref = {side.side: {p[0]: p for p in side.points} for side in
+           bounds.verify("s2.r1.upper", grid=sorted(set(grid))).sides}
+    assert rows == {side: tuple(pts[z] for z in grid)
+                    for side, pts in ref.items()}
+
+
 def test_s1_equality_points_solve_the_fluctuation_equation():
     # psi(w) = w - sqrt(w^2 + 1/12) at each returned point, one per gap.
     from spectral_riesz.spaces import fluctuation

@@ -160,6 +160,27 @@ def test_sumrule_past_level_cap_exits_two(capsys):
     assert code == 2 and "level cap" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sphere:2", "--lmax", "12000"],
+     "level cap 10000 exceeded at l_max=12000"),
+    (["sphere:2", "--lmax", "-3"], "below the minimum level 0"),
+    (["hemisphere-d:2", "--lmax", "0"], "below the minimum level 1"),
+], ids=["past-cap", "negative", "below-dirichlet-min"])
+def test_levels_out_of_range_lmax_exits_two(capsys, argv, message):
+    code, out, err = run(capsys, "levels", *argv)
+    assert code == 2 and out == "" and message in err
+
+
+def test_verify_zero_points_exits_two(capsys):
+    code, out, err = run(capsys, "verify", "s2.r1.upper", "--points", "0")
+    assert code == 2 and out == "" and "points must be >= 1" in err
+
+
+def test_eval_z_beyond_float_range_exits_two(capsys):
+    code, out, err = run(capsys, "eval", "sphere:3", "R1", "--z", "1e400")
+    assert code == 2 and out == "" and "beyond float range" in err
+
+
 def test_sumrule_usage_error_on_circle_r2(capsys):
     code, _, err = run(capsys, "sumrule", "circle:1", "r2")
     assert code == 2

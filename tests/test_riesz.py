@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,13 @@ from spectral_riesz.riesz import (SpectrumQuery, Variant, counting,
                                   counting_closed_hemisphere_dirichlet,
                                   counting_closed_hemisphere_neumann,
                                   counting_closed_sphere, eigenvalue_average,
-                                  lemma_sum, max_level_index_pow,
+                                  evaluate_grid, lemma_sum,
+                                  max_level_index_pow,
                                   nth_eigenvalue, poly_transform_check,
                                   prefix_sums, riesz1_closed_sphere,
                                   riesz_mean)
-from spectral_riesz.spaces import (hemisphere_dirichlet, hemisphere_neumann,
+from spectral_riesz.spaces import (DEFAULT_LEVEL_CAP, hemisphere_dirichlet,
+                                   hemisphere_neumann,
                                    max_level_index, multiplicity, parse_space,
                                    sphere)
 
@@ -261,3 +264,109 @@ def test_level_cap_is_enforced():
 def test_non_finite_z_is_a_value_error(fn, z):
     with pytest.raises(ValueError):
         fn(z)
+
+
+# ---------------------------------------------------------------------------
+# evaluate_grid: the per-grid sweep against the per-point functions
+
+
+def _per_point(q, quantity, x):
+    if quantity == "average":
+        return eigenvalue_average(q, x)
+    if quantity == "N":
+        return counting(q, x)
+    return riesz_mean(q, 1 if quantity == "R1" else 2, x)
+
+
+def _per_point_loop(q, quantity, grid):
+    """The per-point loop the sweep replaces: every value, then every gap
+    level from float(x)."""
+    values = [_per_point(q, quantity, x) for x in grid]
+    if quantity == "average":
+        return values, None
+    gaps = [max_level_index_pow(q, float(x)) for x in grid]
+    return values, [q.min_level - 1 if l is None else l for l in gaps]
+
+
+def _value_grids(q):
+    """Float, int and Fraction grids at z = 0 and every level value +-1 ulp
+    (+-1 for ints; +-2^-70, below one float ulp, for Fractions, so that
+    float(x) rounds onto the level), each sorted, shuffled and duplicated."""
+    lams = [q.level_value(l) for l in range(q.min_level, q.min_level + 15)]
+    tiny = Fraction(1, 2 ** 70)
+    kinds = {
+        "float": [0.0] + [z for lam in lams for z in (
+            math.nextafter(float(lam), -math.inf), float(lam),
+            math.nextafter(float(lam), math.inf))],
+        "int": [0] + [lam + e for lam in lams for e in (-1, 0, 1)],
+        "Fraction": [Fraction(0)] + [lam + e for lam in lams
+                                     for e in (-tiny, Fraction(0), tiny)],
+    }
+    for kind, pts in kinds.items():  # the kind seeds the shuffle
+        pts = sorted(set(z for z in pts if z >= 0))
+        shuffled = pts[:]
+        random.Random(kind).shuffle(shuffled)
+        yield from (pts, shuffled, shuffled + pts[::3])
+
+
+def _assert_same(got, want):
+    values, gaps = got
+    want_values, want_gaps = want
+    assert [type(v) for v in values] == [type(v) for v in want_values]
+    assert [repr(v) for v in values] == [repr(v) for v in want_values]
+    assert gaps == want_gaps
+
+
+@pytest.mark.parametrize("q", TABLE_QUERIES, ids=lambda q: (
+    f"{q.space.describe()}-{q.variant.value}-p{q.power}"))
+def test_evaluate_grid_matches_per_point_functions(q):
+    for quantity in ("N", "R1", "R2"):
+        for grid in _value_grids(q):
+            _assert_same(evaluate_grid(q, quantity, grid),
+                         _per_point_loop(q, quantity, grid))
+    counts = list(itertools.accumulate(
+        m for _, m in _flattened_levels(q, 300)))
+    ks = sorted({k for n in counts for k in (n - 1, n, n + 1) if k >= 1})
+    shuffled = ks[:]
+    random.Random(0).shuffle(shuffled)
+    for grid in (ks, shuffled, shuffled + ks[::2]):
+        _assert_same(evaluate_grid(q, "average", grid),
+                     _per_point_loop(q, "average", grid))
+
+
+def test_evaluate_grid_empty():
+    assert evaluate_grid(S2, "R1", []) == ([], [])
+    assert evaluate_grid(S2, "average", []) == ([], None)
+
+
+def _first_failure(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return str(info.value)
+
+
+PAST_CAP = S2.level_value(DEFAULT_LEVEL_CAP + 1)
+K_PAST_CAP = counting(S2, S2.level_value(DEFAULT_LEVEL_CAP)) + 1
+
+
+@pytest.mark.parametrize("quantity,grid", [
+    ("R1", [2.0, math.nan, -1.0]),
+    ("R1", [2.0, -1.0, math.nan]),
+    ("N", [6, Fraction(-1, 3), PAST_CAP]),
+    ("R2", [1.5, PAST_CAP, math.nan, 3.0]),
+    ("R1", [float(PAST_CAP), 2.0, -1.0]),
+    ("N", [PAST_CAP - 1, Fraction(PAST_CAP * 3 + 1, 3), PAST_CAP]),
+    ("R1", [math.inf, 2.0]),
+    ("N", [Fraction(10 ** 400), math.nan]),
+    ("average", [5, 0, K_PAST_CAP]),
+    ("average", [5, 0]),
+    ("average", [5, K_PAST_CAP, -1]),
+    ("average", [K_PAST_CAP, K_PAST_CAP + 3]),
+    ("R2", [PAST_CAP, PAST_CAP + 7]),
+], ids=["nan-first", "negative-first", "negative-before-cap",
+        "cap-before-nan", "float-cap-before-negative", "cap-in-fraction",
+        "inf", "huge-fraction", "k0-before-cap", "k0", "cap-before-k-negative",
+        "k-first-of-two-past-cap", "z-first-of-two-past-cap"])
+def test_evaluate_grid_raises_as_first_failing_point(quantity, grid):
+    want = _first_failure(lambda: _per_point_loop(S2, quantity, grid))
+    assert _first_failure(lambda: evaluate_grid(S2, quantity, grid)) == want
