@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .riesz import SpectrumQuery, Variant, evaluate_grid, riesz_mean
+from .riesz import (SpectrumQuery, Variant, evaluate_grid,
+                    max_level_index_pow, prefix_sums, riesz_mean)
 from .spaces import (DEFAULT_LEVEL_CAP, Real, Space, fluctuation,
                      hemisphere_dirichlet, hemisphere_neumann, invert_w,
                      sphere)
@@ -236,6 +237,11 @@ def _bd(d: int) -> Fraction:
     return Fraction(d * (d - 2), 6)
 
 
+@functools.cache
+def _ld(d: int) -> Fraction:  # L^class_{1,d} |S^d|, keyed on the int d
+    return lclass_volume(sphere(d), 1)
+
+
 def _upper_env_points(count: int):
     # z = (l+1)^2 - 1/2, the S^2 upper-bound equality family.
     return [Fraction(2 * (l + 1) ** 2 - 1, 2) for l in range(count)]
@@ -430,16 +436,16 @@ def _build_catalog():
     sd_query = lambda p: SpectrumQuery(sphere(p["d"]))
 
     def sd_lower(p, z):
-        return lclass_volume(sphere(p["d"]), 1) * _pow_half(z, p["d"] + 2)
+        return _ld(p["d"]) * _pow_half(z, p["d"] + 2)
 
     def sd_lower_shift(p, z):
         d = p["d"]
         shift = Fraction(d * (d - 2) * (d + 2), 12)
-        return lclass_volume(sphere(d), 1) * _pow_half(z, d) * (z + shift)
+        return _ld(d) * _pow_half(z, d) * (z + shift)
 
     def sd_upper_shift(p, z):
         d = p["d"]
-        return lclass_volume(sphere(d), 1) * _pow_half(z + _zd(d), d + 2)
+        return _ld(d) * _pow_half(z + _zd(d), d + 2)
 
     def sd_equality(p, n):
         d = p["d"]
@@ -451,8 +457,7 @@ def _build_catalog():
         "sd.r1.lower", "Weyl lower bound for R1 on S^d", "R1", sd_query,
         (SideRule("lower", sd_lower),), (Param("d", lo=2),),
         equality=sd_equality,
-        power_shift=lambda p: (float(lclass_volume(sphere(p["d"]), 1)),
-                               p["d"] / 2 + 1, 0.0)))
+        power_shift=lambda p: (float(_ld(p["d"])), p["d"] / 2 + 1, 0.0)))
     _register(BoundSpec(
         "sd.r1.lower.shift", "refined lower bound with d(d-2)(d+2)/(12z)",
         "R1", sd_query, (SideRule("lower", sd_lower_shift),),
@@ -472,16 +477,15 @@ def _build_catalog():
         "R1", sd_query, (SideRule("upper", sd_upper_shift),),
         (Param("d", lo=2),),
         equality=sd_upper_equality,
-        power_shift=lambda p: (float(lclass_volume(sphere(p["d"]), 1)),
+        power_shift=lambda p: (float(_ld(p["d"])),
                                p["d"] / 2 + 1, float(_zd(p["d"])))))
 
     _register(BoundSpec(
         "fail.sd.r1.lower.bdshift",
         "lower bound with the liminf shift b_d fails for d >= 3",
         "R1", sd_query,
-        (SideRule("lower", lambda p, z: float(lclass_volume(
-            sphere(p["d"]), 1)) * (float(z) + float(_bd(p["d"])))
-            ** (p["d"] / 2 + 1)),),
+        (SideRule("lower", lambda p, z: float(_ld(p["d"]))
+                  * (float(z) + float(_bd(p["d"]))) ** (p["d"] / 2 + 1)),),
         (Param("d", lo=3),), expected_valid=False))
 
     # --- averages on S^d ---------------------------------------------------
@@ -823,23 +827,24 @@ def standard_grid(bound_id: str, params: Optional[dict] = None,
 
     z entries: uniform points on [0, zmax] (zmax defaults to the query's
     40th level value), all level endpoints, recorded equality points and
-    documented witness points.  average entries: k = 1..points range.
+    documented witness points.  average entries: k = 1..int(zmax)
+    (default min(points, 500)), at most points + 1 of them, evenly spread.
     """
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     spec = get(bound_id)
     prm = spec.validate(dict(params or {}))
-    if spec.quantity == "average":
-        kmax = int(zmax) if zmax else min(points, 500)
-        return list(range(1, kmax + 1))
     q = spec.query(prm)
+    if spec.quantity == "average":  # prefix_sums raises past the cap
+        kmax = prefix_sums(q, int(zmax) if zmax else min(points, 500)).k
+        return sorted({1 + i * (kmax - 1) // points
+                       for i in range(points + 1)})
     if zmax is None:
         zmax = float(q.level_value(q.min_level + levels - 1))
+    top = max_level_index_pow(q, zmax)  # raises past the cap; None if low
     pts = {i * zmax / points for i in range(points + 1)}
-    l = q.min_level
-    while q.level_value(l) <= zmax:
-        pts.add(float(q.level_value(l)))
-        l += 1
+    pts.update(float(q.level_value(l))
+               for l in range(q.min_level, (top or 0) + 1))
     if spec.equality is not None:
         try:
             for e in spec.equality(prm, levels + 2):

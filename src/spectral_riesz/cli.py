@@ -144,15 +144,14 @@ def _grid_from_args(space: Space, args) -> List[float]:
         ws = [wlo + (whi - wlo) * i / (n - 1) for i in range(n)]
         return [w * (w + space.dim - 1) for w in ws]
     pts = []
-    l = space.min_level
-    while eigenvalue(space, l) <= zmax:
+    top = max_level_index(space, zmax)  # raises past the cap; None if low
+    for l in range(space.min_level, (top or 0) + 1):
         lam, nxt = eigenvalue(space, l), eigenvalue(space, l + 1)
         if lam >= zmin:
             pts.append(float(lam))
         mid = (lam + nxt) / 2
         if zmin <= mid <= zmax:
             pts.append(mid)
-        l += 1
     return pts
 
 
@@ -273,10 +272,7 @@ def cmd_expansion(args) -> int:
         raise UsageError("a quantity (N or R1) is required")
     quantity = args.quantity.upper()
     zs = [z for z in _grid_from_args(space, args) if z > 0]
-    pts = []
-    for z in zs:
-        ev = expansion(space, quantity, z, args.terms)
-        pts.append((z, ev.value))
+    pts = [(z, expansion(space, quantity, z, args.terms).value) for z in zs]
     series = Series(f"{quantity}:{space.describe()}:{args.terms}-term",
                     tuple(pts), GridPolicy(args.grid))
     _emit_series([series], args)
@@ -307,31 +303,32 @@ def cmd_sumrule(args) -> int:
     kind = args.kind
     if kind is None:
         raise UsageError("a sum-rule kind is required: pq, trace or r2")
+    defaults = {"pq": 30, "trace": 1000, "r2": 40}
+    if kind not in defaults:
+        raise UsageError(f"unknown sumrule kind {kind!r}")
+    lmax = defaults[kind] if args.lmax is None else args.lmax
     if kind == "pq":
-        rep = sumrules.check_pq_identity(space, args.lmax or 30)
+        rep = sumrules.check_pq_identity(space, lmax)
         print(f"pq {space.describe()}: {len(rep.gap_indices)} gap indices, "
               f"{'exact equality' if rep.passed else 'MISMATCH'}")
         return 0 if rep.passed else 1
     if kind == "trace":
-        rep = sumrules.trace_identity_partial(space, args.lmax or 1000)
+        rep = sumrules.trace_identity_partial(space, lmax)
         print(f"trace {space.describe()}: partial sum "
               f"{fmt_number(rep.partial_sum)} -> target "
               f"{fmt_number(rep.target)}; tail estimate "
               f"{fmt_number(rep.tail_estimate)}; "
               f"{'within tail' if rep.within_tail else 'OUTSIDE TAIL'}")
         return 0 if rep.within_tail else 1
-    if kind == "r2":
-        lmax = args.lmax or 40
-        zmax = float(eigenvalue(space, lmax))
-        grid = [zmax * i / 2000 for i in range(2001)]
-        rep = bounds.verify("sd.r2.twosided", {"space": space}, grid)
-        lower, upper = rep.sides
-        print(f"r2 {space.describe()}: min lower slack "
-              f"{fmt_number(lower.min_slack)}, min upper slack "
-              f"{fmt_number(upper.min_slack)}, "
-              f"{'ok' if rep.passed else 'VIOLATION'}")
-        return 0 if rep.passed else 1
-    raise UsageError(f"unknown sumrule kind {kind!r}")
+    zmax = float(eigenvalue(space, lmax))
+    grid = [zmax * i / 2000 for i in range(2001)]
+    rep = bounds.verify("sd.r2.twosided", {"space": space}, grid)
+    lower, upper = rep.sides
+    print(f"r2 {space.describe()}: min lower slack "
+          f"{fmt_number(lower.min_slack)}, min upper slack "
+          f"{fmt_number(upper.min_slack)}, "
+          f"{'ok' if rep.passed else 'VIOLATION'}")
+    return 0 if rep.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +337,7 @@ def cmd_sumrule(args) -> int:
 
 def cmd_figure(args) -> int:
     series = scan.figure(args.fig_id, resolution=args.resolution,
-                         l_max=args.lmax or scan.DEFAULT_LEVEL_RANGE)
+                         l_max=args.lmax)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         base = os.path.join(args.out, args.fig_id)
@@ -438,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("fig_id")
     p.add_argument("--resolution", type=int,
                    default=scan.DEFAULT_POINTS_PER_INTERVAL)
-    p.add_argument("--lmax", type=int, default=None)
+    p.add_argument("--lmax", type=int, default=scan.DEFAULT_LEVEL_RANGE)
     p.add_argument("--format", default="both", choices=("csv", "svg", "both"))
     p.add_argument("--out")
     p.set_defaults(func=cmd_figure)

@@ -7,12 +7,12 @@ and is tested to stay within 1e-12 relative of the rational path.
 
 Every quantity is read off one exact prefix table per spectrum (`_table`,
 one row per level with named columns lam, mult, count, s1, s2) through one
-of two exact bisects: by value, `bisect_right` on lam, for N, R_1, R_2 and
-the level inversion; by count, `bisect_left` on count, for the prefix sums
-and the j-th eigenvalue.  Python compares int with float and Fraction
-exactly, so no float ever seeds a lookup.  The third lookup, the per-grid
-sweep `evaluate_grid`, grows the table once to the largest point and
-bisects it per point.  Each table is plain single-threaded state: one
+of two integer bisects: by value, `bisect_right` on lam at floor(z), for
+N, R_1, R_2 and the level inversion (exact: level values are ints, so
+lam <= z iff lam <= floor(z), and no float ever seeds a lookup); by count,
+`bisect_left` on count, for the prefix sums and the j-th eigenvalue.  The
+per-grid sweep `evaluate_grid` grows the table once to the largest point
+and bisects it per point.  Each table is plain single-threaded state: one
 growth rule (`_table`) extends its columns in place by doubling, up to
 level DEFAULT_LEVEL_CAP + 1.
 """
@@ -120,14 +120,15 @@ def _table(q: SpectrumQuery, column: str, x) -> _Table:
 def _rows_upto(q: SpectrumQuery, z: Real):
     """(table, i): rows 0..i-1 are the levels with lambda^p <= z.
 
-    Lookup by value: an exact bisect of the lam column, since Python
-    compares int with float and Fraction exactly.
+    Lookup by value: an int bisect of the lam column on floor(z), since
+    for an int lam, lam <= z exactly when lam <= floor(z).
     """
     require_finite_nonnegative(z)
+    key = math.floor(z)
     tab = _tables.get(q)
-    if tab is None or tab.lam[-1] <= z:
-        tab = _table(q, "lam", z)
-    i = bisect_right(tab.lam, z)
+    if tab is None or tab.lam[-1] <= key:
+        tab = _table(q, "lam", key)
+    i = bisect_right(tab.lam, key)
     if i == len(tab.lam):  # growth stopped at the cap: z >= its last level
         raise level_cap_exceeded("z", z)
     return tab, i
@@ -193,7 +194,7 @@ def evaluate_grid(q: SpectrumQuery, quantity: str, grid: Sequence):
         return [Fraction(_prefix_sums_at(tab, bisect_left(tab.count, k), k)
                          .sum1, k) for k in grid], None
     lam, gamma = tab.lam, {"N": 0, "R1": 1, "R2": 2}[quantity]
-    rows = [bisect_right(lam, x) for x in grid]
+    rows = [bisect_right(lam, math.floor(x)) for x in grid]
     values = [_value_at(tab, i, gamma, x) for x, i in zip(grid, rows)]
     # The gap level reads float(x), which for a float point is its row.
     rows = [i if isinstance(x, float) else bisect_right(lam, float(x))
@@ -307,22 +308,19 @@ def _integral_power_times_r1(q: SpectrumQuery, z, p: int):
     """integral_0^z u^(p-2) R_1(u) du, exactly on the piecewise-linear pieces.
 
     The antiderivative of u^(p-2) (N u - S) is N u^p / p - S u^(p-1) / (p-1).
+    Every piece but the last ends at a level, so both sums stay in
+    integers until the last piece, and each is divided once.
     """
-    total = Fraction(0)
-    for n, s1, lo, hi in _pieces(q, z):
-        if hi > lo:
-            total += Fraction(n, p) * (hi ** p - lo ** p) \
-                - Fraction(s1, p - 1) * (hi ** (p - 1) - lo ** (p - 1))
-    return total
+    pieces = _pieces(q, z)
+    a = sum(n * (hi ** p - lo ** p) for n, _, lo, hi in pieces)
+    b = sum(s1 * (hi ** (p - 1) - lo ** (p - 1)) for _, s1, lo, hi in pieces)
+    return Fraction(a, p) - Fraction(b, p - 1)
 
 
 def _integral_power_times_counting(q: SpectrumQuery, z, p: int):
     """integral_0^z u^(p-1) N(u) du = (1/p) Sigma_l N_l (b_{l+1}^p - b_l^p)."""
-    total = Fraction(0)
-    for n, _, lo, hi in _pieces(q, z):
-        if hi > lo:
-            total += Fraction(n, p) * (hi ** p - lo ** p)
-    return total
+    return Fraction(sum(n * (hi ** p - lo ** p)
+                        for n, _, lo, hi in _pieces(q, z)), p)
 
 
 def poly_transform_check(d: int, p: int, z: Real):
@@ -334,9 +332,10 @@ def poly_transform_check(d: int, p: int, z: Real):
     Identity 2 (Dirichlet hemisphere spectrum):
         Sigma (z^p - lambda_j^p)_+ = p * integral_0^z u^(p-1) N^D(u) du
 
-    Both integrals are evaluated exactly by breakpoint decomposition, so
-    for rational z the residual is exactly zero.  Returns the max absolute
-    residual of the two identities.
+    Both integrals are evaluated exactly by breakpoint decomposition, in
+    integers over the pieces between levels and one division at the end,
+    so for rational z the residual is exactly zero.  Returns the max
+    absolute residual of the two identities.
     """
     if p < 2:
         raise ValueError("transforms require p >= 2")

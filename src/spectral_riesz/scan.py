@@ -113,6 +113,8 @@ def figure(fig_id: str, resolution: int = DEFAULT_POINTS_PER_INTERVAL,
     if fig_id not in FIGURES:
         raise ValueError(f"unknown figure id {fig_id!r}; "
                          f"valid: {', '.join(sorted(FIGURES))}")
+    if l_max < 1:
+        raise ValueError(f"l_max must be >= 1, got {l_max}")
     return FIGURES[fig_id](resolution, l_max)
 
 
@@ -194,17 +196,14 @@ def _figure_f6(res, l_max):
 
 
 def _figure_f7(res, l_max):
-    zs = w_grid(3, l_max, res)
+    zs = [z for z in w_grid(3, l_max, res) if z > 3]
     hd = hemisphere_dirichlet(3)
     qd = SpectrumQuery(hd)
     lead = float(lclass_volume(hd, 1))
     return [
-        _series("nd_vs_three_term", [z for z in zs if z > 3],
-                _expansion_ratio(hd, "N", 3)),
-        _series("r1d_vs_weyl", [z for z in zs if z > 3],
-                _weyl_ratio_power(qd, lead, 2.5)),
-        _series("r1d_vs_three_term", [z for z in zs if z > 3],
-                _expansion_ratio(hd, "R1", 3)),
+        _series("nd_vs_three_term", zs, _expansion_ratio(hd, "N", 3)),
+        _series("r1d_vs_weyl", zs, _weyl_ratio_power(qd, lead, 2.5)),
+        _series("r1d_vs_three_term", zs, _expansion_ratio(hd, "R1", 3)),
     ]
 
 

@@ -232,6 +232,28 @@ def test_standard_grid_rejects_fewer_than_one_point(bound_id, params, points):
         bounds.standard_grid(bound_id, params, points=points)
 
 
+def test_standard_grid_average_spreads_points_up_to_zmax():
+    spread = bounds.standard_grid("sd.avg.twosided", {"d": 3}, zmax=5000,
+                                  points=50)
+    assert len(spread) == 51 and spread[0] == 1 and spread[-1] == 5000
+    assert spread == sorted(set(spread))
+    # Up to points + 1 values of k, the grid is every k.
+    assert bounds.standard_grid("sd.avg.twosided", {"d": 3}, zmax=51,
+                                points=50) == list(range(1, 52))
+    assert bounds.standard_grid("sd.avg.twosided", {"d": 3},
+                                points=50) == list(range(1, 51))
+
+
+@pytest.mark.parametrize("bound_id,params,zmax,message", [
+    ("s2.r1.upper", {}, 2.0e8, "level cap 10000 exceeded at z=200000000.0"),
+    ("sd.avg.twosided", {"d": 2}, 0.5, "k must be >= 1"),
+], ids=["z-past-cap", "k-below-one"])
+def test_standard_grid_checks_zmax_through_the_table(bound_id, params, zmax,
+                                                     message):
+    with pytest.raises(ValueError, match=message):
+        bounds.standard_grid(bound_id, params, zmax=zmax)
+
+
 def test_verify_accepts_unsorted_grids_with_duplicates():
     grid = [6.5, 2.0, 0.25, 6.5, 12.0, 2.0]
     rows = {side.side: side.points

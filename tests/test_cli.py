@@ -1,8 +1,12 @@
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import spectral_riesz
 from spectral_riesz.cli import main
 from spectral_riesz.output import dumps_json
 
@@ -11,6 +15,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_guarded(*argv, seconds=60, memory=1 << 30):
+    """The CLI in a child process under a wall-time and address-space limit,
+    so that a command that loops or allocates without bound fails the test
+    instead of stalling the suite or the machine."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+    src = os.path.dirname(os.path.dirname(spectral_riesz.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spectral_riesz.cli", *argv],
+        capture_output=True, text=True, timeout=seconds, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": src})
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_levels_csv(capsys):
@@ -179,6 +197,44 @@ def test_verify_zero_points_exits_two(capsys):
 def test_eval_z_beyond_float_range_exits_two(capsys):
     code, out, err = run(capsys, "eval", "sphere:3", "R1", "--z", "1e400")
     assert code == 2 and out == "" and "beyond float range" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "s2.r1.upper", "--zmax", "1e300"],
+     "level cap 10000 exceeded at z=1e+300"),
+    (["verify", "--space", "sphere:2", "sd.avg.twosided", "--zmax", "1e9"],
+     "level cap 10000 exceeded at k=1000000000"),
+    (["verify", "s2.r1.upper", "--zmax", "inf"], "z must be finite"),
+    (["eval", "sphere:2", "N", "--grid", "levels-plus-midpoints",
+      "--zmax", "1e300"], "level cap 10000 exceeded at z=1e+300"),
+], ids=["verify-z", "verify-average", "verify-inf", "eval-levels-grid"])
+def test_zmax_past_level_cap_exits_two(argv, message):
+    code, out, err = run_guarded(*argv)
+    assert code == 2 and out == "" and message in err
+
+
+def test_verify_average_zmax_below_cap_samples_points():
+    # N at the cap is about 3.3e11 on S^3: k up to 1e9 is admitted, on
+    # --points + 1 evenly spread k instead of a list of 1e9 k.
+    code, out, err = run_guarded("verify", "--space", "sphere:3",
+                                 "sd.avg.twosided", "--zmax", "1e9",
+                                 "--points", "200")
+    assert code == 0 and err == "" and "[ok]" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sumrule", "sphere:2", "pq", "--lmax", "0"], "l_max must be >= 1"),
+    (["sumrule", "sphere:2", "trace", "--lmax", "-1"], "l_max must be >= 0"),
+    (["figure", "f1", "--lmax", "0"], "l_max must be >= 1, got 0"),
+], ids=["pq", "trace", "figure"])
+def test_explicit_bad_lmax_is_not_the_default(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
+def test_sumrule_trace_lmax_zero_is_one_term(capsys):
+    code, out, _ = run(capsys, "sumrule", "sphere:2", "trace", "--lmax", "0")
+    assert code == 0 and "partial sum 0.44444444444444442" in out
 
 
 def test_sumrule_usage_error_on_circle_r2(capsys):

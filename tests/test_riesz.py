@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectral_riesz.riesz import (SpectrumQuery, Variant, counting,
+from spectral_riesz.riesz import (SpectrumQuery, Variant,
+                                  _integral_power_times_counting,
+                                  _integral_power_times_r1, counting,
                                   counting_closed_hemisphere_dirichlet,
                                   counting_closed_hemisphere_neumann,
                                   counting_closed_sphere, eigenvalue_average,
@@ -370,3 +372,98 @@ K_PAST_CAP = counting(S2, S2.level_value(DEFAULT_LEVEL_CAP)) + 1
 def test_evaluate_grid_raises_as_first_failing_point(quantity, grid):
     want = _first_failure(lambda: _per_point_loop(S2, quantity, grid))
     assert _first_failure(lambda: evaluate_grid(S2, quantity, grid)) == want
+
+
+# ---------------------------------------------------------------------------
+# Lookups by value bisect on floor(z); the transform integrals sum in ints
+
+
+def _brute_by_value(levels, min_level, z):
+    """(N, R1, R2, largest level <= z) from the (lambda, mult) list alone,
+    with R1 and R2 of the type of z."""
+    below = [(lam, m) for lam, m in levels if lam <= z]
+    zero = z * 0
+    return (sum(m for _, m in below),
+            sum((m * (z - lam) for lam, m in below), zero),
+            sum((m * (z - lam) ** 2 for lam, m in below), zero),
+            min_level + len(below) - 1 if below else None)
+
+
+@pytest.mark.parametrize("q", TABLE_QUERIES, ids=lambda q: (
+    f"{q.space.describe()}-{q.variant.value}-p{q.power}"))
+def test_value_lookups_on_fraction_z_match_flattened_spectrum(q):
+    levels = [(q.level_value(l), multiplicity(q.space, l))
+              for l in range(q.min_level, q.min_level + 40)]
+    tiny, step = Fraction(1, 2 ** 70), Fraction(1, 997)
+    zs = [lam + e for lam, _ in levels[:-1]
+          for e in (-step, -tiny, Fraction(0), tiny, step)]
+    for z in [z for z in zs if z >= 0]:
+        got = (counting(q, z), riesz_mean(q, 1, z), riesz_mean(q, 2, z),
+               max_level_index_pow(q, z))
+        want = _brute_by_value(levels, q.min_level, z)
+        assert got == want, z
+        assert [type(v) for v in got] == [type(v) for v in want], z
+
+
+@pytest.mark.parametrize("z", [
+    Fraction(10 ** 400), Fraction(10 ** 400 + 1, 3), Fraction(PAST_CAP),
+    PAST_CAP + Fraction(1, 997), PAST_CAP + Fraction(1, 2 ** 70)],
+    ids=["1e400", "1e400-third", "cap-level", "cap-level+1/997",
+         "cap-level+2^-70"])
+@pytest.mark.parametrize("fn", [
+    lambda z: counting(S2, z),
+    lambda z: riesz_mean(S2, 1, z),
+    lambda z: riesz_mean(S2, 2, z),
+    lambda z: max_level_index_pow(S2, z),
+], ids=["counting", "riesz_mean", "riesz_mean_2", "max_level_index_pow"])
+def test_past_cap_fraction_names_the_given_z(fn, z):
+    # The bisect key is floor(z); the error still reports z itself.
+    assert _first_failure(lambda: fn(z)) == (
+        f"level cap {DEFAULT_LEVEL_CAP} exceeded at z={z!r}")
+
+
+def test_fraction_just_below_the_cap_level_is_the_last_level():
+    for z in (PAST_CAP - Fraction(1, 997), PAST_CAP - Fraction(1, 2 ** 70)):
+        assert counting(S2, z) == (DEFAULT_LEVEL_CAP + 1) ** 2
+        assert max_level_index_pow(S2, z) == DEFAULT_LEVEL_CAP
+
+
+def _reference_integrals(q, z, p):
+    """(integral_0^z u^(p-2) R_1 du, integral_0^z u^(p-1) N du): a Fraction
+    per piece [lambda_l, min(lambda_(l+1), z)], from eigenvalue and
+    multiplicity alone."""
+    r1 = cnt = Fraction(0)
+    n = s1 = 0
+    l = q.min_level
+    while q.level_value(l) <= z:
+        lo, m = q.level_value(l), multiplicity(q.space, l)
+        hi = min(q.level_value(l + 1), z)
+        n, s1 = n + m, s1 + m * lo
+        r1 += (Fraction(n, p) * (hi ** p - lo ** p)
+               - Fraction(s1, p - 1) * (hi ** (p - 1) - lo ** (p - 1)))
+        cnt += Fraction(n, p) * (hi ** p - lo ** p)
+        l += 1
+    return r1, cnt
+
+
+POLY_CASES = [(2, 2), (3, 2), (4, 3), (8, 2), (5, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("d,p", POLY_CASES)
+def test_transform_integrals_match_per_piece_fraction_loop(d, p):
+    queries = (SpectrumQuery(sphere(d)),
+               SpectrumQuery(hemisphere_dirichlet(d)))
+    for q in queries:
+        lams = [q.level_value(l) for l in range(q.min_level, q.min_level + 12)]
+        # int z at and between levels; Fraction z inside a gap and at a
+        # level; float z as poly_transform_check passes it on: Fraction(z).
+        zs = [0, 1, *lams, *(lam + 1 for lam in lams),
+              *(lam + Fraction(3, 7) for lam in lams), Fraction(lams[5]),
+              *(Fraction(float(lam) + 0.375) for lam in lams),
+              Fraction(math.nextafter(float(lams[6]), math.inf))]
+        for z in zs:
+            want_r1, want_cnt = _reference_integrals(q, z, p)
+            got_r1 = _integral_power_times_r1(q, z, p)
+            got_cnt = _integral_power_times_counting(q, z, p)
+            assert (got_r1, got_cnt) == (want_r1, want_cnt), (q, z)
+            assert type(got_r1) is type(got_cnt) is Fraction
