@@ -238,8 +238,8 @@ def _bd(d: int) -> Fraction:
 
 
 @functools.cache
-def _ld(d: int) -> Fraction:  # L^class_{1,d} |S^d|, keyed on the int d
-    return lclass_volume(sphere(d), 1)
+def _ld(d: int, p: int = 1) -> Fraction:  # L^class_{1,d,p} |S^d|, int-keyed
+    return lclass_volume(sphere(d), 1, p)
 
 
 def _upper_env_points(count: int):
@@ -601,7 +601,7 @@ def _build_catalog():
 
     def r1p_lower(prm, z):
         d, p = prm["d"], prm["p"]
-        lp = float(lclass_volume(sphere(d), 1, p))
+        lp = float(_ld(d, p))
         zf = float(z)
         if d == 2:
             return (lp * zf ** (1 + 1 / p) - (p - 1) / 2 * zf
@@ -613,7 +613,7 @@ def _build_catalog():
 
     def r1p_upper(prm, z):
         d, p = prm["d"], prm["p"]
-        lp = float(lclass_volume(sphere(d), 1, p))
+        lp = float(_ld(d, p))
         zf = float(z)
         if d == 2:
             return (lp * zf ** (1 + 1 / p) + p / 2 * zf
@@ -631,8 +631,7 @@ def _build_catalog():
 
     def r1p_weyl(prm, z):
         d, p = prm["d"], prm["p"]
-        return float(lclass_volume(sphere(d), 1, p)) \
-            * float(z) ** (1 + d / (2 * p))
+        return float(_ld(d, p)) * float(z) ** (1 + d / (2 * p))
 
     def r1p_witnesses(prm, zmax):
         out = []
@@ -658,8 +657,8 @@ def _build_catalog():
     _register(BoundSpec(
         "sd.r12.lower", "Weyl lower bound for the biharmonic R1 on S^d, d>=3",
         "R1", lambda p: SpectrumQuery(sphere(p["d"]), power=2),
-        (SideRule("lower", lambda p, z: float(lclass_volume(
-            sphere(p["d"]), 1, 2)) * float(z) ** (1 + p["d"] / 4)),),
+        (SideRule("lower", lambda p, z: float(_ld(p["d"], 2))
+                  * float(z) ** (1 + p["d"] / 4)),),
         (Param("d", lo=3),)))
 
     _register(BoundSpec(
@@ -901,6 +900,8 @@ def verify(bound_id: str, params: Optional[dict] = None,
         grid = standard_grid(bound_id, prm, zmax=zmax, points=points,
                              levels=levels)
     zs = [float(x) for x in grid]
+    if not zs:
+        raise ValueError("grid must not be empty")
     targets, gaps = evaluate_grid(q, spec.quantity, grid)
     targets = [float(t) for t in targets]
     sides = tuple(_scan_side(rule, prm, grid, zs, targets, gaps, tol)

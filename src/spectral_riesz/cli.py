@@ -274,7 +274,7 @@ def cmd_expansion(args) -> int:
     zs = [z for z in _grid_from_args(space, args) if z > 0]
     pts = [(z, expansion(space, quantity, z, args.terms).value) for z in zs]
     series = Series(f"{quantity}:{space.describe()}:{args.terms}-term",
-                    tuple(pts), GridPolicy(args.grid))
+                    tuple(pts))
     _emit_series([series], args)
     return 0
 
@@ -307,6 +307,8 @@ def cmd_sumrule(args) -> int:
     if kind not in defaults:
         raise UsageError(f"unknown sumrule kind {kind!r}")
     lmax = defaults[kind] if args.lmax is None else args.lmax
+    if kind != "trace" and lmax < 1:
+        raise UsageError(f"l_max must be >= 1, got {lmax}")
     if kind == "pq":
         rep = sumrules.check_pq_identity(space, lmax)
         print(f"pq {space.describe()}: {len(rep.gap_indices)} gap indices, "

@@ -3,7 +3,8 @@
 Series are ratio-minus-one curves of the raw spectral quantities against
 their bounds, Weyl terms or truncated expansions, on deterministic grids
 (no randomness, fixed phases inside each level interval), so every value
-is reproducible bit for bit.
+is reproducible bit for bit.  Each series reads its raw N or R1 column
+from one prefix-table sweep (riesz.evaluate_grid).
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import bounds
-from .riesz import SpectrumQuery, riesz_mean, counting
+from .riesz import SpectrumQuery, evaluate_grid, riesz_mean
 from .spaces import (Family, Space, hemisphere_dirichlet, hemisphere_neumann,
                      sphere)
 from .weyl import expansion, lclass_volume
@@ -32,7 +33,6 @@ class Series:
 
     label: str
     points: Tuple[Tuple[float, float], ...]
-    grid_policy: GridPolicy
 
     def __post_init__(self):
         zs = [z for z, _ in self.points]
@@ -67,40 +67,22 @@ def w_grid(d: int, l_max: int,
     return out
 
 
-def _series(label: str, zs: Sequence[float], ratio: Callable[[float], float],
-            policy: GridPolicy = GridPolicy.UNIFORM_IN_W) -> Series:
-    pts = tuple((float(z), ratio(float(z))) for z in zs if z > 0)
-    return Series(label, pts, policy)
+def _series(label: str, q: SpectrumQuery, quantity: str, zs: Sequence[float],
+            reference: Callable[[float], float],
+            minus_z: bool = False) -> Series:
+    """Ratio minus one of N or R1 (less z with minus_z) to reference(z),
+    at the points z > 0 of zs, with the raw column from one table sweep."""
+    zs = [float(z) for z in zs if z > 0]
+    raw, _ = evaluate_grid(q, quantity, zs)
+    return Series(label, tuple(
+        (z, (float(r) - z if minus_z else float(r)) / reference(z) - 1.0)
+        for z, r in zip(zs, raw)))
 
 
-def _bound_ratio(query: SpectrumQuery, bound_id: str, prm: dict, side: str,
-                 gamma: int = 1):
-    """Ratio minus one of R_gamma (N for gamma 0) to one resolved bound side."""
+def _bound(bound_id: str, side: str, prm: Optional[dict] = None):
+    """One bound side as a float function of z, resolved once."""
     bound = bounds.bound_function(bound_id, prm, side)
-
-    def ratio(z: float) -> float:
-        raw = counting(query, z) if gamma == 0 else riesz_mean(query, gamma, z)
-        return float(raw) / float(bound(z)) - 1.0
-    return ratio
-
-
-def _expansion_ratio(space: Space, quantity: str, terms: int):
-    q = SpectrumQuery(space)
-    def ratio(z: float) -> float:
-        approx = expansion(space, quantity, z, terms).value
-        raw = counting(q, z) if quantity == "N" else float(riesz_mean(q, 1, z))
-        return raw / approx - 1.0
-    return ratio
-
-
-def _weyl_ratio_power(q: SpectrumQuery, const: float, exponent: float,
-                      drop_zero_level: bool = False):
-    def ratio(z: float) -> float:
-        raw = float(riesz_mean(q, 1, z))
-        if drop_zero_level:
-            raw -= z
-        return raw / (const * z ** exponent) - 1.0
-    return ratio
+    return lambda z: float(bound(z))
 
 
 def figure(fig_id: str, resolution: int = DEFAULT_POINTS_PER_INTERVAL,
@@ -113,6 +95,8 @@ def figure(fig_id: str, resolution: int = DEFAULT_POINTS_PER_INTERVAL,
     if fig_id not in FIGURES:
         raise ValueError(f"unknown figure id {fig_id!r}; "
                          f"valid: {', '.join(sorted(FIGURES))}")
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
     if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
     return FIGURES[fig_id](resolution, l_max)
@@ -123,32 +107,34 @@ def _figure_f1(res, l_max):
     zs = w_grid(2, l_max, res)
     q = SpectrumQuery(sphere(2))
     return [
-        _series("r1_vs_upper", zs, _bound_ratio(q, "s2.r1.upper", {}, "upper")),
-        _series("r1_vs_lower", zs, _bound_ratio(q, "s2.r1.lower", {}, "lower")),
-        _series("r1_vs_upper_improved", zs,
-                _bound_ratio(q, "s2.r1.upper.imp", {}, "upper")),
-        _series("r1_vs_lower_improved", zs,
-                _bound_ratio(q, "s2.r1.lower.imp", {}, "lower")),
+        _series("r1_vs_upper", q, "R1", zs, _bound("s2.r1.upper", "upper")),
+        _series("r1_vs_lower", q, "R1", zs, _bound("s2.r1.lower", "lower")),
+        _series("r1_vs_upper_improved", q, "R1", zs,
+                _bound("s2.r1.upper.imp", "upper")),
+        _series("r1_vs_lower_improved", q, "R1", zs,
+                _bound("s2.r1.lower.imp", "lower")),
     ]
 
 
 def _figure_f2(res, l_max):
     # S^2_+ Dirichlet counting: Weyl term and the two-sided bound, the
-    # same series over four nested zoom ranges (identical overlaps).
+    # same series cut to four nested zoom ranges (identical overlaps).
     q = SpectrumQuery(hemisphere_dirichlet(2))
     zs = w_grid(2, l_max, res)
     base = [
-        ("nd_vs_weyl", _bound_ratio(q, "hemi2.nd.polya", {}, "upper", 0)),
-        ("nd_vs_upper", _bound_ratio(q, "hemi2.nd.twosided", {}, "upper", 0)),
-        ("nd_vs_lower", _bound_ratio(q, "hemi2.nd.twosided", {}, "lower", 0)),
+        _series("nd_vs_weyl", q, "N", zs, _bound("hemi2.nd.polya", "upper")),
+        _series("nd_vs_upper", q, "N", zs,
+                _bound("hemi2.nd.twosided", "upper")),
+        _series("nd_vs_lower", q, "N", zs,
+                _bound("hemi2.nd.twosided", "lower")),
     ]
     panels = [l_max, l_max // 2, l_max // 4, l_max // 8]
     out = []
     for i, lcap in enumerate(panels, start=1):
         zcap = float(lcap * (lcap + 1))
-        sub = [z for z in zs if z <= zcap]
-        for label, fn in base:
-            out.append(_series(f"{label}:panel{i}", sub, fn))
+        for s in base:
+            out.append(Series(f"{s.label}:panel{i}",
+                              tuple(pt for pt in s.points if pt[0] <= zcap)))
     return out
 
 
@@ -156,26 +142,31 @@ def _figure_f34(res, l_max):
     qd = SpectrumQuery(hemisphere_dirichlet(2))
     qn = SpectrumQuery(hemisphere_neumann(2))
     zs = w_grid(2, l_max, res)
-    weyl_d = _weyl_ratio_power(qd, 0.25, 2.0)
-    weyl_n = _weyl_ratio_power(qn, 0.25, 2.0)
+    above2 = [z for z in zs if z > 2]
+    weyl = lambda z: 0.25 * z ** 2.0
     return [
-        _series("r1d_vs_weyl", zs, weyl_d),
-        _series("r1d_vs_upper", zs, _bound_ratio(qd, "hemi2.r1d.upper", {}, "upper")),
-        _series("r1d_vs_lower", [z for z in zs if z > 2],
-                _bound_ratio(qd, "hemi2.r1d.lower", {}, "lower")),
-        _series("r1n_vs_weyl", zs, weyl_n),
-        _series("r1n_vs_upper", zs, _bound_ratio(qn, "hemi2.r1n.upper", {}, "upper")),
-        _series("r1n_vs_lower", [z for z in zs if z > 2],
-                _bound_ratio(qn, "hemi2.r1n.lower", {}, "lower")),
+        _series("r1d_vs_weyl", qd, "R1", zs, weyl),
+        _series("r1d_vs_upper", qd, "R1", zs,
+                _bound("hemi2.r1d.upper", "upper")),
+        _series("r1d_vs_lower", qd, "R1", above2,
+                _bound("hemi2.r1d.lower", "lower")),
+        _series("r1n_vs_weyl", qn, "R1", zs, weyl),
+        _series("r1n_vs_upper", qn, "R1", zs,
+                _bound("hemi2.r1n.upper", "upper")),
+        _series("r1n_vs_lower", qn, "R1", above2,
+                _bound("hemi2.r1n.lower", "lower")),
     ]
 
 
 def _figure_f4(res, l_max):
     zs = w_grid(3, l_max, res)
     sp3 = sphere(3)
+    q = SpectrumQuery(sp3)
     return [
-        _series("r1_vs_leading", zs, _expansion_ratio(sp3, "R1", 1)),
-        _series("r1_vs_two_term", zs, _expansion_ratio(sp3, "R1", 2)),
+        _series("r1_vs_leading", q, "R1", zs,
+                lambda z: expansion(sp3, "R1", z, 1).value),
+        _series("r1_vs_two_term", q, "R1", zs,
+                lambda z: expansion(sp3, "R1", z, 2).value),
     ]
 
 
@@ -183,40 +174,41 @@ def _figure_f5(res, l_max):
     zs = w_grid(3, l_max, res)
     q = SpectrumQuery(sphere(3))
     return [
-        _series("r1_vs_shifted_upper", zs,
-                _bound_ratio(q, "sd.r1.upper.shift", {"d": 3}, "upper")),
-        _series("r1_vs_shifted_lower", zs,
-                _bound_ratio(q, "sd.r1.lower.shift", {"d": 3}, "lower")),
+        _series("r1_vs_shifted_upper", q, "R1", zs,
+                _bound("sd.r1.upper.shift", "upper", {"d": 3})),
+        _series("r1_vs_shifted_lower", q, "R1", zs,
+                _bound("sd.r1.lower.shift", "lower", {"d": 3})),
     ]
 
 
 def _figure_f6(res, l_max):
     zs = w_grid(3, l_max, res)
-    return [_series("n_vs_three_term", zs, _expansion_ratio(sphere(3), "N", 3))]
+    sp3 = sphere(3)
+    return [_series("n_vs_three_term", SpectrumQuery(sp3), "N", zs,
+                    lambda z: expansion(sp3, "N", z, 3).value)]
+
+
+def _hemi3_series(space, zs, tag):
+    # S^3_+ (tag d or n): N and R1 against three-term expansions, R1
+    # against its Weyl term.
+    q = SpectrumQuery(space)
+    lead = float(lclass_volume(space, 1))
+    return [
+        _series(f"n{tag}_vs_three_term", q, "N", zs,
+                lambda z: expansion(space, "N", z, 3).value),
+        _series(f"r1{tag}_vs_weyl", q, "R1", zs, lambda z: lead * z ** 2.5),
+        _series(f"r1{tag}_vs_three_term", q, "R1", zs,
+                lambda z: expansion(space, "R1", z, 3).value),
+    ]
 
 
 def _figure_f7(res, l_max):
     zs = [z for z in w_grid(3, l_max, res) if z > 3]
-    hd = hemisphere_dirichlet(3)
-    qd = SpectrumQuery(hd)
-    lead = float(lclass_volume(hd, 1))
-    return [
-        _series("nd_vs_three_term", zs, _expansion_ratio(hd, "N", 3)),
-        _series("r1d_vs_weyl", zs, _weyl_ratio_power(qd, lead, 2.5)),
-        _series("r1d_vs_three_term", zs, _expansion_ratio(hd, "R1", 3)),
-    ]
+    return _hemi3_series(hemisphere_dirichlet(3), zs, "d")
 
 
 def _figure_f8(res, l_max):
-    zs = w_grid(3, l_max, res)
-    hn = hemisphere_neumann(3)
-    qn = SpectrumQuery(hn)
-    lead = float(lclass_volume(hn, 1))
-    return [
-        _series("nn_vs_three_term", zs, _expansion_ratio(hn, "N", 3)),
-        _series("r1n_vs_weyl", zs, _weyl_ratio_power(qn, lead, 2.5)),
-        _series("r1n_vs_three_term", zs, _expansion_ratio(hn, "R1", 3)),
-    ]
+    return _hemi3_series(hemisphere_neumann(3), w_grid(3, l_max, res), "n")
 
 
 def _figure_f9(res, l_max):
@@ -225,8 +217,8 @@ def _figure_f9(res, l_max):
         q = SpectrumQuery(sphere(d), power=2)
         lead = float(lclass_volume(sphere(d), 1, 2))
         zs = [z * z for z in w_grid(d, l_max, res)]
-        out.append(_series(f"r1_bih_vs_weyl_d{d}", zs,
-                           _weyl_ratio_power(q, lead, 1 + d / 4)))
+        out.append(_series(f"r1_bih_vs_weyl_d{d}", q, "R1", zs,
+                           lambda z, c=lead, e=1 + d / 4: c * z ** e))
     return out
 
 
@@ -236,9 +228,9 @@ def _figure_f10(res, l_max):
         q = SpectrumQuery(sphere(2), power=p)
         lead = float(lclass_volume(sphere(2), 1, p))
         zs = [z ** p for z in w_grid(2, l_max, res)]
-        out.append(_series(f"r1_p{p}_minus_z_vs_weyl", zs,
-                           _weyl_ratio_power(q, lead, 1 + 1 / p,
-                                             drop_zero_level=True)))
+        out.append(_series(f"r1_p{p}_minus_z_vs_weyl", q, "R1", zs,
+                           lambda z, c=lead, e=1 + 1 / p: c * z ** e,
+                           minus_z=True))
     return out
 
 

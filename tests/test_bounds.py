@@ -254,6 +254,11 @@ def test_standard_grid_checks_zmax_through_the_table(bound_id, params, zmax,
         bounds.standard_grid(bound_id, params, zmax=zmax)
 
 
+def test_verify_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="grid must not be empty"):
+        bounds.verify("s2.r1.upper", {}, [])
+
+
 def test_verify_accepts_unsorted_grids_with_duplicates():
     grid = [6.5, 2.0, 0.25, 6.5, 12.0, 2.0]
     rows = {side.side: side.points

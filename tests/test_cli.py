@@ -225,11 +225,19 @@ def test_verify_average_zmax_below_cap_samples_points():
 @pytest.mark.parametrize("argv,message", [
     (["sumrule", "sphere:2", "pq", "--lmax", "0"], "l_max must be >= 1"),
     (["sumrule", "sphere:2", "trace", "--lmax", "-1"], "l_max must be >= 0"),
+    (["sumrule", "sphere:2", "r2", "--lmax", "0"], "l_max must be >= 1, got 0"),
     (["figure", "f1", "--lmax", "0"], "l_max must be >= 1, got 0"),
-], ids=["pq", "trace", "figure"])
+], ids=["pq", "trace", "r2", "figure"])
 def test_explicit_bad_lmax_is_not_the_default(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("resolution", ["0", "-2"])
+def test_figure_bad_resolution_exits_two(capsys, resolution):
+    code, out, err = run(capsys, "figure", "f1", "--resolution", resolution)
+    assert code == 2 and out == "" \
+        and f"resolution must be >= 1, got {resolution}" in err
 
 
 def test_sumrule_trace_lmax_zero_is_one_term(capsys):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from spectral_riesz.scan import (DEFAULT_LEVEL_RANGE, GridPolicy, Series,
+from spectral_riesz.scan import (DEFAULT_LEVEL_RANGE, Series,
                                  figure, gap_extrema, w_grid)
 from spectral_riesz.spaces import invert_w, sphere
 from spectral_riesz.weyl import lclass_volume
@@ -103,9 +103,9 @@ def test_f6_three_term_beats_leading_by_factor_ten():
 
 def test_series_invariants_enforced():
     with pytest.raises(ValueError):
-        Series("bad", ((1.0, 0.0), (1.0, 1.0)), GridPolicy.UNIFORM_IN_Z)
+        Series("bad", ((1.0, 0.0), (1.0, 1.0)))
     with pytest.raises(ValueError):
-        Series("bad", ((1.0, math.nan),), GridPolicy.UNIFORM_IN_Z)
+        Series("bad", ((1.0, math.nan),))
 
 
 def test_gap_extrema_match_closed_form_maximizer():
@@ -143,3 +143,76 @@ def test_w_grid_is_strictly_increasing():
     g = w_grid(3, 10, 16)
     assert g == sorted(set(g))
     assert g[0] == 0.0 and g[-1] == 10 * 12
+
+
+def _per_point_series(q, raw, ref, zs):
+    """(z, raw/ref - 1) computed point by point, as the series define it."""
+    return tuple((z, float(raw(q, z)) / float(ref(z)) - 1.0)
+                 for z in zs if z > 0)
+
+
+def _expected_series(fig_id, res, l_max):
+    from spectral_riesz.bounds import bound_value
+    from spectral_riesz.riesz import SpectrumQuery, counting, riesz_mean
+    from spectral_riesz.spaces import hemisphere_dirichlet
+    from spectral_riesz.weyl import expansion
+
+    n = counting
+    r1 = lambda q, z: riesz_mean(q, 1, z)
+    side = lambda bid, s: lambda z: bound_value(bid, {}, z, side=s)
+    if fig_id == "f1":
+        q, zs = SpectrumQuery(sphere(2)), w_grid(2, l_max, res)
+        return {label: _per_point_series(q, r1, side(bid, s), zs)
+                for label, bid, s in [
+                    ("r1_vs_upper", "s2.r1.upper", "upper"),
+                    ("r1_vs_lower", "s2.r1.lower", "lower"),
+                    ("r1_vs_upper_improved", "s2.r1.upper.imp", "upper"),
+                    ("r1_vs_lower_improved", "s2.r1.lower.imp", "lower")]}
+    if fig_id == "f2":
+        q, out = SpectrumQuery(hemisphere_dirichlet(2)), {}
+        for i, lcap in enumerate([l_max, l_max // 2, l_max // 4, l_max // 8],
+                                 start=1):
+            zs = [z for z in w_grid(2, l_max, res) if z <= lcap * (lcap + 1)]
+            for label, bid, s in [("nd_vs_weyl", "hemi2.nd.polya", "upper"),
+                                  ("nd_vs_upper", "hemi2.nd.twosided", "upper"),
+                                  ("nd_vs_lower", "hemi2.nd.twosided", "lower")]:
+                out[f"{label}:panel{i}"] = _per_point_series(
+                    q, n, side(bid, s), zs)
+        return out
+    if fig_id == "f6":
+        sp = sphere(3)
+        return {"n_vs_three_term": _per_point_series(
+            SpectrumQuery(sp), n, lambda z: expansion(sp, "N", z, 3).value,
+            w_grid(3, l_max, res))}
+    if fig_id == "f7":
+        hd = hemisphere_dirichlet(3)
+        q, zs = SpectrumQuery(hd), [z for z in w_grid(3, l_max, res) if z > 3]
+        lead = float(lclass_volume(hd, 1))
+        return {
+            "nd_vs_three_term": _per_point_series(
+                q, n, lambda z: expansion(hd, "N", z, 3).value, zs),
+            "r1d_vs_weyl": _per_point_series(
+                q, r1, lambda z: lead * z ** 2.5, zs),
+            "r1d_vs_three_term": _per_point_series(
+                q, r1, lambda z: expansion(hd, "R1", z, 3).value, zs),
+        }
+    out = {}  # f10: R1 less the zero level of (-Delta)^p on S^2
+    for p in (2, 3, 4, 5):
+        lead = float(lclass_volume(sphere(2), 1, p))
+        out[f"r1_p{p}_minus_z_vs_weyl"] = _per_point_series(
+            SpectrumQuery(sphere(2), power=p),
+            lambda q, z: riesz_mean(q, 1, z) - z,
+            lambda z: lead * z ** (1 + 1 / p),
+            [z ** p for z in w_grid(2, l_max, res)])
+    return out
+
+
+@pytest.mark.parametrize("fig_id", ["f1", "f2", "f6", "f7", "f10"])
+def test_series_values_equal_the_per_point_path(fig_id):
+    # Every reference kind (bound side, expansion, Weyl power), N and R1,
+    # the f2 zoom cuts and the f10 zero-level subtraction, compared with ==.
+    got = {s.label: s.points for s in figure(fig_id, 6, 12)}
+    expected = _expected_series(fig_id, 6, 12)
+    assert got.keys() == expected.keys()
+    for label, points in expected.items():
+        assert points and got[label] == points, label
