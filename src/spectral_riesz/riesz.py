@@ -3,7 +3,9 @@
 One expression per formula; the argument type carries exactness.  With
 int/Fraction arguments every result is an exact rational (the oracle of
 record); with float arguments the same expression runs in plain binary64
-and is tested to stay within 1e-12 relative of the rational path.
+and is tested to stay within 1e-12 relative of the rational path.  A
+Fraction z = a / b runs the same formula on the integers a and b and
+divides once, so each exact R_1 or R_2 builds a single Fraction.
 
 Every quantity is read off one exact prefix table per spectrum (`_table`,
 one row per level with named columns lam, mult, count, s1, s2) through one
@@ -123,8 +125,7 @@ def _rows_upto(q: SpectrumQuery, z: Real):
     Lookup by value: an int bisect of the lam column on floor(z), since
     for an int lam, lam <= z exactly when lam <= floor(z).
     """
-    require_finite_nonnegative(z)
-    key = math.floor(z)
+    key = require_finite_nonnegative(z)
     tab = _tables.get(q)
     if tab is None or tab.lam[-1] <= key:
         tab = _table(q, "lam", key)
@@ -158,6 +159,11 @@ def _value_at(tab: _Table, i: int, gamma: int, z: Real):
         n = s1 = s2 = 0
     if gamma == 0:
         return n
+    if type(z) is Fraction:  # the same formula on a / b, one division
+        a, b = z.numerator, z.denominator
+        if gamma == 1:
+            return Fraction(n * a - s1 * b, b)
+        return Fraction((n * a - 2 * s1 * b) * a + s2 * b * b, b * b)
     if gamma == 1:
         return n * z - s1
     return (n * z - 2 * s1) * z + s2

@@ -118,7 +118,8 @@ def _figure_f1(res, l_max):
 
 def _figure_f2(res, l_max):
     # S^2_+ Dirichlet counting: Weyl term and the two-sided bound, the
-    # same series cut to four nested zoom ranges (identical overlaps).
+    # same series cut to four nested zoom ranges (identical overlaps),
+    # none shorter than level 1 so that no panel is empty.
     q = SpectrumQuery(hemisphere_dirichlet(2))
     zs = w_grid(2, l_max, res)
     base = [
@@ -128,7 +129,7 @@ def _figure_f2(res, l_max):
         _series("nd_vs_lower", q, "N", zs,
                 _bound("hemi2.nd.twosided", "lower")),
     ]
-    panels = [l_max, l_max // 2, l_max // 4, l_max // 8]
+    panels = [max(l_max // k, 1) for k in (1, 2, 4, 8)]
     out = []
     for i, lcap in enumerate(panels, start=1):
         zcap = float(lcap * (lcap + 1))

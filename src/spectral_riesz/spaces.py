@@ -194,12 +194,16 @@ def level_cap_exceeded(name: str, value) -> ValueError:
                       f"at {name}={value!r}")
 
 
-def require_finite_nonnegative(z: Real) -> None:
-    """ValueError for NaN, +-inf and z < 0, the one check on bad z."""
+def require_finite_nonnegative(z: Real) -> int:
+    """floor(z), after a ValueError for NaN, +-inf and z < 0: the one check
+    on bad z.  floor(z) < 0 exactly when z < 0, so one floor decides both.
+    """
     if isinstance(z, float) and not math.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
-    if z < 0:
+    key = math.floor(z)
+    if key < 0:
         raise ValueError(f"z must be >= 0, got {z!r}")
+    return key
 
 
 def max_level_index(space: Space, z: Real) -> Optional[int]:
@@ -211,9 +215,9 @@ def max_level_index(space: Space, z: Real) -> Optional[int]:
     lambda(l) <= z exactly when a l^2 + b l <= s floor(z); the largest such
     l is (isqrt(b^2 + 4 a s floor(z)) - b) // (2a), with no rounding.
     """
-    require_finite_nonnegative(z)
+    key = require_finite_nonnegative(z)
     a, b, s = space.record.quadratic(space.dim)
-    l = (math.isqrt(b * b + 4 * a * s * math.floor(z)) - b) // (2 * a)
+    l = (math.isqrt(b * b + 4 * a * s * key) - b) // (2 * a)
     if l > DEFAULT_LEVEL_CAP:
         raise level_cap_exceeded("z", z)
     return l if l >= space.min_level else None

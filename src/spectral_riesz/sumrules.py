@@ -99,12 +99,21 @@ class PQReport:
 def check_pq_identity(space: Space, l_max: int) -> PQReport:
     """Coefficient-wise exact equality P_N = Q_N at every gap index.
 
+    At the gap after level L (N = count[L], lambda_N = lam[L], lambda_{N+1}
+    = lam[L+1]) both c2 are N, so the identity is d P_N = d Q_N on the
+    other two coefficients, a pair of integer equalities on table rows L
+    and L + 1, for L = 0..l_max up to and including the level cap.
     A mismatch is a hard failure; the report carries the indices checked.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    gaps = gap_indices(space, l_max)
-    bad = [n for n in gaps if pn(space, n) != qn(space, n)]
+    tab = _levels(space, l_max)
+    d, lam1 = space.dim, space.first_positive_eigenvalue
+    gaps = tab.count[:l_max + 1]
+    bad = [n for n, s1, s2, lo, hi in zip(gaps, tab.s1, tab.s2, tab.lam,
+                                          tab.lam[1:])
+           if 2 * (d + 2) * s1 + d * lam1 * n != d * n * (lo + hi)
+           or (d + 4) * s2 + d * lam1 * s1 != d * n * lo * hi]
     return PQReport(space.describe(), tuple(gaps), tuple(bad))
 
 

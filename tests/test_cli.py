@@ -178,6 +178,13 @@ def test_sumrule_past_level_cap_exits_two(capsys):
     assert code == 2 and "level cap" in err
 
 
+def test_sumrule_pq_reaches_the_level_cap():
+    code, out, err = run_guarded("sumrule", "sphere:1", "pq",
+                                 "--lmax", "10000")
+    assert (code, err) == (0, "")
+    assert out == "pq sphere:1: 10001 gap indices, exact equality\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["sphere:2", "--lmax", "12000"],
      "level cap 10000 exceeded at l_max=12000"),

@@ -268,6 +268,52 @@ def test_non_finite_z_is_a_value_error(fn, z):
         fn(z)
 
 
+@pytest.mark.parametrize("z,message", [
+    (math.nan, "z must be finite, got nan"),
+    (math.inf, "z must be finite, got inf"),
+    (-math.inf, "z must be finite, got -inf"),
+    (-1, "z must be >= 0, got -1"),
+    (Fraction(-1, 3), "z must be >= 0, got Fraction(-1, 3)"),
+    (-Fraction(1, 2 ** 70),
+     f"z must be >= 0, got Fraction(-1, {2 ** 70})"),
+    (-5e-324, "z must be >= 0, got -5e-324"),
+], ids=["nan", "+inf", "-inf", "-1", "-1/3", "-2^-70", "-min-subnormal"])
+@pytest.mark.parametrize("fn", [
+    lambda z: counting(S2, z),
+    lambda z: riesz_mean(S2, 1, z),
+    lambda z: riesz_mean(S2, 2, z),
+    lambda z: max_level_index(sphere(2), z),
+    lambda z: poly_transform_check(2, 2, z),
+], ids=["counting", "riesz_mean", "riesz_mean_2", "max_level_index",
+        "poly_transform_check"])
+def test_bad_z_error_text(fn, z, message):
+    with pytest.raises(ValueError) as info:
+        fn(z)
+    assert str(info.value) == message
+
+
+def test_negative_zero_is_zero():
+    assert counting(S2, -0.0) == 1
+    assert riesz_mean(S2, 1, -0.0) == 0.0
+    assert max_level_index(sphere(2), -0.0) == 0
+    assert poly_transform_check(2, 2, -0.0) == 0.0
+
+
+def test_exact_value_types_follow_z():
+    # Levels 0, 2, 6, 12 of S^2 with multiplicities 1, 3, 5, 7 lie <= 12.
+    n, s1, s2 = 16, 120, 1200
+    for gamma in (1, 2):
+        assert type(riesz_mean(S2, gamma, 12)) is int
+        assert type(riesz_mean(S2, gamma, Fraction(12))) is Fraction
+    assert riesz_mean(S2, 1, Fraction(12)) == n * 12 - s1
+    assert riesz_mean(S2, 2, Fraction(12)) == (n * 12 - 2 * s1) * 12 + s2
+    for z in (12.0, 12.3, 19.999999999999996):
+        for got, want in ((riesz_mean(S2, 1, z), n * z - s1),
+                          (riesz_mean(S2, 2, z), (n * z - 2 * s1) * z + s2)):
+            assert type(got) is float
+            assert got.hex() == want.hex(), z
+
+
 # ---------------------------------------------------------------------------
 # evaluate_grid: the per-grid sweep against the per-point functions
 

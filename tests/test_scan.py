@@ -52,6 +52,12 @@ def test_f2_panels_agree_exactly_on_overlaps():
             assert full[z] == v
 
 
+@pytest.mark.parametrize("l_max", range(1, 9))
+def test_f2_panels_are_never_empty(l_max):
+    for s in figure("f2", 2, l_max):
+        assert s.points, s.label
+
+
 def test_f5_upper_series_nonpositive_and_vanishing_at_half_integer_w():
     s = next(s for s in figure("f5", 8, 40)
              if s.label == "r1_vs_shifted_upper")

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from spectral_riesz import sumrules
 from spectral_riesz.bounds import verify
-from spectral_riesz.riesz import SpectrumQuery, _tables, riesz_mean
+from spectral_riesz.riesz import SpectrumQuery, _Table, _tables, riesz_mean
 from spectral_riesz.spaces import (DEFAULT_LEVEL_CAP, Family, Space,
                                    hemisphere_dirichlet, sphere)
 from spectral_riesz.sumrules import (QuadPoly, check_pq_identity, gap_indices,
@@ -66,6 +67,49 @@ def test_check_pq_identity_examples(space, lmax):
     rep = check_pq_identity(space, lmax)
     assert rep.passed
     assert len(rep.gap_indices) == lmax + 1
+
+
+def test_check_pq_identity_reaches_the_level_cap():
+    rep = check_pq_identity(sphere(1), DEFAULT_LEVEL_CAP)
+    assert rep.passed
+    assert len(rep.gap_indices) == DEFAULT_LEVEL_CAP + 1
+
+
+PQ_SPACES = [sphere(1), sphere(2), sphere(3), RP3, CP4, HP8, CAY]
+
+
+@pytest.mark.parametrize("space", PQ_SPACES, ids=Space.describe)
+def test_integer_pq_check_agrees_with_pn_qn(space):
+    rep = check_pq_identity(space, 40)
+    assert list(rep.gap_indices) == gap_indices(space, 40)
+    for n in rep.gap_indices:
+        assert (n not in rep.mismatches) == (pn(space, n) == qn(space, n)), n
+
+
+def _perturbed_levels(column, row):
+    """sumrules._levels with one entry of `column` at `row` raised by 1."""
+    levels = sumrules._levels
+
+    def fake(space, l_max):
+        tab = _Table(*(list(col) for col in levels(space, l_max)))
+        getattr(tab, column)[row] += 1
+        return tab
+    return fake
+
+
+@pytest.mark.parametrize("space", [sphere(2), CP4, CAY], ids=Space.describe)
+@pytest.mark.parametrize("column,row,bad_gaps", [
+    ("s2", 0, [0]), ("s2", 7, [7]), ("s2", 12, [12]),
+    ("s1", 5, [5]), ("count", 3, [3]),
+    ("lam", 0, [0]), ("lam", 6, [5, 6]), ("lam", 13, [12]),
+])
+def test_integer_pq_check_reports_exactly_the_broken_gaps(
+        monkeypatch, space, column, row, bad_gaps):
+    gaps = gap_indices(space, 12)
+    monkeypatch.setattr(sumrules, "_levels", _perturbed_levels(column, row))
+    rep = check_pq_identity(space, 12)
+    want = [gaps[L] + (column == "count" and L == row) for L in bad_gaps]
+    assert list(rep.mismatches) == want
 
 
 def test_pq_identity_fails_for_perturbed_polynomials():
