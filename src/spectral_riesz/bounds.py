@@ -12,13 +12,14 @@ with slack exactly zero, and float arguments run in binary64 because
 Fraction-float arithmetic rounds the Fraction first.  Only the
 perfect-power helpers below look at the argument type.  Each entry
 declares its parameters once; BoundSpec.validate reads that schema.
+Each side is bound once per parameter set (SideRule.bind), and a side
+c (z + b)^q is a Power, which also gives Legendre its closed form.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -28,7 +29,7 @@ from .spaces import (DEFAULT_LEVEL_CAP, Real, Space, fluctuation,
                      hemisphere_dirichlet, hemisphere_neumann, invert_w,
                      sphere)
 from .sumrules import natural_shift
-from .weyl import lclass, lclass_volume
+from .weyl import lclass, lclass_volume, volumes
 
 # ---------------------------------------------------------------------------
 # Exactness-preserving numeric helpers
@@ -155,7 +156,59 @@ def _area(full: Callable[[dict], float]) -> Param:
 @dataclass(frozen=True)
 class SideRule:
     side: str  # 'lower' or 'upper'
-    evaluate: Callable
+    bind: Callable[..., Callable]  # (**params) -> the side, a function of z
+
+
+@dataclass(frozen=True)
+class Power:
+    """The side c (z + b)^q as data: called, it evaluates in binary64;
+    `legendre` is its closed-form transform.  Subclasses spell the same
+    value for the exact path."""
+
+    c: Any
+    q: float
+    b: Any = 0
+
+    def __call__(self, z):
+        return self.c * (float(z) + self.b) ** self.q
+
+    def legendre(self, k: int) -> float:
+        """max over z >= 0 of (k z - c (z + b)^q) / k, for q > 1."""
+        c, q, b = float(self.c), self.q, float(self.b)
+        zstar = (k / (c * q)) ** (1 / (q - 1)) - b
+        if zstar <= 0:
+            return -c * b ** q / k
+        return (k * zstar - c * (zstar + b) ** q) / k
+
+
+@dataclass(frozen=True)
+class HalfPower(Power):
+    """2q an integer: exact on int and Fraction z when the value is."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "halves", round(2 * self.q))
+
+    def __call__(self, z):
+        return self.c * _pow_half(z + self.b, self.halves)
+
+
+class _HalfSquare(Power):
+    """z^2 / 2 in ints, z * z / 2: x ** 2 and x * x differ in binary64."""
+
+    def __call__(self, z):
+        return z * z / 2
+
+
+@dataclass(frozen=True)
+class _HalfSquareShifted(Power):
+    """(z + b)^2 / 2 with 2b an integer m, spelled (2z + m)^2 / 8."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", int(2 * self.b))
+
+    def __call__(self, z):
+        t = 2 * z + self.m
+        return t * t / 8
 
 
 @dataclass(frozen=True)
@@ -170,7 +223,6 @@ class BoundSpec:
     equality: Optional[Callable[[dict, int], list]] = None
     equality_side: Optional[str] = None  # None: applies to every side
     witnesses: Optional[Callable[[dict, float], list]] = None
-    power_shift: Optional[Callable[[dict], Tuple[float, float, float]]] = None
     rule: Optional[Callable[[dict], None]] = None  # cross-parameter check
 
     @property
@@ -227,18 +279,11 @@ def get(bound_id: str) -> BoundSpec:
 # ---------------------------------------------------------------------------
 # Shared formula pieces
 
-@functools.cache
-def _zd(d: int) -> Fraction:
+def _zd(d: int) -> Fraction:  # the shift z_d
     return Fraction(d * (2 * d - 1), 12)
 
 
-@functools.cache
-def _bd(d: int) -> Fraction:
-    return Fraction(d * (d - 2), 6)
-
-
-@functools.cache
-def _ld(d: int, p: int = 1) -> Fraction:  # L^class_{1,d,p} |S^d|, int-keyed
+def _ld(d: int, p: int = 1) -> Fraction:  # L^class_{1,d,p} |S^d|
     return lclass_volume(sphere(d), 1, p)
 
 
@@ -295,34 +340,29 @@ def bly345_gap_diagnostics(d: int, level: int) -> Bly345Diagnostics:
 # Entry definitions
 
 def _build_catalog():
-    # Dyadic constants are spelled with ints (z + 1/2 as (2z + 1)/2): the
-    # floats stay bit-identical, and a float z skips Fraction's mixed-type
-    # dispatch, which costs microseconds per operation.
+    # Binders compute each side's constants once.  Dyadic constants are
+    # spelled with ints (z + 1/2 as (2z + 1)/2): floats stay bit-identical,
+    # and a float z skips Fraction's costly mixed-type dispatch.
 
     # --- S^2, closed -------------------------------------------------------
     s2_query = lambda p: SpectrumQuery(sphere(2))
-
-    def s2_lower(p, z):
-        return z * z / 2
-
-    def s2_upper(p, z):
-        t = 2 * z + 1
-        return t * t / 8  # (z + 1/2)^2 / 2
+    s2_lower = _HalfSquare(Fraction(1, 2), 2.0)
+    s2_upper = _HalfSquareShifted(Fraction(1, 2), 2.0, Fraction(1, 2))
 
     def _osc(z):
         psi = _psi_of(2, z)
         return (1 - 4 * psi * psi) / 4  # 1/4 - psi^2
 
-    def s2_lower_imp(p, z):
+    def s2_lower_imp(z):
         osc = _osc(z)
-        base = s2_lower(p, z)
+        base = s2_lower(z)
         if osc == 0:
             return base
         return base + 2 * osc * (z - _sqrt(z) / 2)
 
-    def s2_upper_imp(p, z):
+    def s2_upper_imp(z):
         osc = _osc(z)
-        base = s2_lower(p, z)
+        base = s2_lower(z)
         if osc == 0:
             return base
         # 2 osc (z + sqrt(z)/2 + 1/2)
@@ -331,21 +371,18 @@ def _build_catalog():
     lam_points = lambda p, n: [l * (l + 1) for l in range(n)]
     _register(BoundSpec(
         "s2.r1.lower", "R1 on S^2 >= z^2/2", "R1", s2_query,
-        (SideRule("lower", s2_lower),),
-        equality=lam_points,
-        power_shift=lambda p: (0.5, 2.0, 0.0)))
+        (SideRule("lower", lambda: s2_lower),), equality=lam_points))
     _register(BoundSpec(
         "s2.r1.upper", "R1 on S^2 <= (z+1/2)^2/2", "R1", s2_query,
-        (SideRule("upper", s2_upper),),
-        equality=lambda p, n: _upper_env_points(n),
-        power_shift=lambda p: (0.5, 2.0, 0.5)))
+        (SideRule("upper", lambda: s2_upper),),
+        equality=lambda p, n: _upper_env_points(n)))
     _register(BoundSpec(
         "s2.r1.lower.imp", "improved S^2 lower bound with fluctuation term",
-        "R1", s2_query, (SideRule("lower", s2_lower_imp),),
+        "R1", s2_query, (SideRule("lower", lambda: s2_lower_imp),),
         equality=lam_points))
     _register(BoundSpec(
         "s2.r1.upper.imp", "improved S^2 upper bound with fluctuation term",
-        "R1", s2_query, (SideRule("upper", s2_upper_imp),),
+        "R1", s2_query, (SideRule("upper", lambda: s2_upper_imp),),
         equality=lam_points))
 
     # --- S^2_+ -------------------------------------------------------------
@@ -354,25 +391,26 @@ def _build_catalog():
 
     _register(BoundSpec(
         "hemi2.nd.polya", "Polya on the hemisphere: N^D <= z/2", "N", hd2,
-        (SideRule("upper", lambda p, z: z / 2),), equality=lam_points))
+        (SideRule("upper", lambda: lambda z: z / 2),), equality=lam_points))
 
-    def nd_two_upper(p, z):
+    def nd_two_upper(z):
         a = (2 * _psi_of(2, z) + 1) / 2  # psi + 1/2
         if a == 0:  # at every level value, z = 0 included
             return z / 2
         t = _sqrt(z) - a
         return t * t / 2
 
-    def nd_two_lower(p, z):
+    def nd_two_lower(z):
         a = (2 * _psi_of(2, z) + 1) / 2
         if a == 0:
             return z / 2
-        return nd_two_upper(p, z) - a / (8 * _sqrt(z))
+        return nd_two_upper(z) - a / (8 * _sqrt(z))
 
     _register(BoundSpec(
         "hemi2.nd.twosided", "two-sided fluctuation bound for N^D on S^2_+",
         "N", hd2,
-        (SideRule("lower", nd_two_lower), SideRule("upper", nd_two_upper)),
+        (SideRule("lower", lambda: nd_two_lower),
+         SideRule("upper", lambda: nd_two_upper)),
         equality=lam_points))
 
     def r1d_core(z):
@@ -380,89 +418,73 @@ def _build_catalog():
 
     _register(BoundSpec(
         "hemi2.r1d.lower", "R1^D on S^2_+ >= z^2/4 - z sqrt(z+1/4)/3",
-        "R1", hd2, (SideRule("lower", lambda p, z: r1d_core(z)),),
+        "R1", hd2, (SideRule("lower", lambda: r1d_core),),
         equality=lambda p, n: [l * (l + 1) for l in range(1, n + 1)]))
     _register(BoundSpec(
         "hemi2.r1d.upper", "R1^D on S^2_+, upper bound with +z/4 term",
-        "R1", hd2, (SideRule("upper", lambda p, z: r1d_core(z) + z / 4),)))
+        "R1", hd2,
+        (SideRule("upper", lambda: lambda z: r1d_core(z) + z / 4),)))
 
     def r1n_core(z):
         return z * z / 4 + z * _sqrt(4 * z + 1) / 6
 
     _register(BoundSpec(
         "hemi2.r1n.lower", "R1^N on S^2_+ >= z^2/4 + z sqrt(z+1/4)/3",
-        "R1", hn2, (SideRule("lower", lambda p, z: r1n_core(z)),),
+        "R1", hn2, (SideRule("lower", lambda: r1n_core),),
         equality=lam_points))
     _register(BoundSpec(
         "hemi2.r1n.upper", "R1^N on S^2_+, upper bound with +z term",
-        "R1", hn2, (SideRule("upper", lambda p, z: r1n_core(z) + z),)))
+        "R1", hn2, (SideRule("upper", lambda: lambda z: r1n_core(z) + z),)))
 
     # --- domains of S^2_+ and S^2 -----------------------------------------
     area2p = _area(lambda p: 2 * math.pi)
+    eight_pi = 8 * math.pi
+
+    def bly(shift):  # area (z - shift)^2 / (8 pi)
+        return lambda area: lambda z: area * (float(z) - shift) ** 2 / eight_pi
+
     _register(BoundSpec(
         "dom.s2p.bly", "Berezin-Li-Yau for domains of S^2_+", "R1", hd2,
-        (SideRule("upper", lambda p, z: p["area"] * float(z) ** 2
-                  / (8 * math.pi)),),
-        (area2p,)))
+        (SideRule("upper", bly(0)),), (area2p,)))
     _register(BoundSpec(
         "dom.s2p.bly.imp", "improved Berezin-Li-Yau with shift (z-1/2)^2",
-        "R1", hd2,
-        (SideRule("upper", lambda p, z: p["area"] * (float(z) - 0.5) ** 2
-                  / (8 * math.pi)),),
-        (area2p,)))
+        "R1", hd2, (SideRule("upper", bly(0.5)),), (area2p,)))
 
     buck2 = lambda p: SpectrumQuery(sphere(2), variant=Variant.BUCKLING)
+    blys2_upper = _HalfSquareShifted(Fraction(1, 2), 2.0, Fraction(-1, 2))
     _register(BoundSpec(
         "lem.blys1", "sphere sum without l=0: <= z^2/2", "R1", buck2,
-        (SideRule("upper", s2_lower),)))
-
-    def blys2_upper(p, z):
-        t = 2 * z - 1
-        return t * t / 8  # (z - 1/2)^2 / 2
-
+        (SideRule("upper", lambda: s2_lower),)))
     _register(BoundSpec(
         "lem.blys2", "sphere sum without l=0: <= (z-1/2)^2/2", "R1", buck2,
-        (SideRule("upper", blys2_upper),),
+        (SideRule("upper", lambda: blys2_upper),),
         equality=lambda p, n: _upper_env_points(n)))
 
     _register(BoundSpec(
         "dom.s2.buckling", "Berezin-Li-Yau for buckling on domains of S^2",
-        "R1", buck2,
-        (SideRule("upper", lambda p, z: p["area"] * (float(z) - 0.5) ** 2
-                  / (8 * math.pi)),),
+        "R1", buck2, (SideRule("upper", bly(0.5)),),
         (_area(lambda p: 4 * math.pi),)))
 
     # --- S^d, closed -------------------------------------------------------
     sd_query = lambda p: SpectrumQuery(sphere(p["d"]))
 
-    def sd_lower(p, z):
-        return _ld(p["d"]) * _pow_half(z, p["d"] + 2)
-
-    def sd_lower_shift(p, z):
-        d = p["d"]
-        shift = Fraction(d * (d - 2) * (d + 2), 12)
-        return _ld(d) * _pow_half(z, d) * (z + shift)
-
-    def sd_upper_shift(p, z):
-        d = p["d"]
-        return _ld(d) * _pow_half(z + _zd(d), d + 2)
+    def sd_lower_shift(d):
+        ld, shift = _ld(d), Fraction(d * (d - 2) * (d + 2), 12)
+        return lambda z: ld * _pow_half(z, d) * (z + shift)
 
     def sd_equality(p, n):
-        d = p["d"]
-        if d == 2:
-            return [l * (l + 1) for l in range(n)]
-        raise ValueError(f"no finite equality points for d={d}")
+        if p["d"] == 2:
+            return lam_points(p, n)
+        raise ValueError(f"no finite equality points for d={p['d']}")
 
     _register(BoundSpec(
         "sd.r1.lower", "Weyl lower bound for R1 on S^d", "R1", sd_query,
-        (SideRule("lower", sd_lower),), (Param("d", lo=2),),
-        equality=sd_equality,
-        power_shift=lambda p: (float(_ld(p["d"])), p["d"] / 2 + 1, 0.0)))
+        (SideRule("lower", lambda d: HalfPower(_ld(d), d / 2 + 1)),),
+        (Param("d", lo=2),), equality=sd_equality))
     _register(BoundSpec(
         "sd.r1.lower.shift", "refined lower bound with d(d-2)(d+2)/(12z)",
         "R1", sd_query, (SideRule("lower", sd_lower_shift),),
-        (Param("d", lo=2),),
-        equality=sd_equality))
+        (Param("d", lo=2),), equality=sd_equality))
 
     def sd_upper_equality(p, n):
         d = p["d"]
@@ -474,82 +496,75 @@ def _build_catalog():
 
     _register(BoundSpec(
         "sd.r1.upper.shift", "shifted Weyl upper bound, shift z_d=d(2d-1)/12",
-        "R1", sd_query, (SideRule("upper", sd_upper_shift),),
-        (Param("d", lo=2),),
-        equality=sd_upper_equality,
-        power_shift=lambda p: (float(_ld(p["d"])),
-                               p["d"] / 2 + 1, float(_zd(p["d"])))))
+        "R1", sd_query,
+        (SideRule("upper", lambda d: HalfPower(_ld(d), d / 2 + 1, _zd(d))),),
+        (Param("d", lo=2),), equality=sd_upper_equality))
 
     _register(BoundSpec(
         "fail.sd.r1.lower.bdshift",
         "lower bound with the liminf shift b_d fails for d >= 3",
         "R1", sd_query,
-        (SideRule("lower", lambda p, z: float(_ld(p["d"]))
-                  * (float(z) + float(_bd(p["d"]))) ** (p["d"] / 2 + 1)),),
+        (SideRule("lower", lambda d: Power(
+            float(_ld(d)), d / 2 + 1, d * (d - 2) / 6)),),
         (Param("d", lo=3),), expected_valid=False))
 
     # --- averages on S^d ---------------------------------------------------
-    def avg_upper(p, k):
-        d = p["d"]
-        w0 = lclass_volume(sphere(d), 0)
-        return Fraction(d, d + 2) * _nth_root((Fraction(k) / w0) ** 2, d)
+    def avg_upper(d):
+        ratio, w0 = Fraction(d, d + 2), lclass_volume(sphere(d), 0)
+        return lambda k: ratio * _nth_root((Fraction(k) / w0) ** 2, d)
 
-    def avg_lower(p, k):
-        return avg_upper(p, k) - _zd(p["d"])
+    def avg_lower(d):
+        upper, zd = avg_upper(d), _zd(d)
+        return lambda k: upper(k) - zd
 
     _register(BoundSpec(
         "sd.avg.twosided", "two-sided bounds for eigenvalue averages on S^d",
         "average", sd_query,
         (SideRule("lower", avg_lower), SideRule("upper", avg_upper)),
-        (Param("d", lo=2),),
-        equality=lambda p, n: [1] if p["d"] == 2 else [],
+        (Param("d", lo=2),), equality=lambda p, n: [1] if p["d"] == 2 else [],
         equality_side="lower"))
 
     _register(BoundSpec(
         "fail.liyau.d≥6",
         "hemisphere Li-Yau average bound fails for d >= 6",
         "average", lambda p: SpectrumQuery(hemisphere_dirichlet(p["d"])),
-        (SideRule("lower", lambda p, k: p["d"] / (p["d"] + 2)
-                  * math.factorial(p["d"]) ** (2 / p["d"])
-                  * float(k) ** (2 / p["d"])),),
+        (SideRule("lower", lambda d: Power(
+            d / (d + 2) * math.factorial(d) ** (2 / d), 2 / d)),),
         (Param("d", lo=6),), expected_valid=False), "fail.liyau.d>=6")
 
     # --- domains of S^d ----------------------------------------------------
-    def sd_area(p):
-        from .weyl import volumes
-        return float(volumes(p["d"]).sphere)
+    sd_area = lambda p: float(volumes(p["d"]).sphere)
 
     _register(BoundSpec(
         "dom.sd.bly.shift", "shifted Berezin-Li-Yau for domains of S^d",
         "R1", sd_query,
-        (SideRule("upper", lambda p, z: lclass(1, p["d"]).value * p["area"]
-                  * (float(z) + float(_zd(p["d"]))) ** (p["d"] / 2 + 1)),),
+        (SideRule("upper", lambda d, area: Power(
+            lclass(1, d).value * area, d / 2 + 1, float(_zd(d)))),),
         (Param("d", lo=2), _area(sd_area))))
+
+    def kroger_imp(d, area):
+        c, h = lclass(1, d).value * area, d / 2
+        shift = d * (d - 2) * (d + 2) / 12
+        def side(z):
+            zf = float(z)
+            return c * zf ** h * (zf + shift)
+        return side
 
     _register(BoundSpec(
         "dom.sd.kroger.imp", "improved Kroger bound for domains of S^d",
-        "R1", sd_query,
-        (SideRule("lower", lambda p, z: lclass(1, p["d"]).value * p["area"]
-                  * float(z) ** (p["d"] / 2)
-                  * (float(z) + float(Fraction(p["d"] * (p["d"] - 2)
-                                               * (p["d"] + 2), 12)))),),
+        "R1", sd_query, (SideRule("lower", kroger_imp),),
         (Param("d", lo=2), _area(sd_area))))
 
     # --- S^1 ----------------------------------------------------------------
     s1_query = lambda p: SpectrumQuery(sphere(1))
-
-    def s1_upper(p, z):
-        return Fraction(4, 3) * _pow_half(z + Fraction(1, 12), 3)
+    s1_upper = HalfPower(Fraction(4, 3), 1.5, Fraction(1, 12))
+    s1_weyl = HalfPower(Fraction(4, 3), 1.5)
 
     _register(BoundSpec(
         "s1.r1.upper.shift", "R1 on the circle <= 4/3 (z+1/12)^(3/2)",
-        "R1", s1_query, (SideRule("upper", s1_upper),),
+        "R1", s1_query, (SideRule("upper", lambda: s1_upper),),
         equality=lambda p, n: [Fraction(3 * (2 * l + 1) ** 2 - 1, 12)
-                               for l in range(n)],
-        power_shift=lambda p: (4 / 3, 1.5, float(Fraction(1, 12)))))
-
-    def s1_weyl(p, z):
-        return Fraction(4, 3) * _pow_half(z, 3)
+                               for l in range(n)]))
 
     def s1_witnesses(p, zmax):
         out = []
@@ -567,7 +582,8 @@ def _build_catalog():
     _register(BoundSpec(
         "fail.s1.weyl", "Weyl term is neither bound for R1 on the circle",
         "R1", s1_query,
-        (SideRule("lower", s1_weyl), SideRule("upper", s1_weyl)),
+        (SideRule("lower", lambda: s1_weyl),
+         SideRule("upper", lambda: s1_weyl)),
         expected_valid=False, witnesses=s1_witnesses))
 
     # --- hemisphere S^d_+ --------------------------------------------------
@@ -576,18 +592,17 @@ def _build_catalog():
     _register(BoundSpec(
         "hemi.d.bly345", "Berezin-Li-Yau on S^d_+ for d = 3, 4, 5",
         "R1", hd_query,
-        (SideRule("upper", lambda p, z: float(lclass_volume(
-            hemisphere_dirichlet(p["d"]), 1))
-            * float(z) ** (p["d"] / 2 + 1)),),
-        (Param("d", lo=3, hi=5),),
-        power_shift=lambda p: (float(lclass_volume(
-            hemisphere_dirichlet(p["d"]), 1)), p["d"] / 2 + 1, 0.0)))
+        (SideRule("upper", lambda d: Power(float(lclass_volume(
+            hemisphere_dirichlet(d), 1)), d / 2 + 1)),),
+        (Param("d", lo=3, hi=5),)))
+
+    def polya_hemi(d):
+        h, fact = d / 2, math.factorial(d)
+        return lambda z: float(z) ** h / fact
 
     _register(BoundSpec(
         "fail.hemi.polya.d≥3", "Polya fails on S^d_+ for d >= 3",
-        "N", hd_query,
-        (SideRule("upper", lambda p, z: float(z) ** (p["d"] / 2)
-                  / math.factorial(p["d"])),),
+        "N", hd_query, (SideRule("upper", polya_hemi),),
         (Param("d", lo=3),), expected_valid=False), "fail.hemi.polya.d>=3")
 
     # --- polyharmonic ------------------------------------------------------
@@ -599,39 +614,34 @@ def _build_catalog():
             raise ValueError("p out of range (corollary allows p>=1 at d=2, "
                              "theorem needs p>=2)")
 
-    def r1p_lower(prm, z):
-        d, p = prm["d"], prm["p"]
-        lp = float(_ld(d, p))
-        zf = float(z)
-        if d == 2:
-            return (lp * zf ** (1 + 1 / p) - (p - 1) / 2 * zf
-                    - p / 8 * zf ** (1 - 1 / p))
-        u = zf ** (1 / p) + float(_zd(d))
-        main = zf ** (1 + d / (2 * p))
-        corr = 2 * (p - 1) / (d + 2) * lp * (u ** (d / 2 + p) - main)
-        return lp * main - corr
-
-    def r1p_upper(prm, z):
-        d, p = prm["d"], prm["p"]
-        lp = float(_ld(d, p))
-        zf = float(z)
-        if d == 2:
-            return (lp * zf ** (1 + 1 / p) + p / 2 * zf
-                    + p / 8 * zf ** (1 - 1 / p))
-        u = zf ** (1 / p) + float(_zd(d))
-        main = zf ** (1 + d / (2 * p))
-        corr = 2 * (p - 1) / (d + 2) * lp * (u ** (d / 2 + p) - main)
-        return lp * u ** (d / 2 + p) + corr
+    def r1p_side(upper):
+        def bind(d, p):
+            lp = float(_ld(d, p))
+            if d == 2:  # lp z^(1+1/p) -+ a z -+ p/8 z^(1-1/p), signs in a, c
+                e_hi, e_lo = 1 + 1 / p, 1 - 1 / p
+                a, c = (p / 2, p / 8) if upper else (-(p - 1) / 2, -p / 8)
+                def side(z):
+                    zf = float(z)
+                    return lp * zf ** e_hi + a * zf + c * zf ** e_lo
+                return side
+            zd, k = float(_zd(d)), 2 * (p - 1) / (d + 2) * lp
+            e_root, e_main, e_u = 1 / p, 1 + d / (2 * p), d / 2 + p
+            def side(z):
+                zf = float(z)
+                u, main = zf ** e_root + zd, zf ** e_main
+                corr = k * (u ** e_u - main)
+                return lp * u ** e_u + corr if upper else lp * main - corr
+            return side
+        return bind
 
     _register(BoundSpec(
         "sd.r1p.twosided", "two-sided shifted Weyl bounds for (-Delta)^p",
         "R1", sdp_query,
-        (SideRule("lower", r1p_lower), SideRule("upper", r1p_upper)),
+        (SideRule("lower", r1p_side(False)),
+         SideRule("upper", r1p_side(True))),
         (Param("d", lo=2), Param("p", lo=1)), rule=r1p_p_range))
 
-    def r1p_weyl(prm, z):
-        d, p = prm["d"], prm["p"]
-        return float(_ld(d, p)) * float(z) ** (1 + d / (2 * p))
+    r1p_weyl = lambda d, p: Power(float(_ld(d, p)), 1 + d / (2 * p))
 
     def r1p_witnesses(prm, zmax):
         out = []
@@ -657,22 +667,21 @@ def _build_catalog():
     _register(BoundSpec(
         "sd.r12.lower", "Weyl lower bound for the biharmonic R1 on S^d, d>=3",
         "R1", lambda p: SpectrumQuery(sphere(p["d"]), power=2),
-        (SideRule("lower", lambda p, z: float(_ld(p["d"], 2))
-                  * float(z) ** (1 + p["d"] / 4)),),
+        (SideRule("lower", lambda d: Power(float(_ld(d, 2)), 1 + d / 4)),),
         (Param("d", lo=3),)))
 
     _register(BoundSpec(
         "hemi2.poly.bly", "polyharmonic Berezin-Li-Yau on S^2_+",
         "R1", lambda p: SpectrumQuery(hemisphere_dirichlet(2), power=p["p"]),
-        (SideRule("upper", lambda p, z: p["p"] / (2 * (p["p"] + 1))
-                  * float(z) ** (1 + 1 / p["p"])),),
+        (SideRule("upper", lambda p: Power(p / (2 * (p + 1)), 1 + 1 / p)),),
         (Param("p", lo=1),)))
 
-    def poly23_upper(prm, z):
-        zf = float(z)
-        if prm["p"] == 2:
-            return prm["area"] * zf ** 1.5 / (6 * math.pi)
-        return 3 * prm["area"] * zf ** (4 / 3) / (16 * math.pi)
+    def poly23_upper(p, area):
+        if p == 2:
+            six_pi = 6 * math.pi
+            return lambda z: area * float(z) ** 1.5 / six_pi
+        c, sixteen_pi = 3 * area, 16 * math.pi
+        return lambda z: c * float(z) ** (4 / 3) / sixteen_pi
 
     _register(BoundSpec(
         "dom.s2p.poly23",
@@ -685,24 +694,19 @@ def _build_catalog():
         "dom.sd.neubih.lower",
         "Kroger bound for the Neumann biharmonic on domains of S^d, d>=3",
         "R1", lambda p: SpectrumQuery(sphere(p["d"]), power=2),
-        (SideRule("lower", lambda p, z: lclass(1, p["d"], 2).value
-                  * p["area"] * float(z) ** (1 + p["d"] / 4)),),
+        (SideRule("lower", lambda d, area: Power(
+            lclass(1, d, 2).value * area, 1 + d / 4)),),
         (Param("d", lo=3), _area(sd_area))))
 
     # --- R2 on rank-one spaces ---------------------------------------------
-    def r2_lower(prm, z):
-        sp = prm["space"]
-        return lclass_volume(sp, 2) * _pow_half(z, sp.dim + 4)
-
-    def r2_upper(prm, z):
-        sp = prm["space"]
-        return lclass_volume(sp, 2) * _pow_half(z + natural_shift(sp),
-                                                sp.dim + 4)
-
     _register(BoundSpec(
         "sd.r2.twosided", "two-sided Weyl bounds for R2 on rank-one spaces",
         "R2", lambda p: SpectrumQuery(p["space"]),
-        (SideRule("lower", r2_lower), SideRule("upper", r2_upper)),
+        (SideRule("lower", lambda space: HalfPower(
+            lclass_volume(space, 2), space.dim / 2 + 2)),
+         SideRule("upper", lambda space: HalfPower(
+             lclass_volume(space, 2), space.dim / 2 + 2,
+             natural_shift(space)))),
         (Param("space", _closed_space, default=sphere(2)),)))
 
 
@@ -714,9 +718,9 @@ _build_catalog()
 
 
 def _resolve_side(bound_id: str, params: Optional[dict],
-                  side: Optional[str]) -> Tuple[BoundSpec, dict, SideRule]:
-    """(spec, validated parameters, side rule); `side` is required for
-    two-sided entries."""
+                  side: Optional[str]) -> Tuple[BoundSpec, Callable]:
+    """(spec, the side bound to the validated parameters); `side` is
+    required for two-sided entries."""
     spec = get(bound_id)
     prm = spec.validate(dict(params or {}))
     rules = {s.side: s for s in spec.sides}
@@ -727,16 +731,15 @@ def _resolve_side(bound_id: str, params: Optional[dict],
         side = next(iter(rules))
     if side not in rules:
         raise ValueError(f"{spec.id} has no side {side!r}")
-    return spec, prm, rules[side]
+    return spec, rules[side].bind(**prm)
 
 
 def bound_function(bound_id: str, params: Optional[dict] = None,
                    side: Optional[str] = None) -> Callable[[Real], Real]:
     """One side of a bound as a function of z (or k), resolved once:
-    parameters validated and side picked before any evaluation."""
-    _, prm, rule = _resolve_side(bound_id, params, side)
-    evaluate = rule.evaluate
-    return lambda z: evaluate(prm, _normalize_arg(z))
+    parameters validated, side picked and bound before any evaluation."""
+    _, bound = _resolve_side(bound_id, params, side)
+    return lambda z: bound(_normalize_arg(z))
 
 
 def bound_value(bound_id: str, params: Optional[dict] = None, z: Real = None,
@@ -813,8 +816,7 @@ class ScanReport:
         return all(s.n_violations >= 1 for s in self.sides)
 
     def to_dict(self) -> dict:
-        import dataclasses
-        d = dataclasses.asdict(self)
+        d = asdict(self)
         d["passed"] = self.passed
         return d
 
@@ -856,23 +858,23 @@ def standard_grid(bound_id: str, params: Optional[dict] = None,
     return sorted(pts)
 
 
-def _scan_side(rule: SideRule, prm: dict, grid: Sequence, zs: List[float],
+def _scan_side(side: str, bound: Callable, grid: Sequence, zs: List[float],
                targets: List[float], gaps: Optional[List[int]], tol: float):
     rows, violations = [], []
     min_slack, arg = math.inf, 0.0
     gap_min: Dict[int, float] = {}
     for i, (x, zf, tgt) in enumerate(zip(grid, zs, targets)):
-        bnd = float(rule.evaluate(prm, x))
-        slack = (bnd - tgt) if rule.side == "upper" else (tgt - bnd)
+        bnd = float(bound(x))
+        slack = (bnd - tgt) if side == "upper" else (tgt - bnd)
         rows.append((zf, tgt, bnd, slack))
         if slack < min_slack:
             min_slack, arg = slack, zf
         if gaps is not None:
             gap_min[gaps[i]] = min(gap_min.get(gaps[i], math.inf), slack)
         if slack < -tol * max(1.0, abs(bnd)):
-            violations.append(Violation(zf, tgt, bnd, slack, rule.side))
+            violations.append(Violation(zf, tgt, bnd, slack, side))
     return SideReport(
-        rule.side, len(rows), min_slack, arg, len(violations),
+        side, len(rows), min_slack, arg, len(violations),
         violations[0] if violations else None, tuple(violations[:20]),
         tuple(sorted(gap_min.items())), tuple(rows))
 
@@ -887,9 +889,10 @@ def verify(bound_id: str, params: Optional[dict] = None,
     counterexamples (expected_valid=False) must produce at least one and
     report the first witness.  Failures are report content, never raises.
     The parameters, the query, the target column and the per-point gap
-    level are resolved once and shared by every side; the targets, gap
-    levels and equality-point targets each come from one prefix-table
-    sweep (riesz.evaluate_grid), so grids may be unsorted.
+    level are resolved once and shared by every side, which is bound
+    once for the grid and the equality points.  Targets, gap levels and
+    equality-point targets each come from one prefix-table sweep
+    (riesz.evaluate_grid), so grids may be unsorted.
     """
     if not 0 < tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -904,8 +907,9 @@ def verify(bound_id: str, params: Optional[dict] = None,
         raise ValueError("grid must not be empty")
     targets, gaps = evaluate_grid(q, spec.quantity, grid)
     targets = [float(t) for t in targets]
-    sides = tuple(_scan_side(rule, prm, grid, zs, targets, gaps, tol)
-                  for rule in spec.sides)
+    bound = [(rule.side, rule.bind(**prm)) for rule in spec.sides]
+    sides = tuple(_scan_side(side, fn, grid, zs, targets, gaps, tol)
+                  for side, fn in bound)
 
     eq_checks = []
     if spec.equality is not None and spec.expected_valid:
@@ -916,14 +920,13 @@ def verify(bound_id: str, params: Optional[dict] = None,
         # Informational values (e.g. b(l) shifts) are not exact z's.
         eq_pts = [e for e in eq_pts if isinstance(e, (int, Fraction))]
         eq_targets, _ = evaluate_grid(q, spec.quantity, eq_pts)
-        for rule in spec.sides:
-            if spec.equality_side is not None and rule.side != spec.equality_side:
+        for side, fn in bound:
+            if spec.equality_side not in (None, side):
                 continue
             for e, tgt in zip(eq_pts, eq_targets):
-                bnd = rule.evaluate(prm, _normalize_arg(e))
-                slack = (bnd - tgt) if rule.side == "upper" else (tgt - bnd)
-                eq_checks.append(EqualityCheck(float(e), rule.side,
-                                               float(slack)))
+                bnd = fn(_normalize_arg(e))
+                slack = (bnd - tgt) if side == "upper" else (tgt - bnd)
+                eq_checks.append(EqualityCheck(float(e), side, float(slack)))
     prm_repr = ", ".join(
         f"{k}={prm[k].describe() if isinstance(prm[k], Space) else prm[k]}"
         for k in sorted(prm) if prm[k] is not None)
@@ -940,25 +943,19 @@ def legendre_average_bound(bound_id: str, params: Optional[dict] = None,
     """max_z (k z - B(z)) / k: converts an R1 bound into an average bound.
 
     An upper bound B for R1 yields a lower bound for the eigenvalue
-    average; a lower bound yields an upper bound.  Closed form when B is
-    a pure shifted power, golden-section refinement to 1e-10 otherwise.
+    average; a lower bound yields an upper bound.  Closed form when the
+    side is a Power, golden-section refinement to 1e-10 otherwise.
     """
-    spec, prm, rule = _resolve_side(bound_id, params, side)
+    spec, bound = _resolve_side(bound_id, params, side)
     if spec.quantity != "R1":
         raise ValueError(f"{spec.id} does not bound R1")
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    if spec.power_shift is not None:
-        c, qexp, b = spec.power_shift(prm)
-        # maximize k z - c (z+b)^q over z >= 0
-        zstar = (k / (c * qexp)) ** (1 / (qexp - 1)) - b
-        if zstar <= 0:
-            return -c * b ** qexp / k
-        return (k * zstar - c * (zstar + b) ** qexp) / k
+    if isinstance(bound, Power):
+        return bound.legendre(k)
 
     def g(z):
-        return k * z - float(rule.evaluate(prm, z))
+        return k * z - float(bound(z))
 
     # Bracket the argmax with a coarse scan, then golden-section refine.
     zhi = 1.0

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import bounds
-from .riesz import SpectrumQuery, evaluate_grid, riesz_mean
+from .riesz import SpectrumQuery, counting, evaluate_grid, riesz_mean
 from .spaces import (Family, Space, hemisphere_dirichlet, hemisphere_neumann,
                      sphere)
 from .weyl import expansion, lclass_volume
@@ -252,27 +252,27 @@ def gap_extrema(space: Space, l_range: Sequence[int],
                 reference: Tuple[float, float, float]) -> List[GapExtremum]:
     """Maximum of R_1 / (C (z+b)^q) inside each level gap of the Laplacian.
 
-    reference = (C, q, b).  Golden-section localization to
-    |dz| <= 1e-10 lambda_(l+1); uniqueness certified by counting the sign
-    changes of the numerical derivative over a 256-point subgrid.
+    reference = (C, q, b); golden-section localization to |dz| <= 1e-10
+    lambda_(l+1).  On a gap R_1 = N z - S, so the ratio's derivative has
+    numerator N (1 - q) z + N b + q S, falling for q > 1: the maximum is
+    unique exactly when its zero (q S + N b) / (N (q - 1)) is inside.
     """
     if space.family is not Family.SPHERE:
         raise ValueError("gap extrema scans expect a sphere")
     c_ref, q_ref, b_ref = reference
     q = SpectrumQuery(space)
-    subgrid = 256
 
     def ratio(z: float) -> float:
         return float(riesz_mean(q, 1, z)) / (c_ref * (z + b_ref) ** q_ref)
 
     out = []
     for l in l_range:
-        lo = float(q.level_value(l))
-        hi = float(q.level_value(l + 1))
+        lam = q.level_value(l)
+        lo, hi = float(lam), float(q.level_value(l + 1))
         z_star, r_star = bounds.golden_section_max(ratio, lo, hi, 1e-10 * hi)
-        values = [ratio(lo + (hi - lo) * i / subgrid) for i in range(subgrid + 1)]
-        diffs = [b - a for a, b in zip(values, values[1:])]
-        signs = [d for d in diffs if d != 0.0]
-        changes = sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-        out.append(GapExtremum(l, z_star, r_star, changes == 1))
+        n = counting(q, lam)
+        s = n * lam - riesz_mean(q, 1, lam)
+        unique = q_ref > 1 and lo < (q_ref * s + n * b_ref) / (
+            n * (q_ref - 1)) < hi
+        out.append(GapExtremum(l, z_star, r_star, unique))
     return out

@@ -187,13 +187,13 @@ def q_plus_dr1_at_gap_minimum(space: Space, l: int) -> Tuple[Fraction, Fraction]
     """(Q_N(z0) + d R_1(z0)) / N at z0 = (lambda_N + lambda_{N+1} - lambda)/2.
 
     Returns the exact value and the predicted (d-2)/(d+2) L(L+d) for the
-    sphere gap after level L (lambda = d there).
+    sphere gap after level L (lambda = d there).  N and lambda_N, lambda_N+1
+    are rows L, L + 1 of the prefix table, so L may reach the level cap.
     """
-    d = space.dim
-    n = gap_indices(space, l)[-1]
-    q = SpectrumQuery(space)
-    lam_n, lam_n1 = nth_eigenvalue(q, n), nth_eigenvalue(q, n + 1)
+    d, tab = space.dim, _levels(space, l)
+    n, lam_n, lam_n1 = tab.count[l], tab.lam[l], tab.lam[l + 1]
     z0 = Fraction(lam_n + lam_n1 - space.first_positive_eigenvalue, 2)
-    value = (qn(space, n)(z0) + d * riesz_mean(q, 1, z0)) / n
+    q_n = n * (z0 - lam_n) * (z0 - lam_n1)
+    value = (q_n + d * riesz_mean(SpectrumQuery(space), 1, z0)) / n
     predicted = Fraction(d - 2, d + 2) * l * (l + d)
     return value, predicted

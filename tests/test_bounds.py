@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from spectral_riesz import bounds
 from spectral_riesz.riesz import SpectrumQuery, eigenvalue_average, riesz_mean
-from spectral_riesz.spaces import hemisphere_dirichlet, sphere
+from spectral_riesz.spaces import Family, Space, hemisphere_dirichlet, sphere
 
 
 def test_bound_value_examples():
@@ -182,19 +183,80 @@ def test_legendre_numeric_path_keeps_maximum_at_bracket_end():
         "sd.r1p.twosided", {"d": 2, "p": 2}, 1, side="upper") == 0.0
 
 
-def test_legendre_numeric_path_matches_closed_form():
+def _without_power_forms(spec):
+    """spec with every side bound to a plain function, hiding its Power,
+    so that the Legendre transform takes its numeric path."""
+    def strip(rule):
+        def bind(**prm):
+            side = rule.bind(**prm)
+            return lambda z: side(z)
+        return dataclasses.replace(rule, bind=bind)
+    return dataclasses.replace(spec, sides=tuple(map(strip, spec.sides)))
+
+
+def test_legendre_numeric_path_matches_closed_form(monkeypatch):
     # hemi.d.bly345 has a closed power form; compare against a blinded
-    # numeric run by stripping the power_shift hint.
-    import dataclasses
-    spec = bounds.get("hemi.d.bly345")
-    blind = dataclasses.replace(spec, power_shift=None)
-    try:
-        bounds._CATALOG[spec.id] = blind
-        numeric = bounds.legendre_average_bound("hemi.d.bly345", {"d": 3}, 7)
-    finally:
-        bounds._CATALOG[spec.id] = spec
+    # numeric run by stripping the side's Power.
     closed = bounds.legendre_average_bound("hemi.d.bly345", {"d": 3}, 7)
+    spec = bounds.get("hemi.d.bly345")
+    monkeypatch.setitem(bounds._CATALOG, spec.id, _without_power_forms(spec))
+    numeric = bounds.legendre_average_bound("hemi.d.bly345", {"d": 3}, 7)
     assert numeric == pytest.approx(closed, rel=1e-9)
+
+
+def test_legendre_closed_form_of_the_s2_lower_side():
+    # The numeric path gives 24.999999999999996.
+    assert bounds.legendre_average_bound("s2.r1.lower", {}, 50) == 25.0
+
+
+def _power_sides():
+    from spectral_riesz.report import (_failure_entry_matrix,
+                                       _valid_entry_matrix)
+    for bound_id, params in _valid_entry_matrix() + _failure_entry_matrix():
+        spec = bounds.get(bound_id)
+        prm = spec.validate(dict(params))
+        for rule in spec.sides:
+            if spec.quantity == "R1" \
+                    and isinstance(rule.bind(**prm), bounds.Power):
+                label = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+                yield pytest.param(bound_id, params, rule.side,
+                                   id=f"{bound_id}[{label}]-{rule.side}")
+
+
+@pytest.mark.parametrize("bound_id,params,side", list(_power_sides()))
+def test_power_form_matches_its_side_and_numeric_legendre(
+        bound_id, params, side, monkeypatch):
+    spec = bounds.get(bound_id)
+    power = bounds.bound_function(bound_id, params, side)
+    form = next(r for r in spec.sides if r.side == side).bind(
+        **spec.validate(dict(params)))
+    c, q, b = float(form.c), form.q, float(form.b)
+    for z in (0.0, 0.75, 3.0, 47.5, 1234.5):
+        assert float(power(z)) == pytest.approx(c * (z + b) ** q, rel=1e-14)
+    ks = (1, 5, 50)
+    closed = [bounds.legendre_average_bound(bound_id, params, k, side)
+              for k in ks]
+    monkeypatch.setitem(bounds._CATALOG, spec.id, _without_power_forms(spec))
+    numeric = [bounds.legendre_average_bound(bound_id, params, k, side)
+               for k in ks]
+    assert numeric == pytest.approx(closed, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("bound_id,params", [
+    ("sd.r2.twosided", {"space": Space(Family.REAL_PROJECTIVE, 3)}),
+    ("hemi.d.bly345", {"d": 3}),
+])
+def test_verify_binds_each_side_once(bound_id, params, monkeypatch):
+    calls = []
+    real = bounds.lclass_volume
+    monkeypatch.setattr(bounds, "lclass_volume",
+                        lambda *a: calls.append(a) or real(*a))
+    counts = []
+    for n in (3, 2001):
+        calls.clear()
+        bounds.verify(bound_id, params, [i * 60 / (n - 1) for i in range(n)])
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_average_bounds_hold_with_equality_at_gap_indices_d2():

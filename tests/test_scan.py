@@ -134,6 +134,22 @@ def test_gap_extrema_plain_weyl_reference_interior_maximum():
     assert e.is_unique and e.ratio_star > 1.0
 
 
+def test_gap_extrema_proves_a_maximum_in_the_first_sampling_interval():
+    # On S^2 after level l, R1 = N z - S with N = (l+1)^2; the shift b puts
+    # the ratio's maximum z* = (qS + Nb)/(N(q-1)) at lo + (hi - lo)/1000,
+    # inside the first of 256 equal subintervals of the gap.
+    l, q_ref = 10, 2.0
+    lo, hi = l * (l + 1), (l + 1) * (l + 2)
+    n = (l + 1) ** 2
+    s = sum((2 * j + 1) * j * (j + 1) for j in range(l + 1))
+    z_star = lo + (hi - lo) / 1000
+    b = z_star * (q_ref - 1) - q_ref * s / n
+    (e,) = gap_extrema(sphere(2), [l], (1.0, q_ref, b))
+    assert e.is_unique
+    assert lo < e.z_star < lo + (hi - lo) / 256
+    assert e.z_star == pytest.approx(z_star, rel=1e-6)
+
+
 def test_gap_extrema_empty_range():
     c = float(lclass_volume(sphere(3), 1))
     assert gap_extrema(sphere(3), [], (c, 2.5, 0.0)) == []

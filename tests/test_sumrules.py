@@ -169,6 +169,14 @@ def test_gap_minimum_value_matches_prediction():
             assert value >= 0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gap_minimum_reaches_the_level_cap(d):
+    value, predicted = q_plus_dr1_at_gap_minimum(sphere(d), DEFAULT_LEVEL_CAP)
+    assert value == predicted
+    with pytest.raises(ValueError, match="level cap"):
+        q_plus_dr1_at_gap_minimum(sphere(d), DEFAULT_LEVEL_CAP + 1)
+
+
 def test_legendre_consistency_chain():
     # (d+4)/4 R2(z) <= (z + d^2/4) R1(z) on the sphere.
     for d in (2, 3):
