@@ -10,7 +10,9 @@ arguments stay exact whenever the closed form is rational (square roots
 of perfect rational squares included), so recorded equality points test
 with slack exactly zero, and float arguments run in binary64 because
 Fraction-float arithmetic rounds the Fraction first.  Only the
-perfect-power helpers below look at the argument type.  Each entry
+perfect-power helpers below and HalfPower look at the argument type:
+HalfPower sends a float z through float constants kept from construction,
+the same floats Fraction-float arithmetic would make.  Each entry
 declares its parameters once; BoundSpec.validate reads that schema.
 Each side is bound once per parameter set (SideRule.bind), and a side
 c (z + b)^q is a Power, which also gives Legendre its closed form.
@@ -183,12 +185,21 @@ class Power:
 
 @dataclass(frozen=True)
 class HalfPower(Power):
-    """2q an integer: exact on int and Fraction z when the value is."""
+    """2q an integer: exact on int and Fraction z when the value is.
+
+    A float z takes float(c) and float(b), kept from construction: Python
+    evaluates float (+) Fraction as float (+) float(Fraction), so the value
+    is the one the exact expression gives, without Fraction's dispatch.
+    """
 
     def __post_init__(self):
         object.__setattr__(self, "halves", round(2 * self.q))
+        object.__setattr__(self, "cf", float(self.c))
+        object.__setattr__(self, "bf", float(self.b))
 
     def __call__(self, z):
+        if type(z) is float:
+            return self.cf * _pow_half(z + self.bf, self.halves)
         return self.c * _pow_half(z + self.b, self.halves)
 
 

@@ -25,7 +25,7 @@ from .scan import GridPolicy, Series
 from .spaces import DEFAULT_LEVEL_CAP, Family, Space, eigenvalue, \
     is_space_descriptor, level_cap_exceeded, max_level_index, multiplicity, \
     parse_space
-from .weyl import expansion
+from .weyl import BoundExpansion
 
 
 class UsageError(Exception):
@@ -272,7 +272,8 @@ def cmd_expansion(args) -> int:
         raise UsageError("a quantity (N or R1) is required")
     quantity = args.quantity.upper()
     zs = [z for z in _grid_from_args(space, args) if z > 0]
-    pts = [(z, expansion(space, quantity, z, args.terms).value) for z in zs]
+    ex = BoundExpansion(space, quantity, args.terms)
+    pts = [(z, ex(z)) for z in zs]
     series = Series(f"{quantity}:{space.describe()}:{args.terms}-term",
                     tuple(pts))
     _emit_series([series], args)

@@ -17,11 +17,12 @@ from .scan import Series
 
 
 def fmt_number(x) -> str:
+    # Floats first: isinstance on Fraction is an ABC check, slow on floats.
+    if isinstance(x, float):
+        return f"{x:.17g}"
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
             else str(x.numerator)
-    if isinstance(x, float):
-        return f"{x:.17g}"
     return str(x)
 
 
@@ -49,10 +50,16 @@ def write_json(path: str, obj):
 
 
 def series_csv(series_list: Sequence[Series]) -> str:
+    """One row per point; an all-float row is one f-string, other rows
+    (int or Fraction z from the CLI) format each value by fmt_number."""
     lines = ["z,series_label,value"]
     for s in series_list:
+        tail = f",{s.label},"
         for z, v in s.points:
-            lines.append(f"{fmt_number(z)},{s.label},{fmt_number(v)}")
+            if type(z) is float and type(v) is float:
+                lines.append(f"{z:.17g}{tail}{v:.17g}")
+            else:
+                lines.append(f"{fmt_number(z)}{tail}{fmt_number(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -74,28 +81,21 @@ _PALETTE = ("#1f77b4", "#d62728", "#9467bd", "#ff7f0e", "#2ca02c",
 def series_svg(series_list: Sequence[Series], width: int = 900,
                height: int = 540) -> str:
     """Bare polyline rendering, viewBox normalized to the data extents."""
-    pts = [(z, v) for s in series_list for z, v in s.points]
-    if not pts:
+    zs = [z for s in series_list for z, _ in s.points]
+    if not zs:
         return ('<svg xmlns="http://www.w3.org/2000/svg" '
                 f'viewBox="0 0 {width} {height}"></svg>')
-    zmin = min(z for z, _ in pts)
-    zmax = max(z for z, _ in pts)
-    vmin = min(v for _, v in pts)
-    vmax = max(v for _, v in pts)
+    vs = [v for s in series_list for _, v in s.points]
+    zmin, zmax, vmin, vmax = min(zs), max(zs), min(vs), max(vs)
     zspan = (zmax - zmin) or 1.0
     vspan = (vmax - vmin) or 1.0
-
-    def sx(z):
-        return (z - zmin) / zspan * width
-
-    def sy(v):
-        return height - (v - vmin) / vspan * height
-
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" '
              f'viewBox="0 0 {width} {height}">']
     for i, s in enumerate(series_list):
         colour = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{sx(z):.3f},{sy(v):.3f}" for z, v in s.points)
+        coords = " ".join(f"{(z - zmin) / zspan * width:.3f},"
+                          f"{height - (v - vmin) / vspan * height:.3f}"
+                          for z, v in s.points)
         parts.append(f'<polyline fill="none" stroke="{colour}" '
                      f'stroke-width="1" points="{coords}">'
                      f'<title>{s.label}</title></polyline>')

@@ -22,7 +22,7 @@ from .riesz import (SpectrumQuery, counting,
                     riesz1_closed_sphere, riesz_mean)
 from .spaces import (Family, Space, hemisphere_dirichlet,
                      hemisphere_neumann, invert_w, max_level_index, sphere)
-from .weyl import expansion, lclass_volume
+from .weyl import BoundExpansion, lclass_volume
 
 _SEED = 20250809
 
@@ -275,15 +275,13 @@ def _certification_grid(d: int):
 
 
 def _scaled_residuals(space: Space, quantity: str, terms: int, power: float):
-    d = space.dim
     q = SpectrumQuery(space)
-    lead = float(lclass_volume(space, 0 if quantity == "N" else 1))
-    exponent = d / 2 if quantity == "N" else d / 2 + 1
+    ex = BoundExpansion(space, quantity, terms)
     first, everywhere = 0.0, 0.0
-    zs = [z for z in _certification_grid(d) if 100.0 <= z <= 1e6]
+    zs = [z for z in _certification_grid(space.dim) if 100.0 <= z <= 1e6]
     for z, raw in zip(zs, evaluate_grid(q, quantity, zs)[0]):
-        bracket = expansion(space, quantity, z, terms).ratio
-        resid = abs(raw / (lead * z ** exponent) - bracket) * z ** power
+        bracket = ex.at(z).ratio
+        resid = abs(raw / (ex.lead * z ** ex.exponent) - bracket) * z ** power
         everywhere = max(everywhere, resid)
         if z <= 1e3:
             first = max(first, resid)

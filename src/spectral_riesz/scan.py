@@ -18,7 +18,7 @@ from . import bounds
 from .riesz import SpectrumQuery, counting, evaluate_grid, riesz_mean
 from .spaces import (Family, Space, hemisphere_dirichlet, hemisphere_neumann,
                      sphere)
-from .weyl import expansion, lclass_volume
+from .weyl import BoundExpansion, lclass_volume
 
 
 class GridPolicy(Enum):
@@ -164,10 +164,8 @@ def _figure_f4(res, l_max):
     sp3 = sphere(3)
     q = SpectrumQuery(sp3)
     return [
-        _series("r1_vs_leading", q, "R1", zs,
-                lambda z: expansion(sp3, "R1", z, 1).value),
-        _series("r1_vs_two_term", q, "R1", zs,
-                lambda z: expansion(sp3, "R1", z, 2).value),
+        _series("r1_vs_leading", q, "R1", zs, BoundExpansion(sp3, "R1", 1)),
+        _series("r1_vs_two_term", q, "R1", zs, BoundExpansion(sp3, "R1", 2)),
     ]
 
 
@@ -186,7 +184,7 @@ def _figure_f6(res, l_max):
     zs = w_grid(3, l_max, res)
     sp3 = sphere(3)
     return [_series("n_vs_three_term", SpectrumQuery(sp3), "N", zs,
-                    lambda z: expansion(sp3, "N", z, 3).value)]
+                    BoundExpansion(sp3, "N", 3))]
 
 
 def _hemi3_series(space, zs, tag):
@@ -196,10 +194,10 @@ def _hemi3_series(space, zs, tag):
     lead = float(lclass_volume(space, 1))
     return [
         _series(f"n{tag}_vs_three_term", q, "N", zs,
-                lambda z: expansion(space, "N", z, 3).value),
+                BoundExpansion(space, "N", 3)),
         _series(f"r1{tag}_vs_weyl", q, "R1", zs, lambda z: lead * z ** 2.5),
         _series(f"r1{tag}_vs_three_term", q, "R1", zs,
-                lambda z: expansion(space, "R1", z, 3).value),
+                BoundExpansion(space, "R1", 3)),
     ]
 
 

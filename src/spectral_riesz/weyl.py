@@ -193,72 +193,122 @@ class ExpansionEval:
     remainder_scale: float
 
 
-def expansion_coefficients(space: Space, quantity: str, psi: float):
-    """(leading rational, c_half, c_one, max_terms, remainder_scale).
+def _theorem(space: Space, quantity: str):
+    """(gamma, max_terms, remainder_scale, coefficients) of the expansion
+    theorem for quantity on space.
 
-    The bracket is 1 + c_half z^(-1/2) + c_one z^(-1); psi enters the
-    oscillating coefficients.  The sphere R_1 expansion has no z^(-1/2)
-    term and only two retained terms.
+    The leading term is lclass_volume(space, gamma) z^(d/2 + gamma);
+    coefficients(psi) gives (c_half, c_one) of the bracket
+    1 + c_half z^(-1/2) + c_one z^(-1).  The sphere R_1 expansion has no
+    z^(-1/2) term and only two retained terms.
     """
     d = space.dim
     fam = space.family
     if quantity == "N":
-        lead = lclass_volume(space, 0)
         if fam is Family.SPHERE:
-            return (lead, -d * psi,
-                    d * (d - 1) * (12 * psi ** 2 + 2 * d - 1) / 24.0, 3, -1.5)
+            return 0, 3, -1.5, lambda psi: (
+                -d * psi, d * (d - 1) * (12 * psi ** 2 + 2 * d - 1) / 24.0)
         if fam is Family.HEMISPHERE_DIRICHLET:
-            return (lead, -d * (1 + 2 * psi) / 2.0,
-                    (d * (d - 1) / 2.0) * ((0.5 + psi) ** 2 + (d - 2) / 6.0),
-                    3, -1.5)
+            return 0, 3, -1.5, lambda psi: (
+                -d * (1 + 2 * psi) / 2.0,
+                (d * (d - 1) / 2.0) * ((0.5 + psi) ** 2 + (d - 2) / 6.0))
         if fam is Family.HEMISPHERE_NEUMANN:
-            return (lead, d * (1 - 2 * psi) / 2.0,
-                    (d * (d - 1) / 2.0) * ((0.5 - psi) ** 2 + (d - 2) / 6.0),
-                    3, -1.5)
+            return 0, 3, -1.5, lambda psi: (
+                d * (1 - 2 * psi) / 2.0,
+                (d * (d - 1) / 2.0) * ((0.5 - psi) ** 2 + (d - 2) / 6.0))
     elif quantity == "R1":
-        lead = lclass_volume(space, 1)
-        osc = 0.25 - psi ** 2
         if fam is Family.SPHERE:
-            return (lead, 0.0,
-                    (d * (d + 2) / 12.0) * (d - 2 + 6 * osc), 2, -1.25)
-        surf = d * (d + 2) / (2.0 * (d + 1))
-        third = (d * (d + 2) / 2.0) * (osc + (d - 2) / 6.0)
-        if fam is Family.HEMISPHERE_DIRICHLET:
-            return (lead, -surf, third, 3, -1.5)
-        if fam is Family.HEMISPHERE_NEUMANN:
-            return (lead, surf, third, 3, -1.5)
+            return 1, 2, -1.25, lambda psi: (
+                0.0, (d * (d + 2) / 12.0) * (d - 2 + 6 * (0.25 - psi ** 2)))
+        if fam in (Family.HEMISPHERE_DIRICHLET, Family.HEMISPHERE_NEUMANN):
+            surf = d * (d + 2) / (2.0 * (d + 1))
+            if fam is Family.HEMISPHERE_DIRICHLET:
+                surf = -surf
+            return 1, 3, -1.5, lambda psi: (
+                surf,
+                (d * (d + 2) / 2.0) * ((0.25 - psi ** 2) + (d - 2) / 6.0))
     raise ValueError(f"no expansion theorem for quantity {quantity!r} "
                      f"on {space.describe()}")
+
+
+def expansion_coefficients(space: Space, quantity: str, psi: float):
+    """(leading rational, c_half, c_one, max_terms, remainder_scale) of the
+    theorem (see _theorem), with the oscillating coefficients at psi."""
+    gamma, max_terms, rem, coefficients = _theorem(space, quantity)
+    return (lclass_volume(space, gamma), *coefficients(psi), max_terms, rem)
+
+
+def _expansion_z(z: Real) -> float:
+    """float(z), after one ValueError for NaN, +-inf, z <= 0 and z beyond
+    float range."""
+    try:
+        zf = float(z)
+    except OverflowError:
+        zf = math.inf
+    if not 0.0 < zf < math.inf:
+        raise ValueError(f"expansion requires a finite z > 0 in float range, "
+                         f"got z={z!r}")
+    return zf
+
+
+class BoundExpansion:
+    """The truncated expansion of one (space, quantity, terms), bound once.
+
+    The theorem, its leading constant, the exponent and the term count are
+    resolved here; a call at z runs only the level inversion, the snapped
+    fluctuation and the psi-dependent coefficients.  Called, it returns the
+    value (the approximation to the raw quantity); `at` gives the full
+    ExpansionEval.
+    """
+
+    __slots__ = ("dim", "terms", "max_terms", "coefficients", "lead",
+                 "exponent", "remainder")
+
+    def __init__(self, space: Space, quantity: str, terms: int):
+        gamma, max_terms, rem, coefficients = _theorem(space, quantity)
+        if not 1 <= terms <= max_terms:
+            raise ValueError(f"terms must be in 1..{max_terms} for "
+                             f"{quantity} on {space.describe()}")
+        self.dim = space.dim
+        self.terms = terms
+        self.max_terms = max_terms
+        self.coefficients = coefficients
+        self.lead = float(lclass_volume(space, gamma))
+        self.exponent = space.dim / 2.0 + gamma
+        # The relative power of the first omitted term.
+        self.remainder = ((-0.5, -1.0, rem) if max_terms == 3
+                          else (-1.0, rem))[terms - 1]
+
+    def _bracket(self, zf: float) -> float:
+        if self.terms == 1:
+            return 1.0
+        c_half, c_one = self.coefficients(
+            snapped_fluctuation(invert_w(self.dim, zf)))
+        if self.max_terms == 2:
+            # Sphere R_1 skips the absent z^(-1/2) order: term 2 is z^(-1).
+            return 1.0 + c_one * (1.0 / zf)
+        ratio = 1.0 + c_half * zf ** -0.5
+        return ratio if self.terms == 2 else ratio + c_one * (1.0 / zf)
+
+    def __call__(self, z: Real) -> float:
+        zf = _expansion_z(z)
+        return self.lead * zf ** self.exponent * self._bracket(zf)
+
+    def at(self, z: Real) -> ExpansionEval:
+        zf = _expansion_z(z)
+        ratio = self._bracket(zf)
+        return ExpansionEval(self.lead * zf ** self.exponent * ratio, ratio,
+                             self.terms, self.remainder)
 
 
 def expansion(space: Space, quantity: str, z: Real, terms: int) -> ExpansionEval:
     """Truncated semiclassical expansion times the leading Weyl term.
 
     quantity is 'N' or 'R1'; terms counts retained terms of the relevant
-    theorem (sphere R_1 has at most 2, the others at most 3).
+    theorem (sphere R_1 has at most 2, the others at most 3).  Callers
+    that evaluate many z bind a BoundExpansion once instead.
     """
-    if z <= 0:
-        raise ValueError("expansion requires z > 0")
-    zf = float(z)
-    w = invert_w(space.dim, zf)
-    psi = snapped_fluctuation(w)
-    lead, c_half, c_one, max_terms, rem = expansion_coefficients(
-        space, quantity, psi)
-    if not 1 <= terms <= max_terms:
-        raise ValueError(f"terms must be in 1..{max_terms} for {quantity} "
-                         f"on {space.describe()}")
-    ratio = 1.0
-    # Sphere R_1 skips the absent z^(-1/2) order: term 2 is the z^(-1) one.
-    powers = [c_half, c_one] if max_terms == 3 else [c_one]
-    scales = [zf ** -0.5, 1.0 / zf] if max_terms == 3 else [1.0 / zf]
-    retained = terms - 1
-    for coeff, scale in zip(powers[:retained], scales[:retained]):
-        ratio += coeff * scale
-    next_power = {3: (-0.5, -1.0, rem), 2: (-1.0, rem)}[max_terms]
-    remainder = next_power[terms - 1]
-    exponent = (space.dim / 2.0) if quantity == "N" else (space.dim / 2.0 + 1)
-    value = float(lead) * zf ** exponent * ratio
-    return ExpansionEval(value, ratio, terms, remainder)
+    return BoundExpansion(space, quantity, terms).at(z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,33 @@ def test_verify_binds_each_side_once(bound_id, params, monkeypatch):
         bounds.verify(bound_id, params, [i * 60 / (n - 1) for i in range(n)])
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def _half_power_sides():
+    from spectral_riesz.report import (_failure_entry_matrix,
+                                       _valid_entry_matrix)
+    for bound_id, params in _valid_entry_matrix() + _failure_entry_matrix():
+        spec = bounds.get(bound_id)
+        prm = spec.validate(dict(params))
+        for rule in spec.sides:
+            side = rule.bind(**prm)
+            if isinstance(side, bounds.HalfPower):
+                label = ",".join(f"{k}={getattr(v, 'describe', lambda: v)()}"
+                                 for k, v in sorted(params.items()))
+                yield pytest.param(side, id=f"{bound_id}[{label}]-{rule.side}")
+
+
+@pytest.mark.parametrize("side", list(_half_power_sides()))
+def test_half_power_float_branch_equals_the_exact_expression(side):
+    # float (+) Fraction is float (+) float(Fraction): the float branch
+    # must give the very float the exact expression gives.
+    rng = random.Random(2024)
+    zs = [0.0, 5e-324, 1e15] + [rng.random() * 10.0 ** rng.randint(-6, 9)
+                                for _ in range(1000)]
+    for z in zs:
+        want = side.c * bounds._pow_half(z + side.b, side.halves)
+        got = side(z)
+        assert type(got) is type(want) is float and got == want, z
 
 
 def test_average_bounds_hold_with_equality_at_gap_indices_d2():

@@ -1,0 +1,101 @@
+from fractions import Fraction
+
+import pytest
+
+from spectral_riesz.output import fmt_number, series_csv, series_svg
+from spectral_riesz.scan import FIGURES, Series, figure
+
+
+def _reference_fmt(x):
+    """Per-value formatting as the writers define it: a Fraction as num/den
+    (or an integer), a float with 17 significant digits, anything else by
+    str."""
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 \
+            else str(x.numerator)
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
+
+
+def _reference_csv(series_list):
+    lines = ["z,series_label,value"]
+    for s in series_list:
+        for z, v in s.points:
+            lines.append(f"{_reference_fmt(z)},{s.label},{_reference_fmt(v)}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_svg(series_list, width=900, height=540):
+    pts = [(z, v) for s in series_list for z, v in s.points]
+    if not pts:
+        return ('<svg xmlns="http://www.w3.org/2000/svg" '
+                f'viewBox="0 0 {width} {height}"></svg>')
+    zmin = min(z for z, _ in pts)
+    zmax = max(z for z, _ in pts)
+    vmin = min(v for _, v in pts)
+    vmax = max(v for _, v in pts)
+    zspan = (zmax - zmin) or 1.0
+    vspan = (vmax - vmin) or 1.0
+
+    def sx(z):
+        return (z - zmin) / zspan * width
+
+    def sy(v):
+        return height - (v - vmin) / vspan * height
+
+    palette = ("#1f77b4", "#d62728", "#9467bd", "#ff7f0e", "#2ca02c",
+               "#8c564b", "#e377c2", "#7f7f7f")
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" '
+             f'viewBox="0 0 {width} {height}">']
+    for i, s in enumerate(series_list):
+        coords = " ".join(f"{sx(z):.3f},{sy(v):.3f}" for z, v in s.points)
+        parts.append(f'<polyline fill="none" '
+                     f'stroke="{palette[i % len(palette)]}" '
+                     f'stroke-width="1" points="{coords}">'
+                     f'<title>{s.label}</title></polyline>')
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("fig_id", sorted(FIGURES))
+def test_figure_writers_match_the_per_value_reference(fig_id):
+    series = figure(fig_id, 6, 12)
+    assert series_csv(series) == _reference_csv(series)
+    assert series_svg(series) == _reference_svg(series)
+
+
+MIXED = [
+    Series("ints", ((1, 0.25), (2, 1e-300), (12, -3.5))),
+    Series("fractions", ((Fraction(1, 3), Fraction(5, 7)),
+                         (Fraction(3, 2), 2.5), (Fraction(4), 7))),
+    Series("floats", ((0.1, 1 / 3), (2.0, 2.0))),
+    Series("empty", ()),
+]
+CASES = {"all": MIXED, "ints": MIXED[:1], "fractions": MIXED[1:2],
+         "empty": MIXED[3:], "none": []}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_csv_falls_back_per_value_on_int_and_fraction_points(case):
+    assert series_csv(CASES[case]) == _reference_csv(CASES[case])
+
+
+# Only-Fraction extents make Fraction coordinates, which the '.3f' format
+# does not take before Python 3.12; the SVG cases keep a float extent.
+@pytest.mark.parametrize("case", ["all", "ints", "empty", "none"])
+def test_svg_matches_the_reference_on_int_and_fraction_points(case):
+    assert series_svg(CASES[case]) == _reference_svg(CASES[case])
+
+
+def test_mixed_rows_format_each_value_by_type():
+    rows = series_csv(MIXED[:2]).splitlines()
+    assert rows[1:] == ["1,ints,0.25", "2,ints,1e-300", "12,ints,-3.5",
+                        "1/3,fractions,5/7", "3/2,fractions,2.5",
+                        "4,fractions,7"]
+
+
+@pytest.mark.parametrize("x", [0.1, -0.0, 1e300, 5e-324, Fraction(7, 3),
+                               Fraction(-4), 12, True, "text"])
+def test_fmt_number_matches_the_reference(x):
+    assert fmt_number(x) == _reference_fmt(x)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from spectral_riesz import bounds, scan, weyl
 from spectral_riesz.scan import (DEFAULT_LEVEL_RANGE, Series,
                                  figure, gap_extrema, w_grid)
 from spectral_riesz.spaces import invert_w, sphere
@@ -165,6 +166,24 @@ def test_w_grid_is_strictly_increasing():
     g = w_grid(3, 10, 16)
     assert g == sorted(set(g))
     assert g[0] == 0.0 and g[-1] == 10 * 12
+
+
+@pytest.mark.parametrize("fig_id", ["f4", "f5", "f6", "f7", "f8", "f9",
+                                    "f10"])
+def test_figure_binds_each_reference_once(fig_id, monkeypatch):
+    # Expansions, bound sides and Weyl powers look their constant up once
+    # per series, however fine the grid.
+    calls = []
+    real = weyl.lclass_volume
+    for module in (weyl, scan, bounds):
+        monkeypatch.setattr(module, "lclass_volume",
+                            lambda *a: calls.append(a) or real(*a))
+    counts = []
+    for resolution in (2, 40):
+        calls.clear()
+        figure(fig_id, resolution, 12)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def _per_point_series(q, raw, ref, zs):

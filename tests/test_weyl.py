@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectral_riesz.spaces import (Family, Space, hemisphere_dirichlet,
-                                   hemisphere_neumann, sphere)
-from spectral_riesz.weyl import (expansion, expansion_coefficients,
+                                   hemisphere_neumann, invert_w, sphere)
+from spectral_riesz.weyl import (BoundExpansion, expansion,
+                                 expansion_coefficients,
                                  gamma_asymptotic_check, gamma_exact_half,
                                  gamma_real, lclass, lclass_boundary_volume,
                                  lclass_volume, pab, pab_inverse, pab_product,
@@ -121,6 +122,52 @@ def test_remainder_scale_below_last_retained_power():
         assert ev.remainder_scale < last_power[terms]
     ev = expansion(sphere(3), "R1", 100.0, 2)
     assert ev.remainder_scale == -1.25
+
+
+@pytest.mark.parametrize("z", [
+    math.nan, math.inf, -math.inf, 0, 0.0, -0.0, -1.0, -3, Fraction(-1, 2),
+    10 ** 400, -10 ** 400, Fraction(10 ** 400, 3), Fraction(1, 10 ** 400)],
+    ids=repr)
+def test_expansion_rejects_bad_z_with_one_value_error(z):
+    # NaN, +-inf, z <= 0 and ints/Fractions past float range (either way).
+    bound = BoundExpansion(sphere(3), "N", 3)
+    for evaluate in (lambda: expansion(sphere(3), "N", z, 3),
+                     lambda: bound(z), lambda: bound.at(z)):
+        with pytest.raises(ValueError, match="expansion requires .* got z="):
+            evaluate()
+
+
+def _per_point_expansion(space, quantity, z, terms):
+    """The expansion assembled point by point from expansion_coefficients,
+    in the order the bracket is defined: 1, then z^(-1/2), then z^(-1)."""
+    zf = float(z)
+    psi = snapped_fluctuation(invert_w(space.dim, zf))
+    lead, c_half, c_one, max_terms, _ = expansion_coefficients(
+        space, quantity, psi)
+    orders = [(c_half, zf ** -0.5), (c_one, 1.0 / zf)][3 - max_terms:]
+    ratio = 1.0
+    for coeff, scale in orders[:terms - 1]:
+        ratio += coeff * scale
+    gamma = 0 if quantity == "N" else 1
+    return float(lead) * zf ** (space.dim / 2.0 + gamma) * ratio, ratio
+
+
+@pytest.mark.parametrize("space,quantity,max_terms", [
+    (sphere(3), "N", 3), (sphere(2), "R1", 2), (sphere(3), "R1", 2),
+    (hemisphere_dirichlet(3), "N", 3), (hemisphere_neumann(3), "N", 3),
+    (hemisphere_dirichlet(4), "R1", 3), (hemisphere_neumann(3), "R1", 3)])
+def test_bound_expansion_equals_the_per_point_assembly(space, quantity,
+                                                       max_terms):
+    zs = [0.5, 3.75, 12, Fraction(47, 7), 100.0, 1e6] + [
+        w * (w + space.dim - 1) for w in (1 + k / 7 for k in range(60))]
+    for terms in range(1, max_terms + 1):
+        bound = BoundExpansion(space, quantity, terms)
+        for z in zs:
+            value, ratio = _per_point_expansion(space, quantity, z, terms)
+            ev = bound.at(z)
+            assert bound(z) == value, (terms, z)
+            assert (ev.value, ev.ratio, ev.order) == (value, ratio, terms)
+            assert expansion(space, quantity, z, terms) == ev
 
 
 @given(st.integers(2, 8),
