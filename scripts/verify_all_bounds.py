@@ -3,7 +3,8 @@
 
 A compact research loop: every catalog entry at representative parameters
 on the standard grid, minimum slack and witness columns, exit status 1 if
-anything behaves unexpectedly.
+anything behaves unexpectedly.  Each line ends with the seconds its
+verify call took; the total line sums the points and seconds over all pairs.
 
 Usage:
     python scripts/verify_all_bounds.py [--points 2000] [--levels 40]
@@ -12,6 +13,7 @@ Usage:
 import argparse
 import os
 import sys
+from time import perf_counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -28,9 +30,14 @@ def main():
     ok = True
     rows = _valid_entry_matrix() + _failure_entry_matrix()
     width = max(len(r[0]) for r in rows) + 2
+    total_points, total_s = 0, 0.0
     for bound_id, params in rows:
+        t0 = perf_counter()
         rep = bounds.verify(bound_id, params, points=args.points,
                             levels=args.levels)
+        secs = perf_counter() - t0
+        total_s += secs
+        total_points += sum(s.n_points for s in rep.sides)
         status = "ok" if rep.passed else "UNEXPECTED"
         ok &= rep.passed
         prm = rep.params or "-"
@@ -39,7 +46,9 @@ def main():
                         if s.first_witness), None)
         print(f"{rep.bound_id:<{width}} {prm:<32} {status:<10} "
               f"min slack {min_slack: .3e}"
-              + (f"  witness z={witness:g}" if witness is not None else ""))
+              + (f"  witness z={witness:g}" if witness is not None else "")
+              + f"  {secs:.3f} s")
+    print(f"total: {len(rows)} pairs, {total_points} points, {total_s:.3f} s")
     print("overall:", "ok" if ok else "UNEXPECTED RESULTS")
     return 0 if ok else 1
 

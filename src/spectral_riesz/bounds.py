@@ -10,9 +10,11 @@ arguments stay exact whenever the closed form is rational (square roots
 of perfect rational squares included), so recorded equality points test
 with slack exactly zero, and float arguments run in binary64 because
 Fraction-float arithmetic rounds the Fraction first.  Only the
-perfect-power helpers below and HalfPower look at the argument type:
-HalfPower sends a float z through float constants kept from construction,
-the same floats Fraction-float arithmetic would make.  Each entry
+perfect-power helpers below, HalfPower and two S^d sides look at the
+argument type: HalfPower and sd.r1.lower.shift send a float z through
+float constants kept from binding, the same floats Fraction-float
+arithmetic would make, and the sd.avg.twosided sides work on the integer
+ratio of k, exact when the root is.  Each entry
 declares its parameters once; BoundSpec.validate reads that schema.
 Each side is bound once per parameter set (SideRule.bind), and a side
 c (z + b)^q is a Power, which also gives Legendre its closed form.
@@ -411,11 +413,13 @@ def _build_catalog():
         t = _sqrt(z) - a
         return t * t / 2
 
-    def nd_two_lower(z):
+    def nd_two_lower(z):  # the upper side less a / (8 sqrt(z))
         a = (2 * _psi_of(2, z) + 1) / 2
         if a == 0:
             return z / 2
-        return nd_two_upper(z) - a / (8 * _sqrt(z))
+        s = _sqrt(z)
+        t = s - a
+        return t * t / 2 - a / (8 * s)
 
     _register(BoundSpec(
         "hemi2.nd.twosided", "two-sided fluctuation bound for N^D on S^2_+",
@@ -480,8 +484,15 @@ def _build_catalog():
     sd_query = lambda p: SpectrumQuery(sphere(p["d"]))
 
     def sd_lower_shift(d):
+        # A float z takes float(ld) and float(shift), as in HalfPower.
         ld, shift = _ld(d), Fraction(d * (d - 2) * (d + 2), 12)
-        return lambda z: ld * _pow_half(z, d) * (z + shift)
+        ldf, shiftf = float(ld), float(shift)
+
+        def side(z):
+            if type(z) is float:
+                return ldf * _pow_half(z, d) * (z + shiftf)
+            return ld * _pow_half(z, d) * (z + shift)
+        return side
 
     def sd_equality(p, n):
         if p["d"] == 2:
@@ -520,18 +531,33 @@ def _build_catalog():
         (Param("d", lo=3),), expected_valid=False))
 
     # --- averages on S^d ---------------------------------------------------
-    def avg_upper(d):
-        ratio, w0 = Fraction(d, d + 2), lclass_volume(sphere(d), 0)
-        return lambda k: ratio * _nth_root((Fraction(k) / w0) ** 2, d)
+    def avg_side(d, shift):
+        # d/(d+2) ((k / w0)^2)^(1/d) - shift in integers: with k = p/r and
+        # w0 = a/b, (k / w0)^2 = n/m in lowest terms.  One Fraction when n
+        # and m are perfect d-th powers; else float(n/m) ** (1/d), the
+        # float _nth_root takes, in the float arithmetic that Fraction *
+        # float and float - Fraction run.
+        a, b = lclass_volume(sphere(d), 0).as_integer_ratio()
+        sn, sq = shift.as_integer_ratio()
+        ratio, e, shiftf = d / (d + 2), 1.0 / d, float(shift)
 
-    def avg_lower(d):
-        upper, zd = avg_upper(d), _zd(d)
-        return lambda k: upper(k) - zd
+        def side(k):
+            p, r = k.as_integer_ratio()  # raises on NaN and inf
+            num, den = p * b, r * a
+            g = math.gcd(num, den)
+            n, m = (num // g) ** 2, (den // g) ** 2
+            rn, rm = _integer_nth_root(n, d), _integer_nth_root(m, d)
+            if rn ** d == n and rm ** d == m:
+                return Fraction(d * rn * sq - (d + 2) * rm * sn,
+                                (d + 2) * rm * sq)
+            return ratio * (n / m) ** e - shiftf
+        return side
 
     _register(BoundSpec(
         "sd.avg.twosided", "two-sided bounds for eigenvalue averages on S^d",
         "average", sd_query,
-        (SideRule("lower", avg_lower), SideRule("upper", avg_upper)),
+        (SideRule("lower", lambda d: avg_side(d, _zd(d))),
+         SideRule("upper", lambda d: avg_side(d, 0))),
         (Param("d", lo=2),), equality=lambda p, n: [1] if p["d"] == 2 else [],
         equality_side="lower"))
 
@@ -871,23 +897,32 @@ def standard_grid(bound_id: str, params: Optional[dict] = None,
 
 def _scan_side(side: str, bound: Callable, grid: Sequence, zs: List[float],
                targets: List[float], gaps: Optional[List[int]], tol: float):
-    rows, violations = [], []
-    min_slack, arg = math.inf, 0.0
+    """One side over the grid, column by column: bounds, slacks, then the
+    minimum (NaN skipped, the first of equal minima kept), the per-gap
+    minima and the violations, each in one pass."""
+    bnds = list(map(float, map(bound, grid)))
+    if side == "upper":
+        slacks = [b - t for b, t in zip(bnds, targets)]
+    else:
+        slacks = [t - b for t, b in zip(targets, bnds)]
+    rows = tuple(zip(zs, targets, bnds, slacks))
+    # min keeps its first item unless a later one is smaller: math.inf
+    # first, so NaN never becomes the minimum and ties keep the first.
+    min_slack = min([math.inf] + slacks)
+    arg = zs[slacks.index(min_slack)] if min_slack < math.inf else 0.0
     gap_min: Dict[int, float] = {}
-    for i, (x, zf, tgt) in enumerate(zip(grid, zs, targets)):
-        bnd = float(bound(x))
-        slack = (bnd - tgt) if side == "upper" else (tgt - bnd)
-        rows.append((zf, tgt, bnd, slack))
-        if slack < min_slack:
-            min_slack, arg = slack, zf
-        if gaps is not None:
-            gap_min[gaps[i]] = min(gap_min.get(gaps[i], math.inf), slack)
-        if slack < -tol * max(1.0, abs(bnd)):
-            violations.append(Violation(zf, tgt, bnd, slack, side))
+    if gaps is not None:
+        gap_min = dict.fromkeys(gaps, math.inf)
+        for g, s in zip(gaps, slacks):
+            if s < gap_min[g]:
+                gap_min[g] = s
+    # -tol * max(1, |b|) < 0 for 0 < tol < inf, so s < 0 decides most rows.
+    violations = [Violation(zf, tgt, b, s, side) for zf, tgt, b, s in rows
+                  if s < 0 and s < -tol * max(1.0, abs(b))]
     return SideReport(
         side, len(rows), min_slack, arg, len(violations),
         violations[0] if violations else None, tuple(violations[:20]),
-        tuple(sorted(gap_min.items())), tuple(rows))
+        tuple(sorted(gap_min.items())), rows)
 
 
 def verify(bound_id: str, params: Optional[dict] = None,
@@ -903,7 +938,10 @@ def verify(bound_id: str, params: Optional[dict] = None,
     level are resolved once and shared by every side, which is bound
     once for the grid and the equality points.  Targets, gap levels and
     equality-point targets each come from one prefix-table sweep
-    (riesz.evaluate_grid), so grids may be unsorted.
+    (riesz.evaluate_grid), so grids may be unsorted.  Each side is then
+    scanned in columns (_scan_side): its bound values and slacks as two
+    lists, then one pass each for the minimum, the per-gap minima and the
+    violations.
     """
     if not 0 < tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, got {tol!r}")

@@ -87,8 +87,10 @@ def series_svg(series_list: Sequence[Series], width: int = 900,
                 f'viewBox="0 0 {width} {height}"></svg>')
     vs = [v for s in series_list for _, v in s.points]
     zmin, zmax, vmin, vmax = min(zs), max(zs), min(vs), max(vs)
-    zspan = (zmax - zmin) or 1.0
-    vspan = (vmax - vmin) or 1.0
+    # Float spans make every coordinate a float: Fraction coordinates take
+    # no '.3f' before Python 3.12, and float(float) is the float itself.
+    zspan = float((zmax - zmin) or 1.0)
+    vspan = float((vmax - vmin) or 1.0)
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" '
              f'viewBox="0 0 {width} {height}">']
     for i, s in enumerate(series_list):

@@ -80,8 +80,10 @@ def _series(label: str, q: SpectrumQuery, quantity: str, zs: Sequence[float],
 
 
 def _bound(bound_id: str, side: str, prm: Optional[dict] = None):
-    """One bound side as a float function of z, resolved once."""
-    bound = bounds.bound_function(bound_id, prm, side)
+    """One bound side as a float function of z, resolved once.  Series z
+    are floats, which no side needs normalized, so the side is called
+    directly."""
+    _, bound = bounds._resolve_side(bound_id, prm, side)
     return lambda z: float(bound(z))
 
 

@@ -424,3 +424,176 @@ def test_float_path_matches_exact_path(bound_id, params, side):
         approx = bounds.bound_value(bound_id, params, float(z), side=side)
         assert float(approx) == pytest.approx(float(exact), rel=1e-12,
                                               abs=0), z
+
+
+# _scan_side works in columns; this is the per-point loop it replaced, kept
+# as the reference for every SideReport field.
+def _scan_side_per_point(side, bound, grid, zs, targets, gaps, tol):
+    rows, violations = [], []
+    min_slack, arg = math.inf, 0.0
+    gap_min = {}
+    for i, (x, zf, tgt) in enumerate(zip(grid, zs, targets)):
+        bnd = float(bound(x))
+        slack = (bnd - tgt) if side == "upper" else (tgt - bnd)
+        rows.append((zf, tgt, bnd, slack))
+        if slack < min_slack:
+            min_slack, arg = slack, zf
+        if gaps is not None:
+            gap_min[gaps[i]] = min(gap_min.get(gaps[i], math.inf), slack)
+        if slack < -tol * max(1.0, abs(bnd)):
+            violations.append(bounds.Violation(zf, tgt, bnd, slack, side))
+    return bounds.SideReport(
+        side, len(rows), min_slack, arg, len(violations),
+        violations[0] if violations else None, tuple(violations[:20]),
+        tuple(sorted(gap_min.items())), tuple(rows))
+
+
+def _same(a, b):
+    """Equal in type and value (NaN equal to NaN), recursively."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and _same(dataclasses.astuple(a),
+                                            dataclasses.astuple(b))
+    if isinstance(a, tuple):
+        return (type(b) is tuple and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    if type(a) is not type(b):
+        return False
+    return a == b or (a != a and b != b)
+
+
+def _assert_same_report(got, want):
+    for field in dataclasses.fields(bounds.SideReport):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert repr(g) == repr(w), field.name
+        assert _same(g, w), field.name
+
+
+_NAN = float("nan")
+SCAN_CASES = {
+    # x -> bound; targets are 1.0 except where the case says otherwise.
+    "nan-slack": ([0, 1, 2, 3], [_NAN, 0.5, _NAN, 0.25], None, [1.0] * 4),
+    "nan-first-and-only": ([0, 1], [_NAN, _NAN], [1, 1], [1.0, 1.0]),
+    "signed-zero-ties": ([0, 1, 2, 3, 4], [2.0, 0.0, -0.0, 0.0, -0.0],
+                         [1, 1, 2, 2, 1], [0.0, 0.0, 0.0, -0.0, 0.0]),
+    "negative-zero-first": ([0, 1, 2], [-0.0, 0.0, 1.0], [3, 3, 3],
+                            [0.0, 0.0, 0.0]),
+    "infinite": ([0, 1, 2], [math.inf, -math.inf, 1.0], [1, 2, 1],
+                 [1.0, 1.0, 1.0]),
+    "unsorted-repeated-gaps": (
+        [7, 2, 9, 2, 5, 0, 5, 3], [3.0, 1.5, -2.0, 1.5, 4.0, 0.5, 3.5, 1.0],
+        [4, 1, 4, 1, 2, 0, 2, 1], [2.0, 1.0, 1.0, 1.25, 3.0, 0.5, 3.5, 1.0]),
+}
+
+
+def _many_violations():
+    rng = random.Random(12)
+    grid = list(range(60))
+    rng.shuffle(grid)
+    values = [rng.uniform(-5, 5) for _ in grid]
+    gaps = [x // 7 for x in grid]
+    targets = [rng.uniform(-5, 5) for _ in grid]
+    return grid, values, gaps, targets
+
+
+SCAN_CASES["more-than-20-violations"] = _many_violations()
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize("with_gaps", [True, False])
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_scan_side_columns_match_the_per_point_loop(case, with_gaps, side):
+    grid, values, gaps, targets = SCAN_CASES[case]
+    bound = dict(zip(grid, values)).__getitem__
+    zs = [float(x) for x in grid]
+    gaps = gaps if with_gaps else None
+    for tol in (1e-9, 0.5):
+        got = bounds._scan_side(side, bound, grid, zs, targets, gaps, tol)
+        want = _scan_side_per_point(side, bound, grid, zs, targets, gaps,
+                                    tol)
+        _assert_same_report(got, want)
+    if case == "more-than-20-violations":
+        assert want.n_violations > 20 and len(want.violations) == 20
+
+
+def test_scan_side_columns_match_the_per_point_loop_on_the_catalog():
+    from spectral_riesz.report import (_failure_entry_matrix,
+                                       _valid_entry_matrix)
+    from spectral_riesz.riesz import evaluate_grid
+    for bound_id, params in _valid_entry_matrix() + _failure_entry_matrix():
+        spec = bounds.get(bound_id)
+        prm = spec.validate(dict(params))
+        grid = bounds.standard_grid(bound_id, prm, points=150, levels=12)
+        grid = grid[::2] + grid[1::2]  # unsorted: gap levels repeat apart
+        zs = [float(x) for x in grid]
+        targets, gaps = evaluate_grid(spec.query(prm), spec.quantity, grid)
+        targets = [float(t) for t in targets]
+        for rule in spec.sides:
+            side = rule.bind(**prm)
+            got = bounds._scan_side(rule.side, side, grid, zs, targets,
+                                    gaps, 1e-9)
+            want = _scan_side_per_point(rule.side, side, grid, zs, targets,
+                                        gaps, 1e-9)
+            _assert_same_report(got, want)
+
+
+def _average_sides_by_fraction(d):
+    """The sd.avg.twosided sides as Fraction expressions: the reference
+    for the integer form they evaluate in."""
+    ratio, w0 = Fraction(d, d + 2), bounds.lclass_volume(bounds.sphere(d), 0)
+    zd = bounds._zd(d)
+
+    def upper(k):
+        return ratio * bounds._nth_root((Fraction(k) / w0) ** 2, d)
+    return {"upper": upper, "lower": lambda k: upper(k) - zd}
+
+
+def _average_arguments(d):
+    rng = random.Random(d)
+    w0 = bounds.lclass_volume(bounds.sphere(d), 0)
+    powers = [w0 * i ** d for i in range(1, 13)]  # (k / w0)^2 = (i^2)^d
+    ks = list(range(1, 3001)) + [Fraction(k, 7) for k in range(1, 400)]
+    ks += powers + [int(k) for k in powers if k.denominator == 1]
+    ks += [float(k) for k in powers] + [i ** d for i in range(1, 40)]
+    ks += [rng.random() * 10.0 ** rng.randint(-3, 12) for _ in range(500)]
+    ks += [float(k) for k in range(1, 200)] + [0.5, 1e-300, 5e-324, 1e300]
+    ks += [10 ** 30, 10 ** 30 + 1, float(10 ** 30), Fraction(10 ** 30, 7)]
+    ks += [0, 0.0, -3, Fraction(-5, 7), -2.5]
+    return ks
+
+
+def _outcome(side, k):
+    """(type, value) of side(k), or the type of the exception it raises
+    (a float root of n/m past float range overflows)."""
+    try:
+        value = side(k)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_average_sides_match_the_fraction_expression(d):
+    reference = _average_sides_by_fraction(d)
+    for side in ("lower", "upper"):
+        _, got = bounds._resolve_side("sd.avg.twosided", {"d": d}, side)
+        want = reference[side]
+        for k in _average_arguments(d):
+            assert _outcome(got, k) == _outcome(want, k), (side, k)
+        for bad in (float("nan"), math.inf, -math.inf):
+            assert _outcome(want, bad) in (ValueError, OverflowError)
+            assert _outcome(got, bad) == _outcome(want, bad), bad
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_sd_lower_shift_float_branch_equals_the_exact_expression(d):
+    _, side = bounds._resolve_side("sd.r1.lower.shift", {"d": d}, None)
+    ld, shift = bounds._ld(d), Fraction(d * (d - 2) * (d + 2), 12)
+    rng = random.Random(2025 + d)
+    zs = [0.0, 5e-324, 1e15] + [rng.random() * 10.0 ** rng.randint(-6, 9)
+                                for _ in range(1000)]
+    for z in zs:
+        want = ld * bounds._pow_half(z, d) * (z + shift)
+        got = side(z)
+        assert type(got) is type(want) is float and got == want, z
+    for z in (Fraction(9, 4), Fraction(47, 7), Fraction(12)):
+        assert side(z) == ld * bounds._pow_half(z, d) * (z + shift)

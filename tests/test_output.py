@@ -35,8 +35,8 @@ def _reference_svg(series_list, width=900, height=540):
     zmax = max(z for z, _ in pts)
     vmin = min(v for _, v in pts)
     vmax = max(v for _, v in pts)
-    zspan = (zmax - zmin) or 1.0
-    vspan = (vmax - vmin) or 1.0
+    zspan = float((zmax - zmin) or 1.0)  # float coordinates on any data
+    vspan = float((vmax - vmin) or 1.0)
 
     def sx(z):
         return (z - zmin) / zspan * width
@@ -81,11 +81,28 @@ def test_csv_falls_back_per_value_on_int_and_fraction_points(case):
     assert series_csv(CASES[case]) == _reference_csv(CASES[case])
 
 
-# Only-Fraction extents make Fraction coordinates, which the '.3f' format
-# does not take before Python 3.12; the SVG cases keep a float extent.
-@pytest.mark.parametrize("case", ["all", "ints", "empty", "none"])
+ALL_FRACTIONS = [Series("exact", ((Fraction(1, 3), Fraction(5, 7)),
+                                   (Fraction(3, 2), Fraction(5, 2)),
+                                   (Fraction(4), Fraction(7))))]
+FRACTION_VALUES = [Series("float-z", ((0.5, Fraction(1, 3)),
+                                      (1.5, Fraction(2, 3)), (2.5, 1)))]
+SVG_CASES = {**CASES, "all-fractions": ALL_FRACTIONS,
+             "ints-and-fractions": MIXED[:2],
+             "fraction-values": FRACTION_VALUES}
+
+
+@pytest.mark.parametrize("case", sorted(SVG_CASES))
 def test_svg_matches_the_reference_on_int_and_fraction_points(case):
-    assert series_svg(CASES[case]) == _reference_svg(CASES[case])
+    assert series_svg(SVG_CASES[case]) == _reference_svg(SVG_CASES[case])
+
+
+# Fraction extents make Fraction coordinates, which the '.3f' format does
+# not take before Python 3.12.
+@pytest.mark.parametrize("series_list", [ALL_FRACTIONS, MIXED[1:2]],
+                         ids=["all-fractions", "mixed"])
+def test_svg_formats_fraction_extents(series_list):
+    points = series_svg(series_list).split('points="')[1].split('"')[0]
+    assert points == "0.000,540.000 286.364,386.591 900.000,0.000"
 
 
 def test_mixed_rows_format_each_value_by_type():
