@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the whole bound catalog over a parameter matrix and print a table.
 
-A compact research loop: every catalog entry at representative parameters
-on the standard grid, minimum slack and witness columns, exit status 1 if
-anything behaves unexpectedly.  Each line ends with the seconds its
-verify call took; the total line sums the points and seconds over all pairs.
+A compact research loop: every catalog entry at the representative
+parameters it declares (bounds.entry_matrix) on the standard grid, minimum
+slack and witness columns, exit status 1 if anything behaves unexpectedly.
+Each line ends with the seconds its verify call took; the total line sums
+the points and seconds over all pairs.
 
 Usage:
     python scripts/verify_all_bounds.py [--points 2000] [--levels 40]
@@ -18,7 +19,6 @@ from time import perf_counter
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from spectral_riesz import bounds
-from spectral_riesz.report import _failure_entry_matrix, _valid_entry_matrix
 
 
 def main():
@@ -28,7 +28,7 @@ def main():
     args = ap.parse_args()
 
     ok = True
-    rows = _valid_entry_matrix() + _failure_entry_matrix()
+    rows = bounds.entry_matrix()
     width = max(len(r[0]) for r in rows) + 2
     total_points, total_s = 0, 0.0
     for bound_id, params in rows:

@@ -15,7 +15,9 @@ argument type: HalfPower and sd.r1.lower.shift send a float z through
 float constants kept from binding, the same floats Fraction-float
 arithmetic would make, and the sd.avg.twosided sides work on the integer
 ratio of k, exact when the root is.  Each entry
-declares its parameters once; BoundSpec.validate reads that schema.
+declares its parameters once; BoundSpec.validate reads that schema.  It
+also declares its parameter matrix, the representative parameter sets
+that entry_matrix() gives the catalog sweep.
 Each side is bound once per parameter set (SideRule.bind), and a side
 c (z + b)^q is a Power, which also gives Legendre its closed form.
 """
@@ -23,15 +25,15 @@ c (z + b)^q is a Power, which also gives Legendre its closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .riesz import (SpectrumQuery, Variant, evaluate_grid,
                     max_level_index_pow, prefix_sums, riesz_mean)
-from .spaces import (DEFAULT_LEVEL_CAP, Real, Space, fluctuation,
+from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, fluctuation,
                      hemisphere_dirichlet, hemisphere_neumann, invert_w,
-                     sphere)
+                     require_finite_nonnegative, sphere)
 from .sumrules import natural_shift
 from .weyl import lclass, lclass_volume, volumes
 
@@ -237,6 +239,8 @@ class BoundSpec:
     equality_side: Optional[str] = None  # None: applies to every side
     witnesses: Optional[Callable[[dict, float], list]] = None
     rule: Optional[Callable[[dict], None]] = None  # cross-parameter check
+    # The representative parameter sets the catalog sweep verifies.
+    matrix: Tuple[dict, ...] = field(default=({},), compare=False)
 
     @property
     def param_names(self) -> Tuple[str, ...]:
@@ -281,6 +285,13 @@ def catalog() -> Dict[str, BoundSpec]:
     return dict(_CATALOG)
 
 
+def entry_matrix() -> List[Tuple[str, dict]]:
+    """(id, params) for every entry at each of its declared parameter sets,
+    in catalog order: the pairs the catalog sweep verifies."""
+    return [(bid, dict(prm)) for bid, spec in _CATALOG.items()
+            for prm in spec.matrix]
+
+
 def get(bound_id: str) -> BoundSpec:
     key = _ALIASES.get(bound_id, bound_id)
     if key not in _CATALOG:
@@ -298,6 +309,11 @@ def _zd(d: int) -> Fraction:  # the shift z_d
 
 def _ld(d: int, p: int = 1) -> Fraction:  # L^class_{1,d,p} |S^d|
     return lclass_volume(sphere(d), 1, p)
+
+
+def _each(name: str, values) -> Tuple[dict, ...]:
+    """A parameter matrix with one row per value of one parameter."""
+    return tuple({name: v} for v in values)
 
 
 def _upper_env_points(count: int):
@@ -502,11 +518,13 @@ def _build_catalog():
     _register(BoundSpec(
         "sd.r1.lower", "Weyl lower bound for R1 on S^d", "R1", sd_query,
         (SideRule("lower", lambda d: HalfPower(_ld(d), d / 2 + 1)),),
-        (Param("d", lo=2),), equality=sd_equality))
+        (Param("d", lo=2),), equality=sd_equality,
+        matrix=_each("d", range(2, 7))))
     _register(BoundSpec(
         "sd.r1.lower.shift", "refined lower bound with d(d-2)(d+2)/(12z)",
         "R1", sd_query, (SideRule("lower", sd_lower_shift),),
-        (Param("d", lo=2),), equality=sd_equality))
+        (Param("d", lo=2),), equality=sd_equality,
+        matrix=_each("d", range(2, 7))))
 
     def sd_upper_equality(p, n):
         d = p["d"]
@@ -520,7 +538,8 @@ def _build_catalog():
         "sd.r1.upper.shift", "shifted Weyl upper bound, shift z_d=d(2d-1)/12",
         "R1", sd_query,
         (SideRule("upper", lambda d: HalfPower(_ld(d), d / 2 + 1, _zd(d))),),
-        (Param("d", lo=2),), equality=sd_upper_equality))
+        (Param("d", lo=2),), equality=sd_upper_equality,
+        matrix=_each("d", range(2, 7))))
 
     _register(BoundSpec(
         "fail.sd.r1.lower.bdshift",
@@ -528,7 +547,8 @@ def _build_catalog():
         "R1", sd_query,
         (SideRule("lower", lambda d: Power(
             float(_ld(d)), d / 2 + 1, d * (d - 2) / 6)),),
-        (Param("d", lo=3),), expected_valid=False))
+        (Param("d", lo=3),), expected_valid=False,
+        matrix=_each("d", (3,))))
 
     # --- averages on S^d ---------------------------------------------------
     def avg_side(d, shift):
@@ -559,7 +579,7 @@ def _build_catalog():
         (SideRule("lower", lambda d: avg_side(d, _zd(d))),
          SideRule("upper", lambda d: avg_side(d, 0))),
         (Param("d", lo=2),), equality=lambda p, n: [1] if p["d"] == 2 else [],
-        equality_side="lower"))
+        equality_side="lower", matrix=_each("d", range(2, 6))))
 
     _register(BoundSpec(
         "fail.liyau.d≥6",
@@ -567,7 +587,8 @@ def _build_catalog():
         "average", lambda p: SpectrumQuery(hemisphere_dirichlet(p["d"])),
         (SideRule("lower", lambda d: Power(
             d / (d + 2) * math.factorial(d) ** (2 / d), 2 / d)),),
-        (Param("d", lo=6),), expected_valid=False), "fail.liyau.d>=6")
+        (Param("d", lo=6),), expected_valid=False, matrix=_each("d", (6,))),
+        "fail.liyau.d>=6")
 
     # --- domains of S^d ----------------------------------------------------
     sd_area = lambda p: float(volumes(p["d"]).sphere)
@@ -577,7 +598,7 @@ def _build_catalog():
         "R1", sd_query,
         (SideRule("upper", lambda d, area: Power(
             lclass(1, d).value * area, d / 2 + 1, float(_zd(d)))),),
-        (Param("d", lo=2), _area(sd_area))))
+        (Param("d", lo=2), _area(sd_area)), matrix=_each("d", (2, 3, 4))))
 
     def kroger_imp(d, area):
         c, h = lclass(1, d).value * area, d / 2
@@ -590,7 +611,7 @@ def _build_catalog():
     _register(BoundSpec(
         "dom.sd.kroger.imp", "improved Kroger bound for domains of S^d",
         "R1", sd_query, (SideRule("lower", kroger_imp),),
-        (Param("d", lo=2), _area(sd_area))))
+        (Param("d", lo=2), _area(sd_area)), matrix=_each("d", (2, 3, 4))))
 
     # --- S^1 ----------------------------------------------------------------
     s1_query = lambda p: SpectrumQuery(sphere(1))
@@ -631,7 +652,7 @@ def _build_catalog():
         "R1", hd_query,
         (SideRule("upper", lambda d: Power(float(lclass_volume(
             hemisphere_dirichlet(d), 1)), d / 2 + 1)),),
-        (Param("d", lo=3, hi=5),)))
+        (Param("d", lo=3, hi=5),), matrix=_each("d", (3, 4, 5))))
 
     def polya_hemi(d):
         h, fact = d / 2, math.factorial(d)
@@ -640,7 +661,8 @@ def _build_catalog():
     _register(BoundSpec(
         "fail.hemi.polya.d≥3", "Polya fails on S^d_+ for d >= 3",
         "N", hd_query, (SideRule("upper", polya_hemi),),
-        (Param("d", lo=3),), expected_valid=False), "fail.hemi.polya.d>=3")
+        (Param("d", lo=3),), expected_valid=False,
+        matrix=_each("d", (3, 4, 5))), "fail.hemi.polya.d>=3")
 
     # --- polyharmonic ------------------------------------------------------
     def sdp_query(p):
@@ -676,7 +698,9 @@ def _build_catalog():
         "R1", sdp_query,
         (SideRule("lower", r1p_side(False)),
          SideRule("upper", r1p_side(True))),
-        (Param("d", lo=2), Param("p", lo=1)), rule=r1p_p_range))
+        (Param("d", lo=2), Param("p", lo=1)), rule=r1p_p_range,
+        matrix=tuple({"d": d, "p": p} for d, p in (
+            (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)))))
 
     r1p_weyl = lambda d, p: Power(float(_ld(d, p)), 1 + d / (2 * p))
 
@@ -705,13 +729,13 @@ def _build_catalog():
         "sd.r12.lower", "Weyl lower bound for the biharmonic R1 on S^d, d>=3",
         "R1", lambda p: SpectrumQuery(sphere(p["d"]), power=2),
         (SideRule("lower", lambda d: Power(float(_ld(d, 2)), 1 + d / 4)),),
-        (Param("d", lo=3),)))
+        (Param("d", lo=3),), matrix=_each("d", (3, 4, 5))))
 
     _register(BoundSpec(
         "hemi2.poly.bly", "polyharmonic Berezin-Li-Yau on S^2_+",
         "R1", lambda p: SpectrumQuery(hemisphere_dirichlet(2), power=p["p"]),
         (SideRule("upper", lambda p: Power(p / (2 * (p + 1)), 1 + 1 / p)),),
-        (Param("p", lo=1),)))
+        (Param("p", lo=1),), matrix=_each("p", range(1, 5))))
 
     def poly23_upper(p, area):
         if p == 2:
@@ -725,7 +749,7 @@ def _build_catalog():
         "biharmonic/triharmonic Berezin-Li-Yau for domains of S^2_+",
         "R1", lambda p: SpectrumQuery(hemisphere_dirichlet(2), power=p["p"]),
         (SideRule("upper", poly23_upper),),
-        (Param("p", lo=2, hi=3), area2p)))
+        (Param("p", lo=2, hi=3), area2p), matrix=_each("p", (2, 3))))
 
     _register(BoundSpec(
         "dom.sd.neubih.lower",
@@ -733,7 +757,7 @@ def _build_catalog():
         "R1", lambda p: SpectrumQuery(sphere(p["d"]), power=2),
         (SideRule("lower", lambda d, area: Power(
             lclass(1, d, 2).value * area, 1 + d / 4)),),
-        (Param("d", lo=3), _area(sd_area))))
+        (Param("d", lo=3), _area(sd_area)), matrix=_each("d", (3, 4))))
 
     # --- R2 on rank-one spaces ---------------------------------------------
     _register(BoundSpec(
@@ -744,7 +768,10 @@ def _build_catalog():
          SideRule("upper", lambda space: HalfPower(
              lclass_volume(space, 2), space.dim / 2 + 2,
              natural_shift(space)))),
-        (Param("space", _closed_space, default=sphere(2)),)))
+        (Param("space", _closed_space, default=sphere(2)),),
+        matrix=_each("space", (sphere(2), sphere(3),
+                               Space(Family.REAL_PROJECTIVE, 3),
+                               Space(Family.COMPLEX_PROJECTIVE, 4)))))
 
 
 _build_catalog()
@@ -771,25 +798,27 @@ def _resolve_side(bound_id: str, params: Optional[dict],
     return spec, rules[side].bind(**prm)
 
 
-def bound_function(bound_id: str, params: Optional[dict] = None,
-                   side: Optional[str] = None) -> Callable[[Real], Real]:
-    """One side of a bound as a function of z (or k), resolved once:
-    parameters validated, side picked and bound before any evaluation."""
-    _, bound = _resolve_side(bound_id, params, side)
-    return lambda z: bound(_normalize_arg(z))
-
-
 def bound_value(bound_id: str, params: Optional[dict] = None, z: Real = None,
                 side: Optional[str] = None):
     """Evaluate the bound's closed form; exact rational when it is rational.
 
     `side` is required for two-sided entries; z is the spectral parameter
-    (or k for average entries).
+    (or k for average entries).  A NaN, infinite or negative z, a k that is
+    not a finite k >= 1, and a z too large for a side's float arithmetic
+    are each one ValueError.
     """
-    bound = bound_function(bound_id, params, side)
+    spec, bound = _resolve_side(bound_id, params, side)
     if z is None:
         raise ValueError("z (or k) is required")
-    return bound(z)
+    if spec.quantity != "average":
+        require_finite_nonnegative(z)
+    elif not 1 <= z < math.inf:  # NaN fails too
+        raise ValueError(f"k must be finite and >= 1, got {z!r}")
+    try:
+        return bound(_normalize_arg(z))
+    except OverflowError:
+        raise ValueError(f"z={z!r} is beyond float range for "
+                         f"{spec.id}") from None
 
 
 def equality_points(bound_id: str, params: Optional[dict] = None,

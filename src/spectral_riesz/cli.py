@@ -2,7 +2,10 @@
 
 Subcommands: levels, eval, verify, expansion, sumrule, figure, report.
 Space descriptors use the family:dim grammar (sphere:3, hemisphere-d:2,
-rp:3, cp:4, hp:8, cayley:16, circle).  Exit codes: 0 on success, 1 when a
+rp:3, cp:4, hp:8, cayley:16, circle).  Every input has one spelling: the
+space is the first positional of levels, eval, expansion and sumrule, and
+verify reads a leading token that names a space family or holds a colon
+as the space, before the bound ids.  Exit codes: 0 on success, 1 when a
 verification produced an unexpected result, 2 on usage errors.  All files
 are written atomically; numbers print with 17 significant digits.
 """
@@ -10,6 +13,7 @@ are written atomically; numbers print with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -32,45 +36,6 @@ class UsageError(Exception):
     pass
 
 
-def _shift_nonspace_positional(args, *targets: str):
-    """Move a greedy positional along when the space came via --space.
-
-    `targets` are the following positional attributes in order; the first
-    empty one receives the token (list-valued targets are prepended to).
-    """
-    token = getattr(args, "space", None)
-    # Colon-bearing tokens are space-descriptor attempts even when the
-    # family is unknown; only clearly non-space tokens move along.
-    if token is None or ":" in token or is_space_descriptor(token):
-        return
-    for name in targets:
-        current = getattr(args, name, None)
-        if isinstance(current, list):
-            setattr(args, name, [token] + current)
-            args.space = None
-            return
-        if current is None:
-            setattr(args, name, token)
-            args.space = None
-            return
-    raise UsageError(f"unexpected argument {token!r}")
-
-
-def _resolve_space(args, required: bool = True) -> Optional[Space]:
-    """Positional descriptor and --space flag are interchangeable."""
-    positional = getattr(args, "space", None)
-    flag = getattr(args, "space_flag", None)
-    if positional and flag and positional != flag:
-        raise UsageError("conflicting space given positionally and via --space")
-    descriptor = positional or flag
-    if descriptor is None:
-        if required:
-            raise UsageError("a space descriptor is required "
-                             "(positionally or via --space)")
-        return None
-    return parse_space(descriptor)  # a bad descriptor exits 2 via main
-
-
 def _emit_table(args, header, rows, json_row) -> int:
     """Rows as CSV, or as a JSON list of json_row(row), to --out or stdout."""
     text = (dumps_json([json_row(r) for r in rows]) + "\n"
@@ -87,7 +52,7 @@ def _emit_table(args, header, rows, json_row) -> int:
 
 
 def cmd_levels(args) -> int:
-    space = _resolve_space(args)
+    space = parse_space(args.space)
     if args.lmax > DEFAULT_LEVEL_CAP:
         raise level_cap_exceeded("l_max", args.lmax)
     if args.lmax < space.min_level:
@@ -122,10 +87,10 @@ def _closed_form(space: Space, power: int, quantity: str, z: float):
 
 
 def _grid_from_args(space: Space, args) -> List[float]:
-    if getattr(args, "z", None):
+    if args.z:
         try:
             return [float(Fraction(t)) for t in args.z.split(",")]
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise UsageError(f"bad z list {args.z!r}") from None
         except OverflowError:
             raise UsageError(f"z list {args.z!r} holds a value beyond "
@@ -133,8 +98,8 @@ def _grid_from_args(space: Space, args) -> List[float]:
     zmin, zmax, n = args.zmin, args.zmax, args.points
     if zmax is None:
         zmax = float(eigenvalue(space, space.min_level + 39))
-    if zmin < 0 or zmax <= zmin or n < 2:
-        raise UsageError("need 0 <= zmin < zmax and points >= 2")
+    if not 0 <= zmin < zmax < math.inf or n < 2:  # NaN fails too
+        raise UsageError("need 0 <= zmin < zmax < inf and points >= 2")
     policy = GridPolicy(args.grid)
     if policy is GridPolicy.UNIFORM_IN_Z:
         return [zmin + (zmax - zmin) * i / (n - 1) for i in range(n)]
@@ -156,16 +121,10 @@ def _grid_from_args(space: Space, args) -> List[float]:
 
 
 def cmd_eval(args) -> int:
-    _shift_nonspace_positional(args, "quantity")
-    space = _resolve_space(args)
-    if args.quantity is None and args.gamma is None:
-        raise UsageError("give a quantity (N, R1, R2) or --gamma {0,1,2}")
-    if args.quantity is not None:
-        quantity = args.quantity.upper()
-    else:
-        quantity = {0: "N", 1: "R1", 2: "R2"}.get(args.gamma)
+    space = parse_space(args.space)
+    quantity = args.quantity.upper()
     if quantity not in ("N", "R1", "R2"):
-        raise UsageError("quantity must be N, R1 or R2 (gamma 0, 1 or 2)")
+        raise UsageError("quantity must be N, R1 or R2")
     zs = _grid_from_args(space, args)
     brute, _ = evaluate_grid(SpectrumQuery(space, power=args.power),
                              quantity, zs)
@@ -206,9 +165,10 @@ def _selects(spec, params, space: Optional[Space]) -> bool:
 
 
 def cmd_verify(args) -> int:
-    _shift_nonspace_positional(args, "ids")
-    space = _resolve_space(args, required=False)
     ids = list(args.ids)
+    # A token with a colon is a space descriptor, even of an unknown family.
+    space = (parse_space(ids.pop(0))
+             if ":" in ids[0] or is_space_descriptor(ids[0]) else None)
     if not ids:
         raise UsageError("give bound ids or 'all'")
     selected = []
@@ -266,10 +226,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_expansion(args) -> int:
-    _shift_nonspace_positional(args, "quantity")
-    space = _resolve_space(args)
-    if args.quantity is None:
-        raise UsageError("a quantity (N or R1) is required")
+    space = parse_space(args.space)
     quantity = args.quantity.upper()
     zs = [z for z in _grid_from_args(space, args) if z > 0]
     ex = BoundExpansion(space, quantity, args.terms)
@@ -299,14 +256,9 @@ def _emit_series(series_list, args):
 
 
 def cmd_sumrule(args) -> int:
-    _shift_nonspace_positional(args, "kind")
-    space = _resolve_space(args)
+    space = parse_space(args.space)
     kind = args.kind
-    if kind is None:
-        raise UsageError("a sum-rule kind is required: pq, trace or r2")
     defaults = {"pq": 30, "trace": 1000, "r2": 40}
-    if kind not in defaults:
-        raise UsageError(f"unknown sumrule kind {kind!r}")
     lmax = defaults[kind] if args.lmax is None else args.lmax
     if kind != "trace" and lmax < 1:
         raise UsageError(f"l_max must be >= 1, got {lmax}")
@@ -386,19 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[g.value for g in GridPolicy])
 
     p = sub.add_parser("levels", help="tabulate (l, lambda, multiplicity)")
-    p.add_argument("space", nargs="?")
-    p.add_argument("--space", dest="space_flag")
+    p.add_argument("space")
     p.add_argument("--lmax", type=int, default=20)
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.add_argument("--out")
     p.set_defaults(func=cmd_levels)
 
     p = sub.add_parser("eval", help="evaluate N/R1/R2, brute force vs closed")
-    p.add_argument("space", nargs="?")
-    p.add_argument("quantity", nargs="?", help="N, R1 or R2")
-    p.add_argument("--space", dest="space_flag")
-    p.add_argument("--gamma", type=int, choices=(0, 1, 2),
-                   help="Riesz order (alternative to the quantity name)")
+    p.add_argument("space")
+    p.add_argument("quantity", help="N, R1 or R2")
     p.add_argument("--power", type=int, default=1)
     add_grid_flags(p)
     p.add_argument("--format", default="csv", choices=("csv", "json"))
@@ -406,9 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="verify catalog bounds on a grid")
-    p.add_argument("space", nargs="?", default=None)
-    p.add_argument("ids", nargs="*", default=[], help="bound ids, or 'all'")
-    p.add_argument("--space", dest="space_flag")
+    p.add_argument("ids", nargs="+",
+                   help="an optional space, then bound ids or 'all'")
     p.add_argument("--power", type=int, default=None)
     p.add_argument("--area", type=float, default=None)
     p.add_argument("--zmax", type=float, default=None)
@@ -418,9 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("expansion", help="truncated semiclassical expansion")
-    p.add_argument("space", nargs="?")
-    p.add_argument("quantity", nargs="?", help="N or R1")
-    p.add_argument("--space", dest="space_flag")
+    p.add_argument("space")
+    p.add_argument("quantity", help="N or R1")
     p.add_argument("--terms", type=int, default=3)
     add_grid_flags(p)
     p.add_argument("--format", default="csv", choices=("csv", "svg", "both"))
@@ -428,9 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expansion)
 
     p = sub.add_parser("sumrule", help="P/Q identity, trace series, R2 bounds")
-    p.add_argument("space", nargs="?")
-    p.add_argument("kind", nargs="?", help="pq, trace or r2")
-    p.add_argument("--space", dest="space_flag")
+    p.add_argument("space")
+    p.add_argument("kind", choices=("pq", "trace", "r2"))
     p.add_argument("--lmax", type=int, default=None)
     p.set_defaults(func=cmd_sumrule)
 

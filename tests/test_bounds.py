@@ -19,6 +19,8 @@ def test_bound_value_examples():
     assert bounds.bound_value("dom.s2p.bly", {"area": 2 * math.pi}, 4) \
         == pytest.approx(4.0, abs=0)
     assert bounds.bound_value("sd.avg.twosided", {"d": 2}, 1, side="lower") == 0
+    huge = Fraction(10 ** 400)  # past float range, exact all the same
+    assert bounds.bound_value("s2.r1.lower", {}, huge) == huge * huge / 2
 
 
 def test_bound_value_errors():
@@ -44,6 +46,17 @@ def test_bound_value_errors():
                              ("sd.r1p.twosided", {"d": 3, "p": 1})]:
         with pytest.raises(ValueError):
             bounds.bound_value(bound_id, params, 1, side="upper")
+
+
+def test_every_entry_declares_a_parameter_matrix():
+    pairs = bounds.entry_matrix()
+    assert {bound_id for bound_id, _ in pairs} == set(bounds.catalog())
+    for bound_id, params in pairs:
+        bounds.get(bound_id).validate(dict(params))
+    failures = [b for b, _ in pairs if b.startswith("fail.")]
+    assert (len(pairs) - len(failures), len(failures)) == (66, 7)
+    assert all(not bounds.get(b).expected_valid for b in failures)
+    hash(bounds.get("sd.r2.twosided"))  # the matrix leaves specs hashable
 
 
 def test_equality_points_examples():
@@ -211,9 +224,7 @@ def test_legendre_closed_form_of_the_s2_lower_side():
 
 
 def _power_sides():
-    from spectral_riesz.report import (_failure_entry_matrix,
-                                       _valid_entry_matrix)
-    for bound_id, params in _valid_entry_matrix() + _failure_entry_matrix():
+    for bound_id, params in bounds.entry_matrix():
         spec = bounds.get(bound_id)
         prm = spec.validate(dict(params))
         for rule in spec.sides:
@@ -228,7 +239,7 @@ def _power_sides():
 def test_power_form_matches_its_side_and_numeric_legendre(
         bound_id, params, side, monkeypatch):
     spec = bounds.get(bound_id)
-    power = bounds.bound_function(bound_id, params, side)
+    _, power = bounds._resolve_side(bound_id, params, side)
     form = next(r for r in spec.sides if r.side == side).bind(
         **spec.validate(dict(params)))
     c, q, b = float(form.c), form.q, float(form.b)
@@ -261,9 +272,7 @@ def test_verify_binds_each_side_once(bound_id, params, monkeypatch):
 
 
 def _half_power_sides():
-    from spectral_riesz.report import (_failure_entry_matrix,
-                                       _valid_entry_matrix)
-    for bound_id, params in _valid_entry_matrix() + _failure_entry_matrix():
+    for bound_id, params in bounds.entry_matrix():
         spec = bounds.get(bound_id)
         prm = spec.validate(dict(params))
         for rule in spec.sides:
@@ -402,9 +411,7 @@ def test_bly345_diagnostic_matches_independent_gap_maximum():
 # Every catalog side is one expression for both arithmetic paths; the
 # float path must track the exact one at rational arguments.
 def _every_side():
-    from spectral_riesz.report import (_failure_entry_matrix,
-                                       _valid_entry_matrix)
-    for bound_id, params in _valid_entry_matrix() + _failure_entry_matrix():
+    for bound_id, params in bounds.entry_matrix():
         for rule in bounds.get(bound_id).sides:
             label = ",".join(f"{k}={getattr(v, 'describe', lambda: v)()}"
                              for k, v in sorted(params.items()))
@@ -424,6 +431,26 @@ def test_float_path_matches_exact_path(bound_id, params, side):
         approx = bounds.bound_value(bound_id, params, float(z), side=side)
         assert float(approx) == pytest.approx(float(exact), rel=1e-12,
                                               abs=0), z
+
+
+@pytest.mark.parametrize("bound_id,params,side", list(_every_side()))
+def test_bound_value_rejects_bad_arguments_on_every_side(bound_id, params,
+                                                         side):
+    for bad in (math.nan, math.inf, -math.inf, -1, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            bounds.bound_value(bound_id, params, bad, side=side)
+    if bounds.get(bound_id).quantity == "average":
+        for bad in (0, Fraction(1, 2)):
+            with pytest.raises(ValueError):
+                bounds.bound_value(bound_id, params, bad, side=side)
+    # Past float range a side gives its exact value or one ValueError.
+    huge = Fraction(10 ** 400)
+    try:
+        value = bounds.bound_value(bound_id, params, huge, side=side)
+    except ValueError as exc:
+        assert "z=" in str(exc)
+    else:
+        assert isinstance(value, Fraction)
 
 
 # _scan_side works in columns; this is the per-point loop it replaced, kept
@@ -516,10 +543,8 @@ def test_scan_side_columns_match_the_per_point_loop(case, with_gaps, side):
 
 
 def test_scan_side_columns_match_the_per_point_loop_on_the_catalog():
-    from spectral_riesz.report import (_failure_entry_matrix,
-                                       _valid_entry_matrix)
     from spectral_riesz.riesz import evaluate_grid
-    for bound_id, params in _valid_entry_matrix() + _failure_entry_matrix():
+    for bound_id, params in bounds.entry_matrix():
         spec = bounds.get(bound_id)
         prm = spec.validate(dict(params))
         grid = bounds.standard_grid(bound_id, prm, points=150, levels=12)

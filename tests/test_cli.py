@@ -209,7 +209,7 @@ def test_eval_z_beyond_float_range_exits_two(capsys):
 @pytest.mark.parametrize("argv,message", [
     (["verify", "s2.r1.upper", "--zmax", "1e300"],
      "level cap 10000 exceeded at z=1e+300"),
-    (["verify", "--space", "sphere:2", "sd.avg.twosided", "--zmax", "1e9"],
+    (["verify", "sphere:2", "sd.avg.twosided", "--zmax", "1e9"],
      "level cap 10000 exceeded at k=1000000000"),
     (["verify", "s2.r1.upper", "--zmax", "inf"], "z must be finite"),
     (["eval", "sphere:2", "N", "--grid", "levels-plus-midpoints",
@@ -223,9 +223,8 @@ def test_zmax_past_level_cap_exits_two(argv, message):
 def test_verify_average_zmax_below_cap_samples_points():
     # N at the cap is about 3.3e11 on S^3: k up to 1e9 is admitted, on
     # --points + 1 evenly spread k instead of a list of 1e9 k.
-    code, out, err = run_guarded("verify", "--space", "sphere:3",
-                                 "sd.avg.twosided", "--zmax", "1e9",
-                                 "--points", "200")
+    code, out, err = run_guarded("verify", "sphere:3", "sd.avg.twosided",
+                                 "--zmax", "1e9", "--points", "200")
     assert code == 0 and err == "" and "[ok]" in out
 
 
@@ -284,24 +283,27 @@ def test_figure_deterministic_output(tmp_path, capsys):
         == open(os.path.join(p2, "f6.csv")).read()
 
 
-def test_space_flag_is_interchangeable_with_positional(capsys):
-    code, out, _ = run(capsys, "eval", "--space", "sphere:2", "R1", "--z", "2")
-    assert code == 0 and out.strip().splitlines()[1] == "2,2,2"
-    code, out, _ = run(capsys, "sumrule", "--space", "hp:8", "pq",
-                       "--lmax", "5")
-    assert code == 0 and "exact equality" in out
-    code, out, _ = run(capsys, "verify", "--space", "sphere:2", "s2.r1.upper")
-    assert code == 0 and "s2.r1.upper [ok]" in out
-    code, _, err = run(capsys, "verify", "--space", "sphere:2",
-                       "sphere:3", "s2.r1.upper")
-    assert code == 2 and "conflicting space" in err
+@pytest.mark.parametrize("argv", [
+    ["eval", "sphere:2"], ["sumrule", "sphere:2"], ["levels"]],
+    ids=["eval-no-quantity", "sumrule-no-kind", "levels-no-space"])
+def test_missing_positional_exits_two(argv):
+    code, out, err = run_guarded(*argv)
+    assert code == 2 and out == "" and "required" in err
 
 
-def test_gamma_flag_selects_quantity(capsys):
-    code, out, _ = run(capsys, "eval", "sphere:2", "--gamma", "0", "--z", "6")
-    assert code == 0 and out.strip().splitlines()[1] == "6,9,9"
-    code, _, err = run(capsys, "eval", "sphere:2")
-    assert code == 2 and "gamma" in err
+@pytest.mark.parametrize("argv,message", [
+    (["eval", "sphere:2", "R1", "--z", "1/0"], "bad z list '1/0'"),
+    (["expansion", "sphere:3", "N", "--zmax", "nan"], "0 <= zmin < zmax"),
+    (["expansion", "sphere:3", "N", "--zmin", "nan", "--zmax", "10"],
+     "0 <= zmin < zmax"),
+    (["eval", "sphere:2", "N", "--zmin", "nan", "--zmax", "10",
+      "--grid", "levels-plus-midpoints"], "0 <= zmin < zmax"),
+    (["eval", "sphere:2", "N", "--zmax", "inf"], "zmax < inf"),
+], ids=["zero-denominator", "expansion-zmax-nan", "expansion-zmin-nan",
+        "eval-levels-grid-zmin-nan", "eval-zmax-inf"])
+def test_bad_grid_bounds_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
 
 
 def test_verify_all_without_space(capsys):
