@@ -10,16 +10,16 @@ arguments stay exact whenever the closed form is rational (square roots
 of perfect rational squares included), so recorded equality points test
 with slack exactly zero, and float arguments run in binary64 because
 Fraction-float arithmetic rounds the Fraction first.  Only the
-perfect-power helpers below, HalfPower and two S^d sides look at the
-argument type: HalfPower and sd.r1.lower.shift send a float z through
+root helpers below, Power and two S^d sides look at the argument
+type: Power and sd.r1.lower.shift send a float z through
 float constants kept from binding, the same floats Fraction-float
 arithmetic would make, and the sd.avg.twosided sides work on the integer
 ratio of k, exact when the root is.  Each entry
 declares its parameters once; BoundSpec.validate reads that schema.  It
 also declares its parameter matrix, the representative parameter sets
 that entry_matrix() gives the catalog sweep.
-Each side is bound once per parameter set (SideRule.bind), and a side
-c (z + b)^q is a Power, which also gives Legendre its closed form.
+Each side is bound once per parameter set (SideRule.bind), and every side
+c (z + b)^q is one Power, which also gives Legendre its closed form.
 """
 
 from __future__ import annotations
@@ -35,37 +35,10 @@ from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, fluctuation,
                      hemisphere_dirichlet, hemisphere_neumann, invert_w,
                      require_finite_nonnegative, sphere)
 from .sumrules import natural_shift
-from .weyl import lclass, lclass_volume, volumes
+from .weyl import BoundExpansion, lclass, lclass_volume, volumes
 
 # ---------------------------------------------------------------------------
 # Exactness-preserving numeric helpers
-
-
-def _isqrt_if_square(n: int) -> Optional[int]:
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def _sqrt(x):
-    """Square root; Fraction in, Fraction out when x is a perfect square."""
-    if isinstance(x, float):
-        return math.sqrt(x)
-    xq = Fraction(x)
-    rn = _isqrt_if_square(xq.numerator)
-    rd = _isqrt_if_square(xq.denominator)
-    if rn is not None and rd is not None:
-        return Fraction(rn, rd)
-    return math.sqrt(xq)
-
-
-def _pow_half(x, halves: int):
-    """x^(halves/2), exact when possible."""
-    if halves % 2 == 0:
-        return x ** (halves // 2)
-    s = _sqrt(x)
-    if isinstance(s, float):
-        return float(x) ** (halves / 2.0)
-    return x ** (halves // 2) * s
 
 
 def _integer_nth_root(m: int, n: int) -> int:
@@ -80,23 +53,35 @@ def _integer_nth_root(m: int, n: int) -> int:
         r = nr
 
 
-def _nth_root(x, n: int):
-    """x^(1/n); Fraction in, Fraction out when x is a perfect n-th power."""
-    if isinstance(x, float):
-        return x ** (1.0 / n)
-    xq = Fraction(x)
-    rn = _integer_nth_root(xq.numerator, n)
-    rd = _integer_nth_root(xq.denominator, n)
-    if rn ** n == xq.numerator and rd ** n == xq.denominator:
-        return Fraction(rn, rd)
-    return float(xq) ** (1.0 / n)
+def _root(x, n: int = 2):
+    """x^(1/n); Fraction in, Fraction out when x is a perfect n-th power.
+    Otherwise one float root: math.sqrt for n = 2, x ** (1/n) else."""
+    if not isinstance(x, float):
+        xq = Fraction(x)
+        rn, rd = (math.isqrt(v) if n == 2 else _integer_nth_root(v, n)
+                  for v in (xq.numerator, xq.denominator))
+        if rn ** n == xq.numerator and rd ** n == xq.denominator:
+            return Fraction(rn, rd)
+        x = float(xq)
+    return math.sqrt(x) if n == 2 else x ** (1.0 / n)
+
+
+def _pow_half(x, halves: int):
+    """x^(halves/2), exact when possible."""
+    if halves % 2 == 0:
+        return x ** (halves // 2)
+    if not isinstance(x, float):
+        s = _root(x)
+        if not isinstance(s, float):
+            return x ** (halves // 2) * s
+    return float(x) ** (halves / 2.0)
 
 
 def _w_of(d: int, z):
     """w with w(w+d-1) = z; exact Fraction when the discriminant is square."""
     if not isinstance(z, float):
         disc = (d - 1) ** 2 + 4 * Fraction(z)
-        r = _sqrt(disc)
+        r = _root(disc)
         if not isinstance(r, float):
             return (r - (d - 1)) / 2
     return invert_w(d, float(z))
@@ -167,44 +152,40 @@ class SideRule:
 
 @dataclass(frozen=True)
 class Power:
-    """The side c (z + b)^q as data: called, it evaluates in binary64;
-    `legendre` is its closed-form transform.  Subclasses spell the same
-    value for the exact path."""
+    """The side c (z + b)^q as data; `legendre` is its closed-form transform.
+
+    A float z, or any z when c or b is a float or 2q is not an integer,
+    evaluates cf (float(z) + bf)^q in binary64 with cf = float(c) and
+    bf = float(b), kept from construction: Python evaluates float (+)
+    Fraction as float (+) float(Fraction), so a float z gets the value the
+    exact expression gives, without Fraction's dispatch.  Otherwise (2q =
+    `halves`) int and Fraction z stay exact whenever the value is.
+    """
 
     c: Any
     q: float
     b: Any = 0
 
+    def __post_init__(self):
+        halves = round(2 * self.q)
+        exact = halves == 2 * self.q and not any(
+            isinstance(v, float) for v in (self.c, self.b))
+        object.__setattr__(self, "cf", float(self.c))
+        object.__setattr__(self, "bf", float(self.b))
+        object.__setattr__(self, "halves", halves if exact else None)
+
     def __call__(self, z):
-        return self.c * (float(z) + self.b) ** self.q
+        if self.halves is None or type(z) is float:
+            return self.cf * (float(z) + self.bf) ** self.q
+        return self.c * _pow_half(z + self.b, self.halves)
 
     def legendre(self, k: int) -> float:
         """max over z >= 0 of (k z - c (z + b)^q) / k, for q > 1."""
-        c, q, b = float(self.c), self.q, float(self.b)
+        c, q, b = self.cf, self.q, self.bf
         zstar = (k / (c * q)) ** (1 / (q - 1)) - b
         if zstar <= 0:
             return -c * b ** q / k
         return (k * zstar - c * (zstar + b) ** q) / k
-
-
-@dataclass(frozen=True)
-class HalfPower(Power):
-    """2q an integer: exact on int and Fraction z when the value is.
-
-    A float z takes float(c) and float(b), kept from construction: Python
-    evaluates float (+) Fraction as float (+) float(Fraction), so the value
-    is the one the exact expression gives, without Fraction's dispatch.
-    """
-
-    def __post_init__(self):
-        object.__setattr__(self, "halves", round(2 * self.q))
-        object.__setattr__(self, "cf", float(self.c))
-        object.__setattr__(self, "bf", float(self.b))
-
-    def __call__(self, z):
-        if type(z) is float:
-            return self.cf * _pow_half(z + self.bf, self.halves)
-        return self.c * _pow_half(z + self.b, self.halves)
 
 
 class _HalfSquare(Power):
@@ -219,6 +200,7 @@ class _HalfSquareShifted(Power):
     """(z + b)^2 / 2 with 2b an integer m, spelled (2z + m)^2 / 8."""
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "m", int(2 * self.b))
 
     def __call__(self, z):
@@ -329,7 +311,7 @@ def optimal_shift(d: int, l: int) -> float:
     if d < 2 or l < 1:
         raise ValueError("need d >= 2, l >= 1")
     x = (d + 2 * l) * math.prod(range(l + 1, l + d))
-    val = _nth_root(Fraction(x * x, 4), d)
+    val = _root(Fraction(x * x, 4), d)
     return float(Fraction(d, d + 2) * (val - l * (l + d)))
 
 
@@ -359,9 +341,9 @@ def bly345_gap_diagnostics(d: int, level: int) -> Bly345Diagnostics:
     x = (-c + math.sqrt(c * c + 4 * float(z_star - L * (L + d - 1)))) / 2
     f_crit = math.prod(range(L, L + d)) / float(z_star) ** (d / 2)
     lam = L * (L + d - 1)
-    q = SpectrumQuery(hemisphere_dirichlet(d))
-    c1 = float(lclass_volume(hemisphere_dirichlet(d), 1))
-    f0 = float(riesz_mean(q, 1, lam)) / (c1 * lam ** (1 + d / 2))
+    space = hemisphere_dirichlet(d)
+    weyl = BoundExpansion(space, "R1", 1)
+    f0 = float(riesz_mean(SpectrumQuery(space), 1, lam)) / weyl(lam)
     return Bly345Diagnostics(d, L, x, float(z_star), f_crit, f0)
 
 
@@ -387,7 +369,7 @@ def _build_catalog():
         base = s2_lower(z)
         if osc == 0:
             return base
-        return base + 2 * osc * (z - _sqrt(z) / 2)
+        return base + 2 * osc * (z - _root(z) / 2)
 
     def s2_upper_imp(z):
         osc = _osc(z)
@@ -395,7 +377,7 @@ def _build_catalog():
         if osc == 0:
             return base
         # 2 osc (z + sqrt(z)/2 + 1/2)
-        return base + osc * (2 * z + _sqrt(z) + 1)
+        return base + osc * (2 * z + _root(z) + 1)
 
     lam_points = lambda p, n: [l * (l + 1) for l in range(n)]
     _register(BoundSpec(
@@ -426,14 +408,14 @@ def _build_catalog():
         a = (2 * _psi_of(2, z) + 1) / 2  # psi + 1/2
         if a == 0:  # at every level value, z = 0 included
             return z / 2
-        t = _sqrt(z) - a
+        t = _root(z) - a
         return t * t / 2
 
     def nd_two_lower(z):  # the upper side less a / (8 sqrt(z))
         a = (2 * _psi_of(2, z) + 1) / 2
         if a == 0:
             return z / 2
-        s = _sqrt(z)
+        s = _root(z)
         t = s - a
         return t * t / 2 - a / (8 * s)
 
@@ -445,7 +427,7 @@ def _build_catalog():
         equality=lam_points))
 
     def r1d_core(z):
-        return z * z / 4 - z * _sqrt(4 * z + 1) / 6  # z sqrt(z + 1/4) / 3
+        return z * z / 4 - z * _root(4 * z + 1) / 6  # z sqrt(z + 1/4) / 3
 
     _register(BoundSpec(
         "hemi2.r1d.lower", "R1^D on S^2_+ >= z^2/4 - z sqrt(z+1/4)/3",
@@ -457,7 +439,7 @@ def _build_catalog():
         (SideRule("upper", lambda: lambda z: r1d_core(z) + z / 4),)))
 
     def r1n_core(z):
-        return z * z / 4 + z * _sqrt(4 * z + 1) / 6
+        return z * z / 4 + z * _root(4 * z + 1) / 6
 
     _register(BoundSpec(
         "hemi2.r1n.lower", "R1^N on S^2_+ >= z^2/4 + z sqrt(z+1/4)/3",
@@ -499,15 +481,17 @@ def _build_catalog():
     # --- S^d, closed -------------------------------------------------------
     sd_query = lambda p: SpectrumQuery(sphere(p["d"]))
 
-    def sd_lower_shift(d):
-        # A float z takes float(ld) and float(shift), as in HalfPower.
-        ld, shift = _ld(d), Fraction(d * (d - 2) * (d + 2), 12)
-        ldf, shiftf = float(ld), float(shift)
+    def shifted_lower(c, d):
+        # c z^(d/2) (z + d(d-2)(d+2)/12).  A float z, or any z when c is a
+        # float, takes float(c) and float(shift), as in Power.
+        shift = Fraction(d * (d - 2) * (d + 2), 12)
+        cf, shiftf, exact = float(c), float(shift), not isinstance(c, float)
 
         def side(z):
-            if type(z) is float:
-                return ldf * _pow_half(z, d) * (z + shiftf)
-            return ld * _pow_half(z, d) * (z + shift)
+            if type(z) is float or not exact:
+                zf = float(z)
+                return cf * _pow_half(zf, d) * (zf + shiftf)
+            return c * _pow_half(z, d) * (z + shift)
         return side
 
     def sd_equality(p, n):
@@ -517,12 +501,13 @@ def _build_catalog():
 
     _register(BoundSpec(
         "sd.r1.lower", "Weyl lower bound for R1 on S^d", "R1", sd_query,
-        (SideRule("lower", lambda d: HalfPower(_ld(d), d / 2 + 1)),),
+        (SideRule("lower", lambda d: Power(_ld(d), d / 2 + 1)),),
         (Param("d", lo=2),), equality=sd_equality,
         matrix=_each("d", range(2, 7))))
     _register(BoundSpec(
         "sd.r1.lower.shift", "refined lower bound with d(d-2)(d+2)/(12z)",
-        "R1", sd_query, (SideRule("lower", sd_lower_shift),),
+        "R1", sd_query,
+        (SideRule("lower", lambda d: shifted_lower(_ld(d), d)),),
         (Param("d", lo=2),), equality=sd_equality,
         matrix=_each("d", range(2, 7))))
 
@@ -537,7 +522,7 @@ def _build_catalog():
     _register(BoundSpec(
         "sd.r1.upper.shift", "shifted Weyl upper bound, shift z_d=d(2d-1)/12",
         "R1", sd_query,
-        (SideRule("upper", lambda d: HalfPower(_ld(d), d / 2 + 1, _zd(d))),),
+        (SideRule("upper", lambda d: Power(_ld(d), d / 2 + 1, _zd(d))),),
         (Param("d", lo=2),), equality=sd_upper_equality,
         matrix=_each("d", range(2, 7))))
 
@@ -555,7 +540,7 @@ def _build_catalog():
         # d/(d+2) ((k / w0)^2)^(1/d) - shift in integers: with k = p/r and
         # w0 = a/b, (k / w0)^2 = n/m in lowest terms.  One Fraction when n
         # and m are perfect d-th powers; else float(n/m) ** (1/d), the
-        # float _nth_root takes, in the float arithmetic that Fraction *
+        # float _root takes, in the float arithmetic that Fraction *
         # float and float - Fraction run.
         a, b = lclass_volume(sphere(d), 0).as_integer_ratio()
         sn, sq = shift.as_integer_ratio()
@@ -600,23 +585,16 @@ def _build_catalog():
             lclass(1, d).value * area, d / 2 + 1, float(_zd(d)))),),
         (Param("d", lo=2), _area(sd_area)), matrix=_each("d", (2, 3, 4))))
 
-    def kroger_imp(d, area):
-        c, h = lclass(1, d).value * area, d / 2
-        shift = d * (d - 2) * (d + 2) / 12
-        def side(z):
-            zf = float(z)
-            return c * zf ** h * (zf + shift)
-        return side
-
     _register(BoundSpec(
         "dom.sd.kroger.imp", "improved Kroger bound for domains of S^d",
-        "R1", sd_query, (SideRule("lower", kroger_imp),),
+        "R1", sd_query, (SideRule("lower", lambda d, area: shifted_lower(
+            lclass(1, d).value * area, d)),),
         (Param("d", lo=2), _area(sd_area)), matrix=_each("d", (2, 3, 4))))
 
     # --- S^1 ----------------------------------------------------------------
     s1_query = lambda p: SpectrumQuery(sphere(1))
-    s1_upper = HalfPower(Fraction(4, 3), 1.5, Fraction(1, 12))
-    s1_weyl = HalfPower(Fraction(4, 3), 1.5)
+    s1_upper = Power(Fraction(4, 3), 1.5, Fraction(1, 12))
+    s1_weyl = Power(Fraction(4, 3), 1.5)
 
     _register(BoundSpec(
         "s1.r1.upper.shift", "R1 on the circle <= 4/3 (z+1/12)^(3/2)",
@@ -737,12 +715,10 @@ def _build_catalog():
         (SideRule("upper", lambda p: Power(p / (2 * (p + 1)), 1 + 1 / p)),),
         (Param("p", lo=1),), matrix=_each("p", range(1, 5))))
 
-    def poly23_upper(p, area):
-        if p == 2:
-            six_pi = 6 * math.pi
-            return lambda z: area * float(z) ** 1.5 / six_pi
-        c, sixteen_pi = 3 * area, 16 * math.pi
-        return lambda z: c * float(z) ** (4 / 3) / sixteen_pi
+    def poly23_upper(p, area):  # area z^1.5 / 6 pi, 3 area z^(4/3) / 16 pi
+        c, e, den = ((area, 1.5, 6 * math.pi) if p == 2
+                     else (3 * area, 4 / 3, 16 * math.pi))
+        return lambda z: c * float(z) ** e / den
 
     _register(BoundSpec(
         "dom.s2p.poly23",
@@ -763,9 +739,9 @@ def _build_catalog():
     _register(BoundSpec(
         "sd.r2.twosided", "two-sided Weyl bounds for R2 on rank-one spaces",
         "R2", lambda p: SpectrumQuery(p["space"]),
-        (SideRule("lower", lambda space: HalfPower(
+        (SideRule("lower", lambda space: Power(
             lclass_volume(space, 2), space.dim / 2 + 2)),
-         SideRule("upper", lambda space: HalfPower(
+         SideRule("upper", lambda space: Power(
              lclass_volume(space, 2), space.dim / 2 + 2,
              natural_shift(space)))),
         (Param("space", _closed_space, default=sphere(2)),),
@@ -896,14 +872,18 @@ def standard_grid(bound_id: str, params: Optional[dict] = None,
     40th level value), all level endpoints, recorded equality points and
     documented witness points.  average entries: k = 1..int(zmax)
     (default min(points, 500)), at most points + 1 of them, evenly spread.
+    A zmax that is NaN, infinite or not positive is a ValueError.
     """
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
+    if zmax is not None and not 0 < zmax < math.inf:  # NaN fails too
+        raise ValueError(f"bad zmax={zmax!r}: z must be finite and > 0")
     spec = get(bound_id)
     prm = spec.validate(dict(params or {}))
     q = spec.query(prm)
     if spec.quantity == "average":  # prefix_sums raises past the cap
-        kmax = prefix_sums(q, int(zmax) if zmax else min(points, 500)).k
+        kmax = prefix_sums(q, min(points, 500) if zmax is None
+                           else int(zmax)).k
         return sorted({1 + i * (kmax - 1) // points
                        for i in range(points + 1)})
     if zmax is None:
@@ -1027,8 +1007,8 @@ def legendre_average_bound(bound_id: str, params: Optional[dict] = None,
     spec, bound = _resolve_side(bound_id, params, side)
     if spec.quantity != "R1":
         raise ValueError(f"{spec.id} does not bound R1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k < math.inf:  # NaN fails too
+        raise ValueError(f"k must be finite and >= 1, got {k!r}")
     if isinstance(bound, Power):
         return bound.legendre(k)
 
@@ -1071,10 +1051,3 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
             f1 = f(c1)
     z = (a + b) / 2
     return z, f(z)
-
-
-def cor_new_average_lower(d: int, k: int) -> float:
-    """Closed form of the lower average bound on S^d (Legendre of the
-    shifted upper bound): d/(d+2) (k / (L_0 |S^d|))^(2/d) - z_d."""
-    w0 = lclass_volume(sphere(d), 0)
-    return d / (d + 2) * float(Fraction(k) / w0) ** (2 / d) - float(_zd(d))

@@ -20,13 +20,11 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import bounds, report, scan, sumrules
-from .riesz import (SpectrumQuery, counting_closed_hemisphere_dirichlet,
-                    counting_closed_hemisphere_neumann, counting_closed_sphere,
-                    evaluate_grid, riesz1_closed_sphere)
+from .riesz import SpectrumQuery, closed_form, evaluate_grid
 from .output import (dumps_json, fmt_number, table_csv, atomic_write,
                      write_json, write_series_csv, write_series_svg)
 from .scan import GridPolicy, Series
-from .spaces import DEFAULT_LEVEL_CAP, Family, Space, eigenvalue, \
+from .spaces import DEFAULT_LEVEL_CAP, Space, eigenvalue, \
     is_space_descriptor, level_cap_exceeded, max_level_index, multiplicity, \
     parse_space
 from .weyl import BoundExpansion
@@ -66,24 +64,6 @@ def cmd_levels(args) -> int:
 
 # ---------------------------------------------------------------------------
 # eval
-
-
-def _closed_form(space: Space, power: int, quantity: str, z: float):
-    """The closed-form value at z, or "" where the family has none."""
-    if power != 1:
-        return ""
-    fam = space.family
-    if quantity == "N":
-        L = max_level_index(space, z)
-        if fam is Family.SPHERE:
-            return counting_closed_sphere(space.dim, L)
-        if fam is Family.HEMISPHERE_DIRICHLET:
-            return counting_closed_hemisphere_dirichlet(space.dim, L)
-        if fam is Family.HEMISPHERE_NEUMANN:
-            return counting_closed_hemisphere_neumann(space.dim, L)
-    if quantity == "R1" and fam is Family.SPHERE:
-        return riesz1_closed_sphere(space.dim, z)
-    return ""
 
 
 def _grid_from_args(space: Space, args) -> List[float]:
@@ -128,8 +108,10 @@ def cmd_eval(args) -> int:
     zs = _grid_from_args(space, args)
     brute, _ = evaluate_grid(SpectrumQuery(space, power=args.power),
                              quantity, zs)
-    rows = [(z, value, _closed_form(space, args.power, quantity, z))
-            for z, value in zip(zs, brute)]
+    closed = [closed_form(space, quantity, z) if args.power == 1 else None
+              for z in zs]
+    rows = [(z, value, "" if c is None else c)
+            for z, value, c in zip(zs, brute, closed)]
     return _emit_table(args, ("z", "brute_force", "closed_form"), rows,
                        lambda r: {"z": r[0], "brute_force": fmt_number(r[1]),
                                   "closed_form": fmt_number(r[2])
@@ -171,6 +153,9 @@ def cmd_verify(args) -> int:
              if ":" in ids[0] or is_space_descriptor(ids[0]) else None)
     if not ids:
         raise UsageError("give bound ids or 'all'")
+    flags = [(flag, name, value) for flag, name, value in (
+        ("--power", "p", args.power), ("--area", "area", args.area))
+        if value is not None]
     selected = []
     if ids == ["all"]:
         for bid in sorted(bounds.catalog()):
@@ -180,13 +165,18 @@ def cmd_verify(args) -> int:
                 selected.append((bid, prm))
         if not selected:
             raise UsageError("no catalog entries match the given space")
+        # An entry rejecting the flag is dropped; all of them dropping it
+        # means the flag itself is wrong.
+        for flag, name, value in flags:
+            if not any(name in prm for _, prm in selected):
+                where = f" of {space.describe()}" if space else ""
+                raise UsageError(f"no catalog entry{where} accepts "
+                                 f"{flag} {value}")
     else:
         for bid in ids:
             spec = bounds.get(bid)  # an unknown id exits 2 via main
-            unused = [flag for flag, name, value in (
-                          ("--power", "p", args.power),
-                          ("--area", "area", args.area))
-                      if value is not None and name not in spec.param_names]
+            unused = [flag for flag, name, _ in flags
+                      if name not in spec.param_names]
             if unused:
                 raise UsageError(f"{bid} takes no {' or '.join(unused)}")
             prm = _entry_params(spec, space, args)

@@ -17,14 +17,12 @@ from fractions import Fraction
 from typing import Callable, List
 
 from . import bounds, scan, sumrules
-from .riesz import (SpectrumQuery, counting,
-                    counting_closed_hemisphere_dirichlet,
-                    counting_closed_hemisphere_neumann, eigenvalue_average,
+from .riesz import (SpectrumQuery, closed_form, counting, eigenvalue_average,
                     evaluate_grid, lemma_sum, poly_transform_check,
-                    riesz1_closed_sphere, riesz_mean)
+                    riesz_mean)
 from .spaces import (Family, Space, hemisphere_dirichlet,
-                     hemisphere_neumann, invert_w, max_level_index, sphere)
-from .weyl import BoundExpansion, lclass_volume
+                     hemisphere_neumann, invert_w, sphere)
+from .weyl import BoundExpansion
 
 _SEED = 20250809
 
@@ -109,9 +107,9 @@ def criterion_1() -> str:
         for _ in range(500):
             z = _random_rational_z(rng, zmax)
             exact = riesz_mean(qs, 1, z)
-            closed = riesz1_closed_sphere(d, z)
+            closed = closed_form(qs.space, "R1", z)
             assert closed == exact, f"sphere closed form mismatch d={d} z={z}"
-            approx = riesz1_closed_sphere(d, float(z))
+            approx = closed_form(qs.space, "R1", float(z))
             if exact:
                 worst_rel = max(worst_rel, abs(approx / float(exact) - 1.0))
             n_checks += 1
@@ -121,10 +119,8 @@ def criterion_1() -> str:
         qn = SpectrumQuery(hemisphere_neumann(d))
         for _ in range(500):
             z = _random_rational_z(rng, zmax)
-            ld = max_level_index(hemisphere_dirichlet(d), z)
-            ln = max_level_index(hemisphere_neumann(d), z)
-            assert counting(qd, z) == counting_closed_hemisphere_dirichlet(d, ld)
-            assert counting(qn, z) == counting_closed_hemisphere_neumann(d, ln)
+            assert counting(qd, z) == closed_form(qd.space, "N", z)
+            assert counting(qn, z) == closed_form(qn.space, "N", z)
             n_checks += 2
     assert worst_rel <= 1e-12, f"float path off by {worst_rel:.2e}"
     return f"{n_checks} closed-form checks exact; float path <= {worst_rel:.1e}"
@@ -199,9 +195,10 @@ def criterion_3() -> str:
 def criterion_4() -> str:
     msgs = []
     for d in range(2, 7):
-        c = float(lclass_volume(sphere(d), 1))
-        zd = d * (2 * d - 1) / 12.0
-        ex10, ex50 = scan.gap_extrema(sphere(d), [10, 50], (c, d / 2 + 1, zd))
+        _, upper = bounds._resolve_side("sd.r1.upper.shift", {"d": d}, None)
+        zd = upper.bf  # the shift z_d = d(2d-1)/12
+        ex10, ex50 = scan.gap_extrema(sphere(d), [10, 50],
+                                      (upper.cf, upper.q, zd))
         defect10 = 1.0 - ex10.ratio_star
         defect50 = 1.0 - ex50.ratio_star
         assert defect50 < 1e-3, f"d={d}: defect {defect50:.2e} at l=50"
@@ -340,8 +337,7 @@ def criterion_9() -> str:
         f"f_1(x_1) = {diag.ratio_at_crit}"
     q6 = SpectrumQuery(hemisphere_dirichlet(6))
     target = float(riesz_mean(q6, 1, diag.z_crit))
-    weyl = float(lclass_volume(hemisphere_dirichlet(6), 1)) \
-        * diag.z_crit ** 4.0
+    weyl = BoundExpansion(q6.space, "R1", 1)(diag.z_crit)
     assert target > weyl, "direct d=6 violation missing"
     return (f"d=3,4,5 clean to lambda_(40); d=6 gap 1: f_1(x_1) = "
             f"{diag.ratio_at_crit} > 1 (R1 = {target:.4g} > {weyl:.4g})")
@@ -365,7 +361,8 @@ def criterion_10() -> str:
         for k in (1, 2, 10, 100, 500):
             via_legendre = bounds.legendre_average_bound(
                 "sd.r1.upper.shift", {"d": d}, k)
-            closed = bounds.cor_new_average_lower(d, k)
+            closed = bounds.bound_value("sd.avg.twosided", {"d": d}, k,
+                                        side="lower")
             worst = max(worst, abs(via_legendre - closed)
                         / max(1.0, abs(closed)))
     assert worst <= 1e-10, f"Legendre route off by {worst:.2e}"

@@ -287,6 +287,21 @@ def riesz1_closed_sphere(d: int, z: Real):
     return pre * (-d * L * (L + d) + (d + 2) * z)
 
 
+def closed_form(space: Space, quantity: str, z: Real):
+    """N on spheres and hemispheres or R_1 on spheres at z, from the closed
+    forms above; None for every other space and quantity."""
+    if quantity == "R1" and space.family is Family.SPHERE:
+        return riesz1_closed_sphere(space.dim, z)
+    counting_closed = {
+        Family.SPHERE: counting_closed_sphere,
+        Family.HEMISPHERE_DIRICHLET: counting_closed_hemisphere_dirichlet,
+        Family.HEMISPHERE_NEUMANN: counting_closed_hemisphere_neumann,
+    }.get(space.family)
+    if quantity != "N" or counting_closed is None:
+        return None
+    return counting_closed(space.dim, max_level_index(space, z))
+
+
 def lemma_sum(p: int, z: Real):
     """Sigma_{l>=1} (2l+1) (z - l^p (l+1)^p)_+  (the S^2 sum without l=0).
 

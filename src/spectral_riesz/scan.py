@@ -146,14 +146,15 @@ def _figure_f34(res, l_max):
     qn = SpectrumQuery(hemisphere_neumann(2))
     zs = w_grid(2, l_max, res)
     above2 = [z for z in zs if z > 2]
-    weyl = lambda z: 0.25 * z ** 2.0
     return [
-        _series("r1d_vs_weyl", qd, "R1", zs, weyl),
+        _series("r1d_vs_weyl", qd, "R1", zs,
+                BoundExpansion(qd.space, "R1", 1)),
         _series("r1d_vs_upper", qd, "R1", zs,
                 _bound("hemi2.r1d.upper", "upper")),
         _series("r1d_vs_lower", qd, "R1", above2,
                 _bound("hemi2.r1d.lower", "lower")),
-        _series("r1n_vs_weyl", qn, "R1", zs, weyl),
+        _series("r1n_vs_weyl", qn, "R1", zs,
+                BoundExpansion(qn.space, "R1", 1)),
         _series("r1n_vs_upper", qn, "R1", zs,
                 _bound("hemi2.r1n.upper", "upper")),
         _series("r1n_vs_lower", qn, "R1", above2,
@@ -193,11 +194,11 @@ def _hemi3_series(space, zs, tag):
     # S^3_+ (tag d or n): N and R1 against three-term expansions, R1
     # against its Weyl term.
     q = SpectrumQuery(space)
-    lead = float(lclass_volume(space, 1))
     return [
         _series(f"n{tag}_vs_three_term", q, "N", zs,
                 BoundExpansion(space, "N", 3)),
-        _series(f"r1{tag}_vs_weyl", q, "R1", zs, lambda z: lead * z ** 2.5),
+        _series(f"r1{tag}_vs_weyl", q, "R1", zs,
+                BoundExpansion(space, "R1", 1)),
         _series(f"r1{tag}_vs_three_term", q, "R1", zs,
                 BoundExpansion(space, "R1", 3)),
     ]
@@ -216,10 +217,9 @@ def _figure_f9(res, l_max):
     out = []
     for d in (2, 3, 4, 5):
         q = SpectrumQuery(sphere(d), power=2)
-        lead = float(lclass_volume(sphere(d), 1, 2))
         zs = [z * z for z in w_grid(d, l_max, res)]
-        out.append(_series(f"r1_bih_vs_weyl_d{d}", q, "R1", zs,
-                           lambda z, c=lead, e=1 + d / 4: c * z ** e))
+        weyl = bounds.Power(lclass_volume(q.space, 1, 2), 1 + d / 4)
+        out.append(_series(f"r1_bih_vs_weyl_d{d}", q, "R1", zs, weyl))
     return out
 
 
@@ -227,10 +227,9 @@ def _figure_f10(res, l_max):
     out = []
     for p in (2, 3, 4, 5):
         q = SpectrumQuery(sphere(2), power=p)
-        lead = float(lclass_volume(sphere(2), 1, p))
         zs = [z ** p for z in w_grid(2, l_max, res)]
-        out.append(_series(f"r1_p{p}_minus_z_vs_weyl", q, "R1", zs,
-                           lambda z, c=lead, e=1 + 1 / p: c * z ** e,
+        weyl = bounds.Power(lclass_volume(q.space, 1, p), 1 + 1 / p)
+        out.append(_series(f"r1_p{p}_minus_z_vs_weyl", q, "R1", zs, weyl,
                            minus_z=True))
     return out
 

@@ -123,8 +123,8 @@ def check_pq_identity(space: Space, l_max: int) -> PQReport:
 
 def r2_shifted_ratio(space: Space, z: Real, shift: Real) -> float:
     """R_2(z) / (z + b)^(2 + d/2); b = d lambda/4 is the natural shift."""
-    if z < 0 or shift < 0:
-        raise ValueError("z and shift must be >= 0")
+    if z < 0 or not 0 <= shift < math.inf:  # NaN fails too
+        raise ValueError("need z >= 0 and a finite shift >= 0")
     q = SpectrumQuery(space)
     r2 = float(riesz_mean(q, 2, float(z)))
     if z == 0 and shift == 0:

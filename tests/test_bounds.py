@@ -185,8 +185,9 @@ def test_legendre_average_bound_examples():
     up = bounds.legendre_average_bound("sd.r1.lower", {"d": 2}, 4)
     assert up == pytest.approx(2.0, rel=1e-12)
     assert float(eigenvalue_average(SpectrumQuery(sphere(2)), 4)) <= up
-    with pytest.raises(ValueError):
-        bounds.legendre_average_bound("sd.r1.upper.shift", {"d": 2}, 0)
+    for k in (0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="k must be finite and >= 1"):
+            bounds.legendre_average_bound("sd.r1.upper.shift", {"d": 2}, k)
     with pytest.raises(ValueError):
         bounds.legendre_average_bound("hemi2.nd.polya", {}, 1)
 
@@ -271,19 +272,22 @@ def test_verify_binds_each_side_once(bound_id, params, monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def _half_power_sides():
+def _plain_power_sides(exact: bool):
+    """The matrix's sides of class Power itself that keep an exact path for
+    int and Fraction z (2q an integer, c and b rational), or that do not."""
     for bound_id, params in bounds.entry_matrix():
         spec = bounds.get(bound_id)
         prm = spec.validate(dict(params))
         for rule in spec.sides:
             side = rule.bind(**prm)
-            if isinstance(side, bounds.HalfPower):
+            if type(side) is bounds.Power \
+                    and (side.halves is not None) == exact:
                 label = ",".join(f"{k}={getattr(v, 'describe', lambda: v)()}"
                                  for k, v in sorted(params.items()))
                 yield pytest.param(side, id=f"{bound_id}[{label}]-{rule.side}")
 
 
-@pytest.mark.parametrize("side", list(_half_power_sides()))
+@pytest.mark.parametrize("side", list(_plain_power_sides(exact=True)))
 def test_half_power_float_branch_equals_the_exact_expression(side):
     # float (+) Fraction is float (+) float(Fraction): the float branch
     # must give the very float the exact expression gives.
@@ -294,6 +298,16 @@ def test_half_power_float_branch_equals_the_exact_expression(side):
         want = side.c * bounds._pow_half(z + side.b, side.halves)
         got = side(z)
         assert type(got) is type(want) is float and got == want, z
+
+
+@pytest.mark.parametrize("side", list(_plain_power_sides(exact=False)))
+def test_float_constant_power_evaluates_in_binary64(side):
+    # Float constants leave no exact path: every z takes the float one.
+    for z in (0, 3, 1234, Fraction(9, 4), Fraction(47, 7), 0.0, 0.75, 47.5,
+              1e6):
+        want = side.cf * (float(z) + side.bf) ** side.q
+        got = side(z)
+        assert type(got) is float and got == want, z
 
 
 def test_average_bounds_hold_with_equality_at_gap_indices_d2():
@@ -346,7 +360,14 @@ def test_standard_grid_average_spreads_points_up_to_zmax():
 @pytest.mark.parametrize("bound_id,params,zmax,message", [
     ("s2.r1.upper", {}, 2.0e8, "level cap 10000 exceeded at z=200000000.0"),
     ("sd.avg.twosided", {"d": 2}, 0.5, "k must be >= 1"),
-], ids=["z-past-cap", "k-below-one"])
+    ("s2.r1.lower", {}, 0, "zmax=0: z must be finite and > 0"),
+    ("s2.r1.lower", {}, -1.0, "zmax=-1.0: z must be finite"),
+    ("s2.r1.lower", {}, math.nan, "zmax=nan: z must be finite"),
+    ("sd.avg.twosided", {"d": 3}, 0.0, "zmax=0.0: z must be finite"),
+    ("sd.avg.twosided", {"d": 3}, math.inf, "zmax=inf: z must be finite"),
+    ("sd.avg.twosided", {"d": 3}, -math.inf, "zmax=-inf: z must be finite"),
+], ids=["z-past-cap", "k-below-one", "z-zero", "z-negative", "z-nan",
+        "k-zero", "k-inf", "k-minus-inf"])
 def test_standard_grid_checks_zmax_through_the_table(bound_id, params, zmax,
                                                      message):
     with pytest.raises(ValueError, match=message):
@@ -568,7 +589,7 @@ def _average_sides_by_fraction(d):
     zd = bounds._zd(d)
 
     def upper(k):
-        return ratio * bounds._nth_root((Fraction(k) / w0) ** 2, d)
+        return ratio * bounds._root((Fraction(k) / w0) ** 2, d)
     return {"upper": upper, "lower": lambda k: upper(k) - zd}
 
 

@@ -133,6 +133,28 @@ def test_verify_explicit_id_rejects_mismatched_space_and_flags(
     assert code == 2 and message in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sphere:2", "all", "--power", "0"], "accepts --power 0"),
+    (["sphere:2", "all", "--area", "-1"], "accepts --area -1.0"),
+    (["sphere:2", "all", "--area", "1e9"], "accepts --area 1000000000.0"),
+    (["sphere:3", "sd.avg.twosided", "--zmax", "0"], "bad zmax=0.0"),
+    (["sphere:3", "sd.avg.twosided", "--zmax", "inf"], "bad zmax=inf"),
+    (["s2.r1.lower", "--zmax", "0"], "bad zmax=0.0"),
+], ids=["all-power-0", "all-area-negative", "all-area-huge",
+        "average-zmax-zero", "average-zmax-inf", "zmax-zero"])
+def test_verify_flags_that_select_or_scan_nothing_exit_two(
+        capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == "" and message in err
+
+
+def test_verify_all_with_power_runs_the_entries_that_accept_it(capsys):
+    code, out, _ = run(capsys, "verify", "sphere:2", "all", "--power", "3",
+                       "--points", "50")
+    assert code == 0 and "sd.r1p.twosided [ok]" in out
+    assert "fail.r1p.weyl" not in out  # declared for p = 2 only
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "sphere:2", "N", "--z", "6", "--power", "0"],
     ["verify", "s2.r1.upper", "--tol", "-1"],

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from spectral_riesz.riesz import (SpectrumQuery, Variant,
                                   _integral_power_times_counting,
-                                  _integral_power_times_r1, counting,
+                                  _integral_power_times_r1, closed_form,
+                                  counting,
                                   counting_closed_hemisphere_dirichlet,
                                   counting_closed_hemisphere_neumann,
                                   counting_closed_sphere, eigenvalue_average,
@@ -18,8 +19,8 @@ from spectral_riesz.riesz import (SpectrumQuery, Variant,
                                   nth_eigenvalue, poly_transform_check,
                                   prefix_sums, riesz1_closed_sphere,
                                   riesz_mean)
-from spectral_riesz.spaces import (DEFAULT_LEVEL_CAP, hemisphere_dirichlet,
-                                   hemisphere_neumann,
+from spectral_riesz.spaces import (DEFAULT_LEVEL_CAP, Family, Space,
+                                   hemisphere_dirichlet, hemisphere_neumann,
                                    max_level_index, multiplicity, parse_space,
                                    sphere)
 
@@ -82,6 +83,31 @@ def test_hemisphere_counting_closed_forms(d, z):
     assert counting(qn, z) == counting_closed_hemisphere_neumann(d, ln)
     assert counting(SpectrumQuery(sphere(d)), z) \
         == counting_closed_sphere(d, ln)
+
+
+@pytest.mark.parametrize("quantity", ["N", "R1", "R2"])
+@pytest.mark.parametrize("space", [
+    sphere(3), hemisphere_dirichlet(3), hemisphere_neumann(4),
+    Space(Family.REAL_PROJECTIVE, 3), Space(Family.COMPLEX_PROJECTIVE, 4),
+    Space(Family.QUATERNION_PROJECTIVE, 8), Space(Family.CAYLEY_PLANE, 16)],
+    ids=lambda s: s.describe())
+def test_closed_form_covers_n_on_spheres_and_hemispheres_r1_on_spheres(
+        space, quantity):
+    has_form = (space.family is Family.SPHERE and quantity != "R2"
+                or space.family in (Family.HEMISPHERE_DIRICHLET,
+                                    Family.HEMISPHERE_NEUMANN)
+                and quantity == "N")
+    q = SpectrumQuery(space)
+    for z in (0, 1, Fraction(7, 2), 30, Fraction(1001, 3), 12.25):
+        got = closed_form(space, quantity, z)
+        if not has_form:
+            assert got is None
+        elif quantity == "N":
+            assert got == counting(q, z)
+        elif isinstance(z, float):
+            assert got == pytest.approx(riesz_mean(q, 1, z), rel=1e-12)
+        else:
+            assert got == riesz_mean(q, 1, z)
 
 
 @given(st.integers(1, 6), rational_z)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,13 @@ def test_r2_shifted_ratio_examples():
     dec = [r2_shifted_ratio(s2, z, 0) for z in grid]
     assert all(a >= b - 1e-12 for a, b in zip(dec, dec[1:]))
     assert r2_shifted_ratio(s2, 0, 1) == 0.0
+
+
+@pytest.mark.parametrize("shift", [math.nan, math.inf, -1])
+def test_r2_shifted_ratio_rejects_a_shift_that_is_not_finite_and_positive(
+        shift):
+    with pytest.raises(ValueError, match="finite shift >= 0"):
+        r2_shifted_ratio(sphere(2), 6, shift)
 
 
 def test_natural_shift():
