@@ -1002,16 +1002,27 @@ def legendre_average_bound(bound_id: str, params: Optional[dict] = None,
 
     An upper bound B for R1 yields a lower bound for the eigenvalue
     average; a lower bound yields an upper bound.  Closed form when the
-    side is a Power, golden-section refinement to 1e-10 otherwise.
+    side is a Power, golden-section refinement to 1e-10 otherwise.  A k
+    whose transform leaves float range, or whose maximiser lies past
+    z = 1e12 on the numeric path, is one ValueError.
     """
     spec, bound = _resolve_side(bound_id, params, side)
     if spec.quantity != "R1":
         raise ValueError(f"{spec.id} does not bound R1")
     if not 1 <= k < math.inf:  # NaN fails too
         raise ValueError(f"k must be finite and >= 1, got {k!r}")
-    if isinstance(bound, Power):
-        return bound.legendre(k)
+    try:
+        value = (bound.legendre(k) if isinstance(bound, Power)
+                 else _legendre_numeric(bound, k))
+    except ArithmeticError:  # OverflowError, or no maximum found
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"k={k!r} is too large for the Legendre transform "
+                         f"of {spec.id}")
+    return value
 
+
+def _legendre_numeric(bound: Callable, k) -> float:
     def g(z):
         return k * z - float(bound(z))
 

@@ -1,13 +1,16 @@
 """Command-line interface.
 
-Subcommands: levels, eval, verify, expansion, sumrule, figure, report.
-Space descriptors use the family:dim grammar (sphere:3, hemisphere-d:2,
-rp:3, cp:4, hp:8, cayley:16, circle).  Every input has one spelling: the
-space is the first positional of levels, eval, expansion and sumrule, and
-verify reads a leading token that names a space family or holds a colon
-as the space, before the bound ids.  Exit codes: 0 on success, 1 when a
-verification produced an unexpected result, 2 on usage errors.  All files
-are written atomically; numbers print with 17 significant digits.
+Subcommands: levels, eval, verify, expansion, sumrule, figure, report;
+each job has one command.  Space descriptors use the family:dim grammar
+(sphere:3, hemisphere-d:2, rp:3, cp:4, hp:8, cayley:16, circle).  Every
+input has one spelling: the space is the first positional of levels, eval,
+expansion and sumrule, and verify reads a leading token that names a space
+family or holds a colon as the space, before the bound ids.  Catalog
+bounds, the R2 bounds among them, are checked by verify alone, whose only
+parameter flag is --power.  Bad input is a ValueError, which main turns
+into exit code 2; 1 means a verification produced an unexpected result.
+All files are written atomically; numbers print with 17 significant
+digits.
 """
 
 from __future__ import annotations
@@ -22,16 +25,13 @@ from typing import List, Optional
 from . import bounds, report, scan, sumrules
 from .riesz import SpectrumQuery, closed_form, evaluate_grid
 from .output import (dumps_json, fmt_number, table_csv, atomic_write,
-                     write_json, write_series_csv, write_series_svg)
+                     series_csv, write_json, write_series_csv,
+                     write_series_svg)
 from .scan import GridPolicy, Series
-from .spaces import DEFAULT_LEVEL_CAP, Space, eigenvalue, \
+from .spaces import DEFAULT_LEVEL_CAP, Space, eigenvalue, invert_w, \
     is_space_descriptor, level_cap_exceeded, max_level_index, multiplicity, \
     parse_space
 from .weyl import BoundExpansion
-
-
-class UsageError(Exception):
-    pass
 
 
 def _emit_table(args, header, rows, json_row) -> int:
@@ -54,7 +54,7 @@ def cmd_levels(args) -> int:
     if args.lmax > DEFAULT_LEVEL_CAP:
         raise level_cap_exceeded("l_max", args.lmax)
     if args.lmax < space.min_level:
-        raise UsageError(f"--lmax {args.lmax} is below the minimum level "
+        raise ValueError(f"--lmax {args.lmax} is below the minimum level "
                          f"{space.min_level} of {space.describe()}")
     rows = [(l, eigenvalue(space, l), multiplicity(space, l))
             for l in range(space.min_level, args.lmax + 1)]
@@ -71,20 +71,19 @@ def _grid_from_args(space: Space, args) -> List[float]:
         try:
             return [float(Fraction(t)) for t in args.z.split(",")]
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"bad z list {args.z!r}") from None
+            raise ValueError(f"bad z list {args.z!r}") from None
         except OverflowError:
-            raise UsageError(f"z list {args.z!r} holds a value beyond "
+            raise ValueError(f"z list {args.z!r} holds a value beyond "
                              "float range") from None
     zmin, zmax, n = args.zmin, args.zmax, args.points
     if zmax is None:
         zmax = float(eigenvalue(space, space.min_level + 39))
     if not 0 <= zmin < zmax < math.inf or n < 2:  # NaN fails too
-        raise UsageError("need 0 <= zmin < zmax < inf and points >= 2")
+        raise ValueError("need 0 <= zmin < zmax < inf and points >= 2")
     policy = GridPolicy(args.grid)
     if policy is GridPolicy.UNIFORM_IN_Z:
         return [zmin + (zmax - zmin) * i / (n - 1) for i in range(n)]
     if policy is GridPolicy.UNIFORM_IN_W:
-        from .spaces import invert_w
         wlo, whi = invert_w(space.dim, zmin), invert_w(space.dim, zmax)
         ws = [wlo + (whi - wlo) * i / (n - 1) for i in range(n)]
         return [w * (w + space.dim - 1) for w in ws]
@@ -102,14 +101,11 @@ def _grid_from_args(space: Space, args) -> List[float]:
 
 def cmd_eval(args) -> int:
     space = parse_space(args.space)
-    quantity = args.quantity.upper()
-    if quantity not in ("N", "R1", "R2"):
-        raise UsageError("quantity must be N, R1 or R2")
     zs = _grid_from_args(space, args)
     brute, _ = evaluate_grid(SpectrumQuery(space, power=args.power),
-                             quantity, zs)
-    closed = [closed_form(space, quantity, z) if args.power == 1 else None
-              for z in zs]
+                             args.quantity, zs)
+    closed = [closed_form(space, args.quantity, z) if args.power == 1
+              else None for z in zs]
     rows = [(z, value, "" if c is None else c)
             for z, value, c in zip(zs, brute, closed)]
     return _emit_table(args, ("z", "brute_force", "closed_form"), rows,
@@ -122,28 +118,16 @@ def cmd_eval(args) -> int:
 # verify
 
 
-def _entry_params(spec, space: Optional[Space], args) -> dict:
+def _entry_params(spec, space: Optional[Space], power: Optional[int]) -> dict:
     """The entry's declared parameters that the command line supplies.
 
-    The space gives `d` and `space`, --power gives `p`, --area gives
-    `area`; parameters left out take the entry's declared defaults.
+    The space gives `d` and `space`, --power gives `p`; parameters left
+    out take the entry's declared defaults.  A domain entry's `area` is
+    always the full one: the spectrum is that of the whole space.
     """
-    given = {"d": space.dim if space else None,
-             "p": getattr(args, "power", None),
-             "area": getattr(args, "area", None),
-             "space": space}
+    given = {"d": space.dim if space else None, "p": power, "space": space}
     return {name: given[name] for name in spec.param_names
             if given.get(name) is not None}
-
-
-def _selects(spec, params, space: Optional[Space]) -> bool:
-    """Parameters validate and the entry's spectrum lives on `space`."""
-    try:
-        q = spec.query(spec.validate(dict(params)))
-    except ValueError:
-        return False
-    return space is None or (q.space.family is space.family
-                             and q.space.dim == space.dim)
 
 
 def cmd_verify(args) -> int:
@@ -152,41 +136,40 @@ def cmd_verify(args) -> int:
     space = (parse_space(ids.pop(0))
              if ":" in ids[0] or is_space_descriptor(ids[0]) else None)
     if not ids:
-        raise UsageError("give bound ids or 'all'")
-    flags = [(flag, name, value) for flag, name, value in (
-        ("--power", "p", args.power), ("--area", "area", args.area))
-        if value is not None]
+        raise ValueError("give bound ids or 'all'")
+    power = args.power
     selected = []
     if ids == ["all"]:
         for bid in sorted(bounds.catalog()):
             spec = bounds.get(bid)
-            prm = _entry_params(spec, space, args)
-            if _selects(spec, prm, space):
+            prm = _entry_params(spec, space, power)
+            try:
+                on = spec.query(spec.validate(dict(prm))).space
+            except ValueError:
+                continue  # an entry of another space, or it rejects --power
+            if space is None or on == space:
                 selected.append((bid, prm))
         if not selected:
-            raise UsageError("no catalog entries match the given space")
-        # An entry rejecting the flag is dropped; all of them dropping it
-        # means the flag itself is wrong.
-        for flag, name, value in flags:
-            if not any(name in prm for _, prm in selected):
-                where = f" of {space.describe()}" if space else ""
-                raise UsageError(f"no catalog entry{where} accepts "
-                                 f"{flag} {value}")
+            raise ValueError("no catalog entries match the given space")
+        # An entry rejecting --power is dropped; all of them dropping it
+        # means the power itself is wrong.
+        if power is not None and not any("p" in prm for _, prm in selected):
+            where = f" of {space.describe()}" if space else ""
+            raise ValueError(f"no catalog entry{where} accepts "
+                             f"--power {power}")
     else:
         for bid in ids:
             spec = bounds.get(bid)  # an unknown id exits 2 via main
-            unused = [flag for flag, name, _ in flags
-                      if name not in spec.param_names]
-            if unused:
-                raise UsageError(f"{bid} takes no {' or '.join(unused)}")
-            prm = _entry_params(spec, space, args)
+            if power is not None and "p" not in spec.param_names:
+                raise ValueError(f"{bid} takes no --power")
+            prm = _entry_params(spec, space, power)
             try:
-                spec.validate(dict(prm))
+                on = spec.query(spec.validate(dict(prm))).space
             except ValueError as exc:
-                raise UsageError(f"cannot assemble parameters for {bid} "
+                raise ValueError(f"cannot assemble parameters for {bid} "
                                  f"from the command line: {exc}") from None
-            if not _selects(spec, prm, space):
-                raise UsageError(f"{bid} is not an entry of "
+            if space is not None and on != space:
+                raise ValueError(f"{bid} is not an entry of "
                                  f"{space.describe()}")
             selected.append((bid, prm))
 
@@ -223,22 +206,24 @@ def cmd_expansion(args) -> int:
     pts = [(z, ex(z)) for z in zs]
     series = Series(f"{quantity}:{space.describe()}:{args.terms}-term",
                     tuple(pts))
-    _emit_series([series], args)
-    return 0
+    base = args.out
+    if base and base.endswith((".csv", ".svg")):
+        base = base[:-4]
+    return _write_series([series], args.format, base)
 
 
-def _emit_series(series_list, args):
-    if args.out:
-        base, fmt = args.out, args.format
-        if fmt in ("csv", "both") or fmt is None:
-            write_series_csv(base if base.endswith(".csv")
-                             else base + ".csv", series_list)
-        if fmt in ("svg", "both"):
-            write_series_svg(base if base.endswith(".svg")
-                             else base + ".svg", series_list)
-    else:
-        from .output import series_csv
+def _write_series(series_list, fmt: str, base: Optional[str]) -> int:
+    """The series as CSV on stdout, or, given a base path, as the files
+    `fmt` picks: base.csv, base.svg or both."""
+    if not base:
         sys.stdout.write(series_csv(series_list))
+        return 0
+    exts = ("csv", "svg") if fmt == "both" else (fmt,)
+    writers = {"csv": write_series_csv, "svg": write_series_svg}
+    for ext in exts:
+        writers[ext](f"{base}.{ext}", series_list)
+    print("wrote " + " and ".join(f"{base}.{ext}" for ext in exts))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -247,33 +232,20 @@ def _emit_series(series_list, args):
 
 def cmd_sumrule(args) -> int:
     space = parse_space(args.space)
-    kind = args.kind
-    defaults = {"pq": 30, "trace": 1000, "r2": 40}
-    lmax = defaults[kind] if args.lmax is None else args.lmax
-    if kind != "trace" and lmax < 1:
-        raise UsageError(f"l_max must be >= 1, got {lmax}")
-    if kind == "pq":
+    if args.kind == "pq":
+        lmax = 30 if args.lmax is None else args.lmax
         rep = sumrules.check_pq_identity(space, lmax)
         print(f"pq {space.describe()}: {len(rep.gap_indices)} gap indices, "
               f"{'exact equality' if rep.passed else 'MISMATCH'}")
         return 0 if rep.passed else 1
-    if kind == "trace":
-        rep = sumrules.trace_identity_partial(space, lmax)
-        print(f"trace {space.describe()}: partial sum "
-              f"{fmt_number(rep.partial_sum)} -> target "
-              f"{fmt_number(rep.target)}; tail estimate "
-              f"{fmt_number(rep.tail_estimate)}; "
-              f"{'within tail' if rep.within_tail else 'OUTSIDE TAIL'}")
-        return 0 if rep.within_tail else 1
-    zmax = float(eigenvalue(space, lmax))
-    grid = [zmax * i / 2000 for i in range(2001)]
-    rep = bounds.verify("sd.r2.twosided", {"space": space}, grid)
-    lower, upper = rep.sides
-    print(f"r2 {space.describe()}: min lower slack "
-          f"{fmt_number(lower.min_slack)}, min upper slack "
-          f"{fmt_number(upper.min_slack)}, "
-          f"{'ok' if rep.passed else 'VIOLATION'}")
-    return 0 if rep.passed else 1
+    lmax = 1000 if args.lmax is None else args.lmax
+    rep = sumrules.trace_identity_partial(space, lmax)
+    print(f"trace {space.describe()}: partial sum "
+          f"{fmt_number(rep.partial_sum)} -> target "
+          f"{fmt_number(rep.target)}; tail estimate "
+          f"{fmt_number(rep.tail_estimate)}; "
+          f"{'within tail' if rep.within_tail else 'OUTSIDE TAIL'}")
+    return 0 if rep.within_tail else 1
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +255,8 @@ def cmd_sumrule(args) -> int:
 def cmd_figure(args) -> int:
     series = scan.figure(args.fig_id, resolution=args.resolution,
                          l_max=args.lmax)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        base = os.path.join(args.out, args.fig_id)
-        write_series_csv(base + ".csv", series)
-        if args.format in ("svg", "both"):
-            write_series_svg(base + ".svg", series)
-        print(f"wrote {base}.csv"
-              + (f" and {base}.svg" if args.format in ("svg", "both") else ""))
-    else:
-        _emit_series(series, args)
-    return 0
+    return _write_series(series, args.format, args.out
+                         and os.path.join(args.out, args.fig_id))
 
 
 def cmd_report(args) -> int:
@@ -301,7 +264,6 @@ def cmd_report(args) -> int:
     for line in rep.lines():
         print(line)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         atomic_write(os.path.join(args.out, "acceptance.md"),
                      rep.to_markdown())
         write_json(os.path.join(args.out, "acceptance.json"), rep.to_dict())
@@ -336,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate N/R1/R2, brute force vs closed")
     p.add_argument("space")
-    p.add_argument("quantity", help="N, R1 or R2")
+    p.add_argument("quantity", type=str.upper, choices=("N", "R1", "R2"))
     p.add_argument("--power", type=int, default=1)
     add_grid_flags(p)
     p.add_argument("--format", default="csv", choices=("csv", "json"))
@@ -347,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ids", nargs="+",
                    help="an optional space, then bound ids or 'all'")
     p.add_argument("--power", type=int, default=None)
-    p.add_argument("--area", type=float, default=None)
     p.add_argument("--zmax", type=float, default=None)
     p.add_argument("--points", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-9)
@@ -363,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_expansion)
 
-    p = sub.add_parser("sumrule", help="P/Q identity, trace series, R2 bounds")
+    p = sub.add_parser("sumrule", help="P/Q identity and trace series")
     p.add_argument("space")
-    p.add_argument("kind", choices=("pq", "trace", "r2"))
+    p.add_argument("kind", choices=("pq", "trace"))
     p.add_argument("--lmax", type=int, default=None)
     p.set_defaults(func=cmd_sumrule)
 
@@ -389,7 +350,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

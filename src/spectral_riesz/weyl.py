@@ -231,13 +231,6 @@ def _theorem(space: Space, quantity: str):
                      f"on {space.describe()}")
 
 
-def expansion_coefficients(space: Space, quantity: str, psi: float):
-    """(leading rational, c_half, c_one, max_terms, remainder_scale) of the
-    theorem (see _theorem), with the oscillating coefficients at psi."""
-    gamma, max_terms, rem, coefficients = _theorem(space, quantity)
-    return (lclass_volume(space, gamma), *coefficients(psi), max_terms, rem)
-
-
 def _expansion_z(z: Real) -> float:
     """float(z), after one ValueError for NaN, +-inf, z <= 0 and z beyond
     float range."""

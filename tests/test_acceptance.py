@@ -21,9 +21,7 @@ def test_acceptance_criterion(acceptance, criterion):
     number, name = criterion[:2]
     result = acceptance.results[number - 1]
     assert (result.number, result.name) == (number, name)
-    tag = "PASS" if result.passed else "FAIL"
-    print(f"[{tag}] criterion {result.number}: {result.name} "
-          f"({result.seconds:.2f}s) {result.detail}")
+    print(acceptance.lines()[number - 1])
     assert result.passed, result.detail
 
 

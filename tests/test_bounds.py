@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,18 @@ def test_legendre_average_bound_examples():
             bounds.legendre_average_bound("sd.r1.upper.shift", {"d": 2}, k)
     with pytest.raises(ValueError):
         bounds.legendre_average_bound("hemi2.nd.polya", {}, 1)
+    # Past float range (an overflow, or a NaN from inf - inf) on the closed
+    # form, and past the numeric bracket's z = 1e12 cap.
+    for bound_id, params, k in [
+            ("sd.r1.upper.shift", {"d": 3}, 1e200),
+            ("sd.r1.upper.shift", {"d": 3}, 1e308),
+            ("s2.r1.lower.imp", {}, 1e12),
+            ("hemi2.r1d.upper", {}, 1e12),
+            ("sd.r1.lower.shift", {"d": 3}, 1e100)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"k={k!r} is too large for the Legendre transform "
+                f"of {bound_id}")):
+            bounds.legendre_average_bound(bound_id, params, k)
 
 
 def test_legendre_numeric_path_keeps_maximum_at_bracket_end():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from spectral_riesz.spaces import (Family, Space, hemisphere_dirichlet,
                                    hemisphere_neumann, invert_w, sphere)
+from spectral_riesz import weyl
 from spectral_riesz.weyl import (BoundExpansion, expansion,
-                                 expansion_coefficients,
                                  gamma_asymptotic_check, gamma_exact_half,
                                  gamma_real, lclass, lclass_boundary_volume,
                                  lclass_volume, pab, pab_inverse, pab_product,
@@ -137,12 +137,20 @@ def test_expansion_rejects_bad_z_with_one_value_error(z):
             evaluate()
 
 
+def _theorem_coefficients(space, quantity, psi):
+    """(leading rational, c_half, c_one, max_terms) of the expansion
+    theorem, with the oscillating coefficients at psi."""
+    gamma, max_terms, _, coefficients = weyl._theorem(space, quantity)
+    return (lclass_volume(space, gamma), *coefficients(psi), max_terms)
+
+
 def _per_point_expansion(space, quantity, z, terms):
-    """The expansion assembled point by point from expansion_coefficients,
-    in the order the bracket is defined: 1, then z^(-1/2), then z^(-1)."""
+    """The expansion assembled point by point from the theorem's
+    coefficients, in the order the bracket is defined: 1, then z^(-1/2),
+    then z^(-1)."""
     zf = float(z)
     psi = snapped_fluctuation(invert_w(space.dim, zf))
-    lead, c_half, c_one, max_terms, _ = expansion_coefficients(
+    lead, c_half, c_one, max_terms = _theorem_coefficients(
         space, quantity, psi)
     orders = [(c_half, zf ** -0.5), (c_one, 1.0 / zf)][3 - max_terms:]
     ratio = 1.0
@@ -175,9 +183,9 @@ def test_bound_expansion_equals_the_per_point_assembly(space, quantity,
 @settings(max_examples=100)
 def test_dirichlet_neumann_coefficient_symmetry(d, psi):
     # z^(-1/2) coefficients exact negatives, z^(-1) coefficients identical.
-    _, ch_d, c1_d, _, _ = expansion_coefficients(
+    _, ch_d, c1_d, _ = _theorem_coefficients(
         hemisphere_dirichlet(d), "R1", psi)
-    _, ch_n, c1_n, _, _ = expansion_coefficients(
+    _, ch_n, c1_n, _ = _theorem_coefficients(
         hemisphere_neumann(d), "R1", psi)
     assert ch_d == -ch_n
     assert c1_d == c1_n
@@ -189,10 +197,10 @@ def test_dirichlet_neumann_coefficient_symmetry(d, psi):
 def test_sphere_counting_coefficients_decompose(d, psi):
     # N = N^D + N^N level by level, so the sphere bracket is the average
     # of the two hemisphere brackets (the leading terms halve).
-    lead_s, ch_s, c1_s, _, _ = expansion_coefficients(sphere(d), "N", psi)
-    lead_d, ch_d, c1_d, _, _ = expansion_coefficients(
+    lead_s, ch_s, c1_s, _ = _theorem_coefficients(sphere(d), "N", psi)
+    lead_d, ch_d, c1_d, _ = _theorem_coefficients(
         hemisphere_dirichlet(d), "N", psi)
-    lead_n, ch_n, c1_n, _, _ = expansion_coefficients(
+    lead_n, ch_n, c1_n, _ = _theorem_coefficients(
         hemisphere_neumann(d), "N", psi)
     assert lead_s == lead_d + lead_n
     assert abs(ch_s - (ch_d + ch_n) / 2) < 1e-12
