@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .riesz import (SpectrumQuery, Variant, evaluate_grid,
-                    max_level_index_pow, prefix_sums, riesz_mean)
+from .riesz import (SpectrumQuery, Variant, evaluate_grid, level_values_upto,
+                    prefix_sums, riesz_mean)
 from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, fluctuation,
                      hemisphere_dirichlet, hemisphere_neumann, invert_w,
                      require_finite_nonnegative, sphere)
@@ -888,10 +888,8 @@ def standard_grid(bound_id: str, params: Optional[dict] = None,
                        for i in range(points + 1)})
     if zmax is None:
         zmax = float(q.level_value(q.min_level + levels - 1))
-    top = max_level_index_pow(q, zmax)  # raises past the cap; None if low
     pts = {i * zmax / points for i in range(points + 1)}
-    pts.update(float(q.level_value(l))
-               for l in range(q.min_level, (top or 0) + 1))
+    pts.update(map(float, level_values_upto(q, zmax)))  # raises past the cap
     if spec.equality is not None:
         try:
             for e in spec.equality(prm, levels + 2):

@@ -16,7 +16,11 @@ lam <= z iff lam <= floor(z), and no float ever seeds a lookup); by count,
 per-grid sweep `evaluate_grid` grows the table once to the largest point
 and bisects it per point.  Each table is plain single-threaded state: one
 growth rule (`_table`) extends its columns in place by doubling, up to
-level DEFAULT_LEVEL_CAP + 1.
+level DEFAULT_LEVEL_CAP + 1.  It builds them in columns, not row by row:
+the levels of a space (eigenvalue and multiplicity, kept once per `Space`
+and grown with the deepest table of that space) are shared by all its
+powers and variants, which slice them, raise lam to the power p, and fill
+count, s1 and s2 by running sums in C.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import List, NamedTuple, Optional, Sequence
 
 from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, eigenvalue,
-                     level_cap_exceeded, max_level_index, multiplicity,
+                     level_cap_exceeded, level_columns, max_level_index,
                      require_finite_nonnegative, sphere, hemisphere_dirichlet)
 
 
@@ -91,6 +97,21 @@ class _Table(NamedTuple):
 
 
 _tables: dict = {}
+#: Space -> (lam, mult) of its levels from space.min_level on: the
+#: Laplacian level columns that every table of the space slices.
+_spectra: dict = {}
+
+
+def _level_rows(space: Space, start: int, stop: int):
+    """(lam, mult) of levels start..stop-1, sliced from the shared level
+    columns of space after growing them through level stop - 1."""
+    lam, mult = _spectra.setdefault(space, ([], []))
+    base = space.min_level
+    if base + len(lam) < stop:
+        new_lam, new_mult = level_columns(space, base + len(lam), stop)
+        lam += new_lam
+        mult += new_mult
+    return lam[start - base:stop - base], mult[start - base:stop - base]
 
 
 def _table(q: SpectrumQuery, column: str, x) -> _Table:
@@ -99,23 +120,31 @@ def _table(q: SpectrumQuery, column: str, x) -> _Table:
     Row i is level min_level + i.  The columns grow in place, doubling the
     row count, and growth stops at level DEFAULT_LEVEL_CAP + 1, so a lookup
     past the cap finds its answer in the last row and raises, without
-    building further.
+    building further.  Each step appends a run of levels at once: lam and
+    mult from `_level_rows`, lam raised to the power p, and the running
+    sums of m, m lam and m lam^2.
     """
-    tab = _tables.setdefault(q, _Table([], [], [], [], []))
+    tab = _tables.get(q) or _Table([], [], [], [], [])
     lams, mults, cnt, s1, s2 = tab
     col = getattr(tab, column)
     top = DEFAULT_LEVEL_CAP + 1
     while (not col or col[-1] <= x) and q.min_level + len(lams) <= top:
         start = q.min_level + len(lams)
         stop = min(q.min_level + max(2 * len(lams), 16), top + 1)
-        for l in range(start, stop):
-            lam = q.level_value(l)
-            m = multiplicity(q.space, l)
-            lams.append(lam)
-            mults.append(m)
-            cnt.append((cnt[-1] if cnt else 0) + m)
-            s1.append((s1[-1] if s1 else 0) + m * lam)
-            s2.append((s2[-1] if s2 else 0) + m * lam * lam)
+        lam, m = _level_rows(q.space, start, stop)
+        if q.power > 1:
+            lam = list(map(pow, lam, repeat(q.power)))
+        m_lam = list(map(mul, m, lam))
+        lams += lam
+        mults += m
+        # Each running sum carries on from its column's last entry: pop
+        # hands it to accumulate, whose first output puts it back (an
+        # empty column has none, and initial=None starts at the first term).
+        cnt += accumulate(m, initial=cnt.pop() if cnt else None)
+        s1 += accumulate(m_lam, initial=s1.pop() if s1 else None)
+        s2 += accumulate(map(mul, m_lam, lam),
+                         initial=s2.pop() if s2 else None)
+    _tables[q] = tab  # held once its first run of levels is built
     return tab
 
 
@@ -216,6 +245,13 @@ def max_level_index_pow(q: SpectrumQuery, z: Real) -> Optional[int]:
     """Largest l with lambda_(l)^p <= z (exact comparisons), or None."""
     _, i = _rows_upto(q, z)
     return q.min_level + i - 1 if i else None
+
+
+def level_values_upto(q: SpectrumQuery, z: Real) -> List[int]:
+    """The level values lambda_(l)^p <= z in level order (exact ints), read
+    off the prefix table; raises past the cap like the other lookups."""
+    tab, i = _rows_upto(q, z)
+    return tab.lam[:i]
 
 
 def counting(q: SpectrumQuery, z: Real) -> int:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 Real = Union[int, float, Fraction]
 
@@ -181,6 +181,23 @@ def multiplicity(space: Space, l: int) -> int:
     """
     _require_level(space, l)
     return space.record.mult(space.dim, l) if l else 1
+
+
+def level_columns(space: Space, start: int,
+                  stop: int) -> Tuple[List[int], List[int]]:
+    """(lam, mult): the eigenvalues and multiplicities of levels start to
+    stop - 1, as two lists.
+
+    The same ints as `eigenvalue` and `multiplicity` level by level, read
+    off the same record with the same exact-division check, in one call
+    for a whole run of levels: the prefix tables are built from it.
+    """
+    _require_level(space, start)
+    rec, d = space.record, space.dim
+    a, b, s = rec.quadratic(d)
+    levels = range(start, stop)
+    return ([_exact_div(a * l * l + b * l, s) for l in levels],
+            [rec.mult(d, l) if l else 1 for l in levels])
 
 
 def energy_level(space: Space, l: int) -> EnergyLevel:

@@ -1,4 +1,5 @@
 import bisect
+import functools
 import itertools
 import math
 import random
@@ -7,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectral_riesz.riesz import (SpectrumQuery, Variant,
+from spectral_riesz import riesz, spaces
+from spectral_riesz.riesz import (SpectrumQuery, Variant, _table,
                                   _integral_power_times_counting,
                                   _integral_power_times_r1, closed_form,
                                   counting,
@@ -15,14 +17,14 @@ from spectral_riesz.riesz import (SpectrumQuery, Variant,
                                   counting_closed_hemisphere_neumann,
                                   counting_closed_sphere, eigenvalue_average,
                                   evaluate_grid, lemma_sum,
-                                  max_level_index_pow,
+                                  level_values_upto, max_level_index_pow,
                                   nth_eigenvalue, poly_transform_check,
                                   prefix_sums, riesz1_closed_sphere,
                                   riesz_mean)
 from spectral_riesz.spaces import (DEFAULT_LEVEL_CAP, Family, Space,
-                                   hemisphere_dirichlet, hemisphere_neumann,
-                                   max_level_index, multiplicity, parse_space,
-                                   sphere)
+                                   eigenvalue, hemisphere_dirichlet,
+                                   hemisphere_neumann, max_level_index,
+                                   multiplicity, parse_space, sphere)
 
 S2 = SpectrumQuery(sphere(2))
 S3 = SpectrumQuery(sphere(3))
@@ -280,6 +282,126 @@ def test_level_cap_is_enforced():
     assert counting(S2, S2.level_value(10_000)) == 10_001 ** 2
     with pytest.raises(ValueError, match="level cap"):
         counting(S2, S2.level_value(10_001))
+
+
+def test_level_values_upto():
+    q = SpectrumQuery(sphere(2), power=3)
+    assert level_values_upto(q, 216) == [0, 8, 216]     # 6^3 inclusive
+    assert level_values_upto(q, 215.9) == [0, 8]
+    assert level_values_upto(SpectrumQuery(hemisphere_dirichlet(2)), 1) == []
+    with pytest.raises(ValueError, match="level cap"):
+        level_values_upto(S2, S2.level_value(DEFAULT_LEVEL_CAP + 1))
+
+
+#: The families of the benchmark's exact-deep workload.
+DEEP_SPACES = ("sphere:1", "sphere:2", "sphere:8", "hemisphere-d:5",
+               "hemisphere-n:4", "rp:3", "cp:6", "hp:12", "cayley:16")
+DEEP_QUERIES = [
+    SpectrumQuery(space, power=p, variant=variant)
+    for space in map(parse_space, DEEP_SPACES) for p in (1, 2, 3)
+    for variant in Variant
+    if variant is Variant.STANDARD or space.family is Family.SPHERE]
+TOP_LEVEL = DEFAULT_LEVEL_CAP + 1  # the last row a table builds
+
+
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """Empty prefix tables and level columns for the test, the process's
+    own restored after it."""
+    monkeypatch.setattr(riesz, "_tables", {})
+    monkeypatch.setattr(riesz, "_spectra", {})
+
+
+@functools.cache
+def _reference_levels(space):
+    """(eigenvalue, multiplicity) of each level of space through TOP_LEVEL."""
+    return [(eigenvalue(space, l), multiplicity(space, l))
+            for l in range(space.min_level, TOP_LEVEL + 1)]
+
+
+@functools.cache
+def _reference_table(q):
+    """q's prefix table through TOP_LEVEL, row by row from eigenvalue,
+    multiplicity and running sums."""
+    rows = _reference_levels(q.space)[q.min_level - q.space.min_level:]
+    lam = [v ** q.power for v, _ in rows]
+    mult = [m for _, m in rows]
+    cols, n, s1, s2 = ([], [], []), 0, 0, 0
+    for v, m in zip(lam, mult):
+        n, s1, s2 = n + m, s1 + m * v, s2 + m * v * v
+        for col, value in zip(cols, (n, s1, s2)):
+            col.append(value)
+    return (lam, mult, *cols)
+
+
+def _assert_matches_reference(tab, q):
+    rows = len(tab.lam)
+    for name, col, ref in zip(tab._fields, tab, _reference_table(q)):
+        assert len(col) == rows <= len(ref), name
+        # The first wrong row only: a diff of whole columns is too slow.
+        wrong = next((i for i, (a, b) in enumerate(zip(col, ref)) if a != b),
+                     None)
+        assert wrong is None, f"{name} differs at level {q.min_level + wrong}"
+
+
+@pytest.mark.parametrize("q", DEEP_QUERIES, ids=lambda q: (
+    f"{q.space.describe()}-{q.variant.value}-p{q.power}"))
+def test_columnar_table_matches_row_by_row_reference(q, cold_tables):
+    # Grow one doubling step per call, checking every step, to the cap.
+    sizes, tab = [], _table(q, "lam", -1)
+    while not sizes or len(tab.lam) > sizes[-1]:
+        sizes.append(len(tab.lam))
+        _assert_matches_reference(tab, q)
+        tab = _table(q, "lam", tab.lam[-1])
+    assert sizes[:3] == [16, 32, 64]
+    assert q.min_level + sizes[-1] - 1 == TOP_LEVEL
+    # Growth by count stops at the same last row.
+    assert _table(q, "count", tab.count[-1]) is tab
+    assert len(tab.lam) == sizes[-1]
+
+
+@pytest.mark.parametrize("desc", ["sphere:2", "sphere:8"])
+@pytest.mark.parametrize("order", [
+    ((2, "standard", 64), (1, "buckling", 0), (1, "standard", 0)),
+    ((1, "buckling", 200), (2, "standard", 0), (1, "standard", 16)),
+    ((3, "standard", 0), (2, "standard", 40), (1, "standard", 0)),
+])
+def test_tables_of_one_space_share_its_levels(desc, order, cold_tables,
+                                               monkeypatch):
+    """Tables of one space built in any order, each to a partial depth
+    first, equal the reference, and each multiplicity is computed once."""
+    space = parse_space(desc)
+    record = spaces._FAMILIES[space.family]
+    evaluations = []
+
+    def counted_mult(d, l):
+        evaluations.append(l)
+        return record.mult(d, l)
+    monkeypatch.setitem(spaces._FAMILIES, space.family,
+                        record._replace(mult=counted_mult))
+    queries = [SpectrumQuery(space, power=p, variant=Variant(variant))
+               for p, variant, _ in order]
+    for q, (_, _, rows) in zip(queries, order):
+        _table(q, "lam", q.level_value(q.min_level + rows))
+    tables = [_table(q, "lam", math.inf) for q in queries]
+    assert len(evaluations) == TOP_LEVEL  # levels 1..TOP_LEVEL, once each
+    assert set(evaluations) == set(range(1, TOP_LEVEL + 1))
+    for tab, q in zip(tables, queries):
+        _assert_matches_reference(tab, q)
+
+
+def test_column_build_keeps_the_exact_division_check(cold_tables,
+                                                     monkeypatch):
+    """A record whose eigenvalue is not an integer fails the build with
+    ArithmeticError, as `eigenvalue` does."""
+    record = spaces._FAMILIES[Family.SPHERE]
+    monkeypatch.setitem(spaces._FAMILIES, Family.SPHERE, record._replace(
+        quadratic=lambda d: (1, d - 1, 3)))  # lambda(1) = 2/3 on S^2
+    with pytest.raises(ArithmeticError, match="non-integer quotient 2/3"):
+        eigenvalue(sphere(2), 1)
+    for _ in range(2):  # no table is left behind half built
+        with pytest.raises(ArithmeticError, match="non-integer quotient 2/3"):
+            counting(S2, 5)
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
