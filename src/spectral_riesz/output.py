@@ -11,6 +11,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .scan import Series
@@ -50,17 +51,20 @@ def write_json(path: str, obj):
 
 
 def series_csv(series_list: Sequence[Series]) -> str:
-    """One row per point; an all-float row is one f-string, other rows
-    (int or Fraction z from the CLI) format each value by fmt_number."""
-    lines = ["z,series_label,value"]
+    """One row per point.  An all-float series is one %-format of its
+    flattened points; a series with an int or Fraction point (from the
+    CLI) formats each value by fmt_number."""
+    parts = ["z,series_label,value\n"]
     for s in series_list:
         tail = f",{s.label},"
-        for z, v in s.points:
-            if type(z) is float and type(v) is float:
-                lines.append(f"{z:.17g}{tail}{v:.17g}")
-            else:
-                lines.append(f"{fmt_number(z)}{tail}{fmt_number(v)}")
-    return "\n".join(lines) + "\n"
+        flat = tuple(chain.from_iterable(s.points))
+        if {float}.issuperset(map(type, flat)):
+            row = "%.17g" + tail.replace("%", "%%") + "%.17g\n"
+            parts.append(row * len(s.points) % flat)
+        else:
+            parts.extend(f"{fmt_number(z)}{tail}{fmt_number(v)}\n"
+                         for z, v in s.points)
+    return "".join(parts)
 
 
 def write_series_csv(path: str, series_list: Sequence[Series]):
@@ -81,23 +85,25 @@ _PALETTE = ("#1f77b4", "#d62728", "#9467bd", "#ff7f0e", "#2ca02c",
 def series_svg(series_list: Sequence[Series], width: int = 900,
                height: int = 540) -> str:
     """Bare polyline rendering, viewBox normalized to the data extents."""
-    zs = [z for s in series_list for z, _ in s.points]
+    columns = [tuple(zip(*s.points)) or ((), ()) for s in series_list]
+    zs = [*chain.from_iterable(z for z, _ in columns)]
     if not zs:
         return ('<svg xmlns="http://www.w3.org/2000/svg" '
                 f'viewBox="0 0 {width} {height}"></svg>')
-    vs = [v for s in series_list for _, v in s.points]
+    vs = [*chain.from_iterable(v for _, v in columns)]
     zmin, zmax, vmin, vmax = min(zs), max(zs), min(vs), max(vs)
-    # Float spans make every coordinate a float: Fraction coordinates take
-    # no '.3f' before Python 3.12, and float(float) is the float itself.
+    # Float spans make every coordinate a float, and '%.3f' formats a
+    # float as the '.3f' spec does.
     zspan = float((zmax - zmin) or 1.0)
     vspan = float((vmax - vmin) or 1.0)
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" '
              f'viewBox="0 0 {width} {height}">']
-    for i, s in enumerate(series_list):
+    for i, (s, (z, v)) in enumerate(zip(series_list, columns)):
         colour = _PALETTE[i % len(_PALETTE)]
-        coords = " ".join(f"{(z - zmin) / zspan * width:.3f},"
-                          f"{height - (v - vmin) / vspan * height:.3f}"
-                          for z, v in s.points)
+        xy = [None] * (2 * len(z))
+        xy[0::2] = [(x - zmin) / zspan * width for x in z]
+        xy[1::2] = [height - (y - vmin) / vspan * height for y in v]
+        coords = ("%.3f,%.3f " * len(z) % tuple(xy))[:-1]
         parts.append(f'<polyline fill="none" stroke="{colour}" '
                      f'stroke-width="1" points="{coords}">'
                      f'<title>{s.label}</title></polyline>')

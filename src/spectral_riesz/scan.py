@@ -3,15 +3,19 @@
 Series are ratio-minus-one curves of the raw spectral quantities against
 their bounds, Weyl terms or truncated expansions, on deterministic grids
 (no randomness, fixed phases inside each level interval), so every value
-is reproducible bit for bit.  Each series reads its raw N or R1 column
-from one prefix-table sweep (riesz.evaluate_grid).
+is reproducible bit for bit.  Each figure reads each of its raw N or R1
+columns once, in one prefix-table sweep (riesz.evaluate_grid), and every
+series on that column shares it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from operator import lt, sub, truediv
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import bounds
@@ -29,16 +33,19 @@ class GridPolicy(Enum):
 
 @dataclass(frozen=True)
 class Series:
-    """One labelled curve: strictly increasing z, finite values only."""
+    """One labelled curve: finite, strictly increasing z; finite values."""
 
     label: str
     points: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self):
-        zs = [z for z, _ in self.points]
-        if any(b <= a for a, b in zip(zs, zs[1:])):
+        zs, vs = tuple(zip(*self.points)) or ((), ())
+        if not all(map(lt, zs, zs[1:])):
             raise ValueError("series grid must be strictly increasing")
-        if any(not math.isfinite(v) for _, v in self.points):
+        # Increasing pairs hold no NaN, and inf can sit only at an end.
+        if zs and not (-math.inf < zs[0] and zs[-1] < math.inf):
+            raise ValueError("series grid must be finite")
+        if not all(map(math.isfinite, vs)):
             raise ValueError("series values must be finite")
 
 
@@ -67,16 +74,20 @@ def w_grid(d: int, l_max: int,
     return out
 
 
-def _series(label: str, q: SpectrumQuery, quantity: str, zs: Sequence[float],
+def _column(q: SpectrumQuery, quantity: str, zs: Sequence[float]):
+    """The points z > 0 of zs and float N or R1 there, in one table sweep."""
+    zs = [float(z) for z in zs if z > 0]
+    return zs, [*map(float, evaluate_grid(q, quantity, zs)[0])]
+
+
+def _series(label: str, zs: Sequence[float], raw: Sequence[float],
             reference: Callable[[float], float],
             minus_z: bool = False) -> Series:
-    """Ratio minus one of N or R1 (less z with minus_z) to reference(z),
-    at the points z > 0 of zs, with the raw column from one table sweep."""
-    zs = [float(z) for z in zs if z > 0]
-    raw, _ = evaluate_grid(q, quantity, zs)
-    return Series(label, tuple(
-        (z, (float(r) - z if minus_z else float(r)) / reference(z) - 1.0)
-        for z, r in zip(zs, raw)))
+    """Ratio minus one of raw (less z with minus_z) to reference(z) at zs."""
+    if minus_z:
+        raw = map(sub, raw, zs)
+    ratios = map(truediv, raw, map(reference, zs))
+    return Series(label, tuple(zip(zs, map(sub, ratios, repeat(1.0)))))
 
 
 def _bound(bound_id: str, side: str, prm: Optional[dict] = None):
@@ -106,14 +117,13 @@ def figure(fig_id: str, resolution: int = DEFAULT_POINTS_PER_INTERVAL,
 
 def _figure_f1(res, l_max):
     # S^2: R1 against the plain and the improved two-sided bounds.
-    zs = w_grid(2, l_max, res)
-    q = SpectrumQuery(sphere(2))
+    col = _column(SpectrumQuery(sphere(2)), "R1", w_grid(2, l_max, res))
     return [
-        _series("r1_vs_upper", q, "R1", zs, _bound("s2.r1.upper", "upper")),
-        _series("r1_vs_lower", q, "R1", zs, _bound("s2.r1.lower", "lower")),
-        _series("r1_vs_upper_improved", q, "R1", zs,
+        _series("r1_vs_upper", *col, _bound("s2.r1.upper", "upper")),
+        _series("r1_vs_lower", *col, _bound("s2.r1.lower", "lower")),
+        _series("r1_vs_upper_improved", *col,
                 _bound("s2.r1.upper.imp", "upper")),
-        _series("r1_vs_lower_improved", q, "R1", zs,
+        _series("r1_vs_lower_improved", *col,
                 _bound("s2.r1.lower.imp", "lower")),
     ]
 
@@ -122,71 +132,65 @@ def _figure_f2(res, l_max):
     # S^2_+ Dirichlet counting: Weyl term and the two-sided bound, the
     # same series cut to four nested zoom ranges (identical overlaps),
     # none shorter than level 1 so that no panel is empty.
-    q = SpectrumQuery(hemisphere_dirichlet(2))
-    zs = w_grid(2, l_max, res)
+    col = _column(SpectrumQuery(hemisphere_dirichlet(2)), "N",
+                  w_grid(2, l_max, res))
     base = [
-        _series("nd_vs_weyl", q, "N", zs, _bound("hemi2.nd.polya", "upper")),
-        _series("nd_vs_upper", q, "N", zs,
-                _bound("hemi2.nd.twosided", "upper")),
-        _series("nd_vs_lower", q, "N", zs,
-                _bound("hemi2.nd.twosided", "lower")),
+        _series("nd_vs_weyl", *col, _bound("hemi2.nd.polya", "upper")),
+        _series("nd_vs_upper", *col, _bound("hemi2.nd.twosided", "upper")),
+        _series("nd_vs_lower", *col, _bound("hemi2.nd.twosided", "lower")),
     ]
     panels = [max(l_max // k, 1) for k in (1, 2, 4, 8)]
     out = []
     for i, lcap in enumerate(panels, start=1):
         zcap = float(lcap * (lcap + 1))
+        end = bisect_right(col[0], zcap)
         for s in base:
-            out.append(Series(f"{s.label}:panel{i}",
-                              tuple(pt for pt in s.points if pt[0] <= zcap)))
+            out.append(Series(f"{s.label}:panel{i}", s.points[:end]))
     return out
 
 
 def _figure_f34(res, l_max):
-    qd = SpectrumQuery(hemisphere_dirichlet(2))
-    qn = SpectrumQuery(hemisphere_neumann(2))
-    zs = w_grid(2, l_max, res)
-    above2 = [z for z in zs if z > 2]
-    return [
-        _series("r1d_vs_weyl", qd, "R1", zs,
-                BoundExpansion(qd.space, "R1", 1)),
-        _series("r1d_vs_upper", qd, "R1", zs,
-                _bound("hemi2.r1d.upper", "upper")),
-        _series("r1d_vs_lower", qd, "R1", above2,
-                _bound("hemi2.r1d.lower", "lower")),
-        _series("r1n_vs_weyl", qn, "R1", zs,
-                BoundExpansion(qn.space, "R1", 1)),
-        _series("r1n_vs_upper", qn, "R1", zs,
-                _bound("hemi2.r1n.upper", "upper")),
-        _series("r1n_vs_lower", qn, "R1", above2,
-                _bound("hemi2.r1n.lower", "lower")),
-    ]
+    # S^2_+ R1, Dirichlet (tag d) and Neumann (tag n): the lower bounds
+    # hold above z = 2, a suffix of the sorted column.
+    grid, out = w_grid(2, l_max, res), []
+    for space, tag in ((hemisphere_dirichlet(2), "d"),
+                       (hemisphere_neumann(2), "n")):
+        zs, raw = _column(SpectrumQuery(space), "R1", grid)
+        i = bisect_right(zs, 2.0)
+        out += [
+            _series(f"r1{tag}_vs_weyl", zs, raw,
+                    BoundExpansion(space, "R1", 1)),
+            _series(f"r1{tag}_vs_upper", zs, raw,
+                    _bound(f"hemi2.r1{tag}.upper", "upper")),
+            _series(f"r1{tag}_vs_lower", zs[i:], raw[i:],
+                    _bound(f"hemi2.r1{tag}.lower", "lower")),
+        ]
+    return out
 
 
 def _figure_f4(res, l_max):
-    zs = w_grid(3, l_max, res)
     sp3 = sphere(3)
-    q = SpectrumQuery(sp3)
+    col = _column(SpectrumQuery(sp3), "R1", w_grid(3, l_max, res))
     return [
-        _series("r1_vs_leading", q, "R1", zs, BoundExpansion(sp3, "R1", 1)),
-        _series("r1_vs_two_term", q, "R1", zs, BoundExpansion(sp3, "R1", 2)),
+        _series("r1_vs_leading", *col, BoundExpansion(sp3, "R1", 1)),
+        _series("r1_vs_two_term", *col, BoundExpansion(sp3, "R1", 2)),
     ]
 
 
 def _figure_f5(res, l_max):
-    zs = w_grid(3, l_max, res)
-    q = SpectrumQuery(sphere(3))
+    col = _column(SpectrumQuery(sphere(3)), "R1", w_grid(3, l_max, res))
     return [
-        _series("r1_vs_shifted_upper", q, "R1", zs,
+        _series("r1_vs_shifted_upper", *col,
                 _bound("sd.r1.upper.shift", "upper", {"d": 3})),
-        _series("r1_vs_shifted_lower", q, "R1", zs,
+        _series("r1_vs_shifted_lower", *col,
                 _bound("sd.r1.lower.shift", "lower", {"d": 3})),
     ]
 
 
 def _figure_f6(res, l_max):
-    zs = w_grid(3, l_max, res)
     sp3 = sphere(3)
-    return [_series("n_vs_three_term", SpectrumQuery(sp3), "N", zs,
+    return [_series("n_vs_three_term",
+                    *_column(SpectrumQuery(sp3), "N", w_grid(3, l_max, res)),
                     BoundExpansion(sp3, "N", 3))]
 
 
@@ -194,12 +198,12 @@ def _hemi3_series(space, zs, tag):
     # S^3_+ (tag d or n): N and R1 against three-term expansions, R1
     # against its Weyl term.
     q = SpectrumQuery(space)
+    r1 = _column(q, "R1", zs)
     return [
-        _series(f"n{tag}_vs_three_term", q, "N", zs,
+        _series(f"n{tag}_vs_three_term", *_column(q, "N", zs),
                 BoundExpansion(space, "N", 3)),
-        _series(f"r1{tag}_vs_weyl", q, "R1", zs,
-                BoundExpansion(space, "R1", 1)),
-        _series(f"r1{tag}_vs_three_term", q, "R1", zs,
+        _series(f"r1{tag}_vs_weyl", *r1, BoundExpansion(space, "R1", 1)),
+        _series(f"r1{tag}_vs_three_term", *r1,
                 BoundExpansion(space, "R1", 3)),
     ]
 
@@ -219,7 +223,8 @@ def _figure_f9(res, l_max):
         q = SpectrumQuery(sphere(d), power=2)
         zs = [z * z for z in w_grid(d, l_max, res)]
         weyl = bounds.Power(lclass_volume(q.space, 1, 2), 1 + d / 4)
-        out.append(_series(f"r1_bih_vs_weyl_d{d}", q, "R1", zs, weyl))
+        out.append(_series(f"r1_bih_vs_weyl_d{d}", *_column(q, "R1", zs),
+                           weyl))
     return out
 
 
@@ -229,8 +234,8 @@ def _figure_f10(res, l_max):
         q = SpectrumQuery(sphere(2), power=p)
         zs = [z ** p for z in w_grid(2, l_max, res)]
         weyl = bounds.Power(lclass_volume(q.space, 1, p), 1 + 1 / p)
-        out.append(_series(f"r1_p{p}_minus_z_vs_weyl", q, "R1", zs, weyl,
-                           minus_z=True))
+        out.append(_series(f"r1_p{p}_minus_z_vs_weyl", *_column(q, "R1", zs),
+                           weyl, minus_z=True))
     return out
 
 

@@ -285,7 +285,9 @@ class BoundExpansion:
 
     def __call__(self, z: Real) -> float:
         zf = _expansion_z(z)
-        return self.lead * zf ** self.exponent * self._bracket(zf)
+        lead = self.lead * zf ** self.exponent
+        # The one-term bracket is 1.0, and lead * 1.0 is lead bit for bit.
+        return lead if self.terms == 1 else lead * self._bracket(zf)
 
     def at(self, z: Real) -> ExpansionEval:
         zf = _expansion_z(z)

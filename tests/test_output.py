@@ -116,3 +116,58 @@ def test_mixed_rows_format_each_value_by_type():
                                Fraction(-4), 12, True, "text"])
 def test_fmt_number_matches_the_reference(x):
     assert fmt_number(x) == _reference_fmt(x)
+
+
+# Labels are written into the batched row format with '%' escaped; the
+# other characters pass through as text.
+LABELS = ["50%", "100%% sure", "{}", "a,b", "%s%d%(x)s", "%.17g"]
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_writers_keep_labels_verbatim(label):
+    series = [Series(label, ((0.5, 0.25), (1.5, -2.0)))]
+    assert series_csv(series) == _reference_csv(series)
+    assert series_svg(series) == _reference_svg(series)
+
+
+EXTREME_FLOATS = [Series("extremes", ((-1e300, -0.0), (-0.0, 5e-324),
+                                      (5e-324, 1e-300), (1e-300, 1e300),
+                                      (1e300, -1e300)))]
+
+
+def test_batched_csv_formats_extreme_floats():
+    assert series_csv(EXTREME_FLOATS) == _reference_csv(EXTREME_FLOATS)
+    assert series_csv(EXTREME_FLOATS).splitlines()[1:3] == [
+        "-1.0000000000000001e+300,extremes,-0",
+        "-0,extremes,4.9406564584124654e-324"]
+
+
+def test_svg_formats_extreme_floats():
+    assert series_svg(EXTREME_FLOATS) == _reference_svg(EXTREME_FLOATS)
+
+
+# One all-float series beside series whose int or Fraction point sits
+# mid-series: the batched path or the per-value one is chosen per series.
+BESIDE = [
+    Series("floats", ((0.25, 1 / 3), (0.5, -0.0), (2.0, 1e-300))),
+    Series("int-mid", ((0.5, 0.1), (1, 0.2), (1.5, 0.3))),
+    Series("fraction-mid", ((0.5, 0.1), (0.75, Fraction(1, 3)),
+                            (1.5, 0.3))),
+    Series("floats-again", ((3.0, 2.5), (4.0, 5e-324))),
+]
+
+
+@pytest.mark.parametrize("cut", [slice(None), slice(0, 2), slice(1, 4)],
+                         ids=["all", "float-first", "float-last"])
+def test_writers_choose_the_format_per_series(cut):
+    assert series_csv(BESIDE[cut]) == _reference_csv(BESIDE[cut])
+    assert series_svg(BESIDE[cut]) == _reference_svg(BESIDE[cut])
+
+
+@pytest.mark.parametrize("fig_id,resolution,l_max", [("f34", 41, 59),
+                                                     ("f2", 39, 61)])
+def test_writers_match_the_reference_at_the_benchmark_shape(
+        fig_id, resolution, l_max):
+    series = figure(fig_id, resolution, l_max)
+    assert series_csv(series) == _reference_csv(series)
+    assert series_svg(series) == _reference_svg(series)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -108,11 +109,54 @@ def test_f6_three_term_beats_leading_by_factor_ten():
     assert lead_sup >= 10 * exp_sup
 
 
+#: Grids with a repeated, decreasing, NaN or infinite z, or a value that is
+#: not finite; every comparison with NaN is false, so NaN must not pass.
+BAD_POINTS = [
+    ((1.0, 0.0), (1.0, 1.0)),
+    ((2.0, 0.0), (1.0, 1.0)),
+    ((1.0, math.nan),),
+    ((1.0, 0.0), (2.0, math.inf)),
+    ((1.0, -math.inf), (2.0, 0.0)),
+    ((math.nan, 0.0),),
+    ((math.inf, 0.0),),
+    ((-math.inf, 0.0),),
+    ((1.0, 0.0), (math.inf, 1.0)),
+    ((-math.inf, 0.0), (1.0, 1.0)),
+    ((math.nan, 0.0), (1.0, 1.0)),
+    ((1.0, 0.0), (math.nan, 1.0), (0.5, 2.0)),     # z goes back down
+    ((1.0, 0.0), (math.nan, 1.0), (2.0, 2.0)),
+]
+
+
 def test_series_invariants_enforced():
-    with pytest.raises(ValueError):
-        Series("bad", ((1.0, 0.0), (1.0, 1.0)))
-    with pytest.raises(ValueError):
-        Series("bad", ((1.0, math.nan),))
+    for points in BAD_POINTS:
+        with pytest.raises(ValueError, match="series (grid|values) must be"):
+            Series("bad", points)
+
+
+@pytest.mark.parametrize("points", [
+    (), ((0.5, -0.0),), ((1, 0.25), (Fraction(3, 2), Fraction(-1, 3))),
+    ((5e-324, 1e300), (1e300, -1e300)),
+    ((Fraction(1, 3), 0.0), (10 ** 400, 1.0))],
+    ids=["empty", "one-point", "int-fraction", "extremes", "past-float-z"])
+def test_series_accepts_finite_increasing_grids(points):
+    assert Series("ok", points).points == points
+
+
+#: Distinct (query, quantity, grid) columns behind each figure.
+COLUMNS = {"f1": 1, "f2": 1, "f34": 2, "f4": 1, "f5": 1, "f6": 1, "f7": 2,
+           "f8": 2, "f9": 4, "f10": 4}
+
+
+@pytest.mark.parametrize("fig_id", sorted(COLUMNS))
+def test_figure_sweeps_each_column_once(fig_id, monkeypatch):
+    calls = []
+    real = scan.evaluate_grid
+    monkeypatch.setattr(scan, "evaluate_grid",
+                        lambda *a: calls.append(a[:2]) or real(*a))
+    figure(fig_id, 3, 10)
+    assert len(calls) == COLUMNS[fig_id]
+    assert len(set(calls)) == len(calls)
 
 
 def test_gap_extrema_match_closed_form_maximizer():
@@ -257,3 +301,22 @@ def test_series_values_equal_the_per_point_path(fig_id):
     assert got.keys() == expected.keys()
     for label, points in expected.items():
         assert points and got[label] == points, label
+
+
+def test_f34_lower_series_are_the_column_above_two():
+    # The lower series slice the shared R1 column after z = 2, a grid
+    # point (w = 1), and equal the per-point path there.
+    from spectral_riesz.bounds import bound_value
+    from spectral_riesz.riesz import SpectrumQuery, riesz_mean
+    from spectral_riesz.spaces import hemisphere_dirichlet, hemisphere_neumann
+
+    got = {s.label: s.points for s in figure("f34", 6, 12)}
+    grid = w_grid(2, 12, 6)
+    assert 2.0 in grid
+    zs = [z for z in grid if z > 2]
+    for space, tag in ((hemisphere_dirichlet(2), "d"),
+                       (hemisphere_neumann(2), "n")):
+        bid = f"hemi2.r1{tag}.lower"
+        assert got[f"r1{tag}_vs_lower"] == _per_point_series(
+            SpectrumQuery(space), lambda q, z: riesz_mean(q, 1, z),
+            lambda z: bound_value(bid, {}, z, side="lower"), zs)

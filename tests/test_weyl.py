@@ -137,6 +137,23 @@ def test_expansion_rejects_bad_z_with_one_value_error(z):
             evaluate()
 
 
+
+@pytest.mark.parametrize("space,quantity", [
+    (sphere(3), "N"), (sphere(2), "R1"), (hemisphere_dirichlet(2), "R1"),
+    (hemisphere_neumann(3), "R1")])
+def test_one_term_expansion_is_the_bare_leading_power(space, quantity):
+    # The one-term call skips the bracket; the value is bit-equal to the
+    # leading power times the 1.0 bracket, and bad z still raise the same
+    # ValueError.
+    bound = BoundExpansion(space, quantity, 1)
+    zs = [w * (w + space.dim - 1) for w in (k / 7 for k in range(1, 400))]
+    for z in zs + [5e-324, 1e-300, 0.5, 1e100]:
+        old = bound.lead * z ** bound.exponent * 1.0
+        assert bound(z).hex() == old.hex() == bound.at(z).value.hex(), z
+    for z in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0):
+        with pytest.raises(ValueError, match="expansion requires .* got z="):
+            bound(z)
+
 def _theorem_coefficients(space, quantity, psi):
     """(leading rational, c_half, c_one, max_terms) of the expansion
     theorem, with the oscillating coefficients at psi."""
