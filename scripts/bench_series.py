@@ -3,14 +3,15 @@
 
 One pass builds all ten figures with `scan.figure`, then formats them with
 `output.series_csv` and `output.series_svg`, at the series workload's shape
-(resolutions 39-41, l_max 59-61, cycled over the figures).  The passes run
-in a fresh interpreter after one untimed warm pass, so the prefix tables
-are built before the first timed pass.  Prints one JSON object: the median
-and every pass of each stage in seconds, and the points per pass.
+(resolutions 39-41, l_max 59-61, cycled over the figures).  Fifteen timed
+passes run in a fresh interpreter after one untimed warm pass, so the
+prefix tables are built before the first timed pass.  Prints one JSON
+object: the median and every pass of each stage in seconds, and the points
+per pass.
 
 Usage, from the root of a checkout:
 
-    python scripts/bench_series.py [--src PATH] [--passes N]
+    python scripts/bench_series.py [--src PATH]
 
 --src is the engine's source directory (default: this checkout's src), so
 the same script measures another commit's engine.
@@ -24,6 +25,7 @@ import subprocess
 import sys
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+PASSES = 15
 
 #: Runs in the fresh interpreter; argv[1] is the number of timed passes.
 CHILD = r'''
@@ -59,11 +61,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", default=SRC,
                     help="engine source directory (default: this checkout's)")
-    ap.add_argument("--passes", type=int, default=15,
-                    help="timed passes after the warm one (default: 15)")
     args = ap.parse_args()
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
-    out = subprocess.run([sys.executable, "-c", CHILD, str(args.passes)],
+    out = subprocess.run([sys.executable, "-c", CHILD, str(PASSES)],
                          env=env, capture_output=True, text=True, check=True)
     passes = json.loads(out.stdout)
     result = {"points_per_pass": passes[0]["points"]}

@@ -64,14 +64,10 @@ DEFAULT_LEVEL_RANGE = 60
 def w_grid(d: int, l_max: int,
            per_interval: int = DEFAULT_POINTS_PER_INTERVAL) -> List[float]:
     """Uniform-in-w grid: fixed fluctuation phases in every level interval."""
-    out = []
-    for l in range(l_max):
-        for k in range(per_interval):
-            w = l + k / per_interval
-            out.append(w * (w + d - 1))
-    w = float(l_max)
-    out.append(w * (w + d - 1))
-    return out
+    phases = [k / per_interval for k in range(per_interval)]
+    ws = [l + phase for l in range(l_max) for phase in phases]
+    ws.append(float(l_max))
+    return [w * (w + d - 1) for w in ws]
 
 
 def _column(q: SpectrumQuery, quantity: str, zs: Sequence[float]):
@@ -229,10 +225,10 @@ def _figure_f9(res, l_max):
 
 
 def _figure_f10(res, l_max):
-    out = []
+    grid, out = w_grid(2, l_max, res), []
     for p in (2, 3, 4, 5):
         q = SpectrumQuery(sphere(2), power=p)
-        zs = [z ** p for z in w_grid(2, l_max, res)]
+        zs = [z ** p for z in grid]
         weyl = bounds.Power(lclass_volume(q.space, 1, p), 1 + 1 / p)
         out.append(_series(f"r1_p{p}_minus_z_vs_weyl", *_column(q, "R1", zs),
                            weyl, minus_z=True))

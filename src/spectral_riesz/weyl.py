@@ -273,8 +273,6 @@ class BoundExpansion:
                           else (-1.0, rem))[terms - 1]
 
     def _bracket(self, zf: float) -> float:
-        if self.terms == 1:
-            return 1.0
         c_half, c_one = self.coefficients(
             snapped_fluctuation(invert_w(self.dim, zf)))
         if self.max_terms == 2:
@@ -291,7 +289,7 @@ class BoundExpansion:
 
     def at(self, z: Real) -> ExpansionEval:
         zf = _expansion_z(z)
-        ratio = self._bracket(zf)
+        ratio = 1.0 if self.terms == 1 else self._bracket(zf)
         return ExpansionEval(self.lead * zf ** self.exponent * ratio, ratio,
                              self.terms, self.remainder)
 

@@ -212,6 +212,22 @@ def test_w_grid_is_strictly_increasing():
     assert g[0] == 0.0 and g[-1] == 10 * 12
 
 
+@pytest.mark.parametrize("d,l_max,per_interval", [
+    (2, 61, 39), (3, 60, 40), (5, 59, 41), (2, 1, 1), (4, 3, 7)])
+def test_w_grid_matches_the_point_by_point_grid(d, l_max, per_interval):
+    # w = l + k / per_interval in each interval, then w = l_max; the
+    # figures' bytes depend on every bit of z = w (w + d - 1).
+    want = []
+    for l in range(l_max):
+        for k in range(per_interval):
+            w = l + k / per_interval
+            want.append(w * (w + d - 1))
+    w = float(l_max)
+    want.append(w * (w + d - 1))
+    got = w_grid(d, l_max, per_interval)
+    assert [z.hex() for z in got] == [z.hex() for z in want]
+
+
 @pytest.mark.parametrize("fig_id", ["f4", "f5", "f6", "f7", "f8", "f9",
                                     "f10"])
 def test_figure_binds_each_reference_once(fig_id, monkeypatch):

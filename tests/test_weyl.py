@@ -137,7 +137,6 @@ def test_expansion_rejects_bad_z_with_one_value_error(z):
             evaluate()
 
 
-
 @pytest.mark.parametrize("space,quantity", [
     (sphere(3), "N"), (sphere(2), "R1"), (hemisphere_dirichlet(2), "R1"),
     (hemisphere_neumann(3), "R1")])
@@ -153,6 +152,7 @@ def test_one_term_expansion_is_the_bare_leading_power(space, quantity):
     for z in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0):
         with pytest.raises(ValueError, match="expansion requires .* got z="):
             bound(z)
+
 
 def _theorem_coefficients(space, quantity, psi):
     """(leading rational, c_half, c_one, max_terms) of the expansion
