@@ -27,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from operator import truediv
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .riesz import (SpectrumQuery, Variant, evaluate_grid, level_values_upto,
-                    prefix_sums, riesz_mean)
+from .riesz import (SpectrumQuery, Variant, eigenvalue_sums, evaluate_grid,
+                    level_values_upto, prefix_sums, riesz_mean)
 from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, fluctuation,
                      hemisphere_dirichlet, hemisphere_neumann, invert_w,
                      require_finite_nonnegative, sphere)
@@ -906,7 +907,8 @@ def _scan_side(side: str, bound: Callable, grid: Sequence, zs: List[float],
                targets: List[float], gaps: Optional[List[int]], tol: float):
     """One side over the grid, column by column: bounds, slacks, then the
     minimum (NaN skipped, the first of equal minima kept), the per-gap
-    minima and the violations, each in one pass."""
+    minima and the violations, each in one pass; no violation pass when
+    the minimum is not negative."""
     bnds = list(map(float, map(bound, grid)))
     if side == "upper":
         slacks = [b - t for b, t in zip(bnds, targets)]
@@ -923,9 +925,11 @@ def _scan_side(side: str, bound: Callable, grid: Sequence, zs: List[float],
         for g, s in zip(gaps, slacks):
             if s < gap_min[g]:
                 gap_min[g] = s
-    # -tol * max(1, |b|) < 0 for 0 < tol < inf, so s < 0 decides most rows.
-    violations = [Violation(zf, tgt, b, s, side) for zf, tgt, b, s in rows
-                  if s < 0 and s < -tol * max(1.0, abs(b))]
+    # -tol * max(1, |b|) < 0 for 0 < tol < inf, so s < 0 decides most rows,
+    # and a minimum that is not negative leaves none (NaN is never it).
+    violations = [] if min_slack >= 0 else [
+        Violation(zf, tgt, b, s, side) for zf, tgt, b, s in rows
+        if s < 0 and s < -tol * max(1.0, abs(b))]
     return SideReport(
         side, len(rows), min_slack, arg, len(violations),
         violations[0] if violations else None, tuple(violations[:20]),
@@ -944,11 +948,14 @@ def verify(bound_id: str, params: Optional[dict] = None,
     The parameters, the query, the target column and the per-point gap
     level are resolved once and shared by every side, which is bound
     once for the grid and the equality points.  Targets, gap levels and
-    equality-point targets each come from one prefix-table sweep
-    (riesz.evaluate_grid), so grids may be unsorted.  Each side is then
-    scanned in columns (_scan_side): its bound values and slacks as two
-    lists, then one pass each for the minimum, the per-gap minima and the
-    violations.
+    equality-point targets each come from one prefix-table sweep, so
+    grids may be unsorted: riesz.evaluate_grid for N, R1 and R2, and for
+    averages riesz.eigenvalue_sums, whose integer sum over the first k
+    eigenvalues is divided by k in one correctly rounded int division
+    (the float of the exact average).  Each side is then scanned in
+    columns (_scan_side): its bound values and slacks as two lists, then
+    one pass each for the minimum, the per-gap minima and, when the
+    minimum is negative, the violations.
     """
     if not 0 < tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -958,11 +965,14 @@ def verify(bound_id: str, params: Optional[dict] = None,
     if grid is None:
         grid = standard_grid(bound_id, prm, zmax=zmax, points=points,
                              levels=levels)
-    zs = [float(x) for x in grid]
+    zs = list(map(float, grid))
     if not zs:
         raise ValueError("grid must not be empty")
-    targets, gaps = evaluate_grid(q, spec.quantity, grid)
-    targets = [float(t) for t in targets]
+    if spec.quantity == "average":  # int / int is float(Fraction(sum1, k))
+        targets, gaps = map(truediv, eigenvalue_sums(q, grid), grid), None
+    else:
+        targets, gaps = evaluate_grid(q, spec.quantity, grid)
+    targets = list(map(float, targets))
     bound = [(rule.side, rule.bind(**prm)) for rule in spec.sides]
     sides = tuple(_scan_side(side, fn, grid, zs, targets, gaps, tol)
                   for side, fn in bound)

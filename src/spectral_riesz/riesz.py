@@ -12,15 +12,24 @@ one row per level with named columns lam, mult, count, s1, s2) through one
 of two integer bisects: by value, `bisect_right` on lam at floor(z), for
 N, R_1, R_2 and the level inversion (exact: level values are ints, so
 lam <= z iff lam <= floor(z), and no float ever seeds a lookup); by count,
-`bisect_left` on count, for the prefix sums and the j-th eigenvalue.  The
-per-grid sweep `evaluate_grid` grows the table once to the largest point
-and bisects it per point.  Each table is plain single-threaded state: one
-growth rule (`_table`) extends its columns in place by doubling, up to
-level DEFAULT_LEVEL_CAP + 1.  It builds them in columns, not row by row:
-the levels of a space (eigenvalue and multiplicity, kept once per `Space`
-and grown with the deepest table of that space) are shared by all its
-powers and variants, which slice them, raise lam to the power p, and fill
-count, s1 and s2 by running sums in C.
+`bisect_left` on count, for the prefix sums and the j-th eigenvalue.
+
+The per-grid sweep `evaluate_grid` grows the table once, at the largest
+point.  An all-float grid is then cut, in sorted order, into runs of
+points that share a row: one `bisect_left` of the grid per level value,
+exact because CPython compares a float with an int exactly.  Each row's
+count and sums are spread over its run and combined in C.  Int, Fraction
+and mixed grids bisect the table per point.  `eigenvalue_sums` gives
+Sigma lambda_j for a list of k as ints, so a float average is one
+correctly rounded int division.
+
+Each table is plain single-threaded state: one growth rule (`_table`)
+extends its columns in place by doubling, up to level
+DEFAULT_LEVEL_CAP + 1.  It builds them in columns, not row by row: the
+levels of a space (eigenvalue and multiplicity, kept once per `Space` and
+grown with the deepest table of that space) are shared by all its powers
+and variants, which slice them, raise lam to the power p, and fill count,
+s1 and s2 by running sums in C.
 """
 
 from __future__ import annotations
@@ -30,8 +39,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
+from itertools import accumulate, chain, islice, repeat
+from operator import add, ge, le, mul, sub
 from typing import List, NamedTuple, Optional, Sequence
 
 from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, eigenvalue,
@@ -205,6 +214,67 @@ def _prefix_sums_at(tab: _Table, i: int, k: int) -> PrefixSums:
     return PrefixSums(k, tab.s1[i] - extra * lam, tab.s2[i] - extra * lam * lam)
 
 
+def _grown_table(q: SpectrumQuery, lookup, lowest: int, grid: Sequence):
+    """(table, i) of the lookup at the largest point of grid, after the
+    checks that every point's own lookup makes.
+
+    One per-point lookup, at the largest point, grows and cap-checks the
+    table; then only NaN and points below `lowest` can fail.  If any point
+    fails, the first bad point in grid order raises its own error.
+    """
+    try:
+        found = lookup(q, max(grid, default=1))
+        ok = all(map(ge, grid, repeat(lowest)))  # NaN fails too
+    except ValueError:
+        ok = False
+    if not ok:
+        for x in grid:
+            lookup(q, x)
+    return found
+
+
+def eigenvalue_sums(q: SpectrumQuery, ks: Sequence[int]) -> List[int]:
+    """Exact Sigma_{j<=k} lambda_j for each k of ks, from one table sweep.
+
+    Each equals prefix_sums(q, k).sum1, and raises as it would.
+    """
+    tab = _grown_table(q, _row_of, 1, ks)[0]
+    count, lam, s1 = tab.count, tab.lam, tab.s1
+    # Row i sums its whole level; take back the eigenvalues past the k-th.
+    return [s1[i] - (count[i] - k) * lam[i]
+            for k, i in zip(ks, map(bisect_left, repeat(count), ks))]
+
+
+def _float_runs(tab: _Table, top: int, gamma: int, grid: List[float],
+                below: int):
+    """(values, gap_levels) of a sorted, checked float grid whose largest
+    point lies in row `top`, built run by run.
+
+    Row r holds the points z with exactly r level values <= z, those in
+    [lam[r-1], lam[r]): one contiguous run, cut by one bisect per level (a
+    float compares with an int exactly).  Each row's n, s1 and s2 are
+    spread over its run and combined in the order of `_value_at`, so every
+    value is that of the per-point lookup bit for bit.
+    """
+    cuts = [bisect_left(grid, lam) for lam in tab.lam[:top]]
+    runs = list(map(sub, cuts + [len(grid)], [0] + cuts))
+
+    def spread(col):  # row r's entry, once per point of its run
+        return chain.from_iterable(map(repeat, col, runs))
+
+    n = spread([0, *tab.count[:top]])
+    gaps = list(spread(range(below, below + top + 1)))
+    if gamma == 0:
+        return list(n), gaps
+    if gamma == 1:
+        return list(map(sub, map(mul, n, grid),
+                        spread([0, *tab.s1[:top]]))), gaps
+    lin = map(sub, map(mul, n, grid),
+              spread([0, *map(mul, repeat(2), tab.s1[:top])]))
+    return list(map(add, map(mul, lin, grid),
+                    spread([0, *tab.s2[:top]]))), gaps
+
+
 def evaluate_grid(q: SpectrumQuery, quantity: str, grid: Sequence):
     """(values, gap_levels) of N, R1, R2 or average over a grid, in one sweep.
 
@@ -212,29 +282,31 @@ def evaluate_grid(q: SpectrumQuery, quantity: str, grid: Sequence):
     type included, for grids in any order and with duplicates.
     gap_levels[i] is the largest level l with lambda_(l)^p <= float(grid[i]),
     min_level - 1 below the first level; None for average (points are k).
+    One lookup at the largest point grows the table (`_grown_table`).  An
+    all-float grid is then read in runs of points that share a table row
+    (`_float_runs`, on its sorted order if it is not sorted); int, Fraction
+    and mixed grids bisect the table per point.
     """
-    by_count = quantity == "average"
-    lookup = _row_of if by_count else _rows_upto
-    lowest = 1 if by_count else 0
-    try:  # one per-point lookup, at the largest point, grows the table
-        tab = lookup(q, max(grid, default=1))[0]
-        # max(grid) passed, so only NaN and points below `lowest` can fail.
-        ok = all(x >= lowest for x in grid)
-    except ValueError:
-        ok = False
-    if not ok:  # the first bad point in grid order raises its own error
-        for x in grid:
-            lookup(q, x)
-    if by_count:
-        return [Fraction(_prefix_sums_at(tab, bisect_left(tab.count, k), k)
-                         .sum1, k) for k in grid], None
-    lam, gamma = tab.lam, {"N": 0, "R1": 1, "R2": 2}[quantity]
+    if quantity == "average":
+        return list(map(Fraction, eigenvalue_sums(q, grid), grid)), None
+    tab, top = _grown_table(q, _rows_upto, 0, grid)
+    gamma, below = {"N": 0, "R1": 1, "R2": 2}[quantity], q.min_level - 1
+    if {*map(type, grid)} == {float}:
+        if all(map(le, grid, islice(grid, 1, None))):
+            return _float_runs(tab, top, gamma, grid, below)
+        order = sorted(range(len(grid)), key=grid.__getitem__)
+        values, gaps = _float_runs(tab, top, gamma,
+                                   list(map(grid.__getitem__, order)), below)
+        back = sorted(range(len(order)), key=order.__getitem__)
+        return (list(map(values.__getitem__, back)),
+                list(map(gaps.__getitem__, back)))
+    lam = tab.lam
     rows = [bisect_right(lam, math.floor(x)) for x in grid]
     values = [_value_at(tab, i, gamma, x) for x, i in zip(grid, rows)]
     # The gap level reads float(x), which for a float point is its row.
     rows = [i if isinstance(x, float) else bisect_right(lam, float(x))
             for x, i in zip(grid, rows)]
-    below, end = q.min_level - 1, len(lam)
+    end = len(lam)
     # float(x) can round up onto the last row: there the per-point lookup
     # grows the table or raises.
     return values, [below + i if i < end else max_level_index_pow(q, float(x))

@@ -281,16 +281,24 @@ class BoundExpansion:
         ratio = 1.0 + c_half * zf ** -0.5
         return ratio if self.terms == 2 else ratio + c_one * (1.0 / zf)
 
+    def _leading(self, z: Real, zf: float) -> float:
+        """lead z^(d/2 + gamma); one ValueError if it leaves float range."""
+        try:
+            return self.lead * zf ** self.exponent
+        except OverflowError:
+            raise ValueError(f"expansion requires z^{self.exponent:g} in "
+                             f"float range, got z={z!r}") from None
+
     def __call__(self, z: Real) -> float:
         zf = _expansion_z(z)
-        lead = self.lead * zf ** self.exponent
+        lead = self._leading(z, zf)
         # The one-term bracket is 1.0, and lead * 1.0 is lead bit for bit.
         return lead if self.terms == 1 else lead * self._bracket(zf)
 
     def at(self, z: Real) -> ExpansionEval:
         zf = _expansion_z(z)
         ratio = 1.0 if self.terms == 1 else self._bracket(zf)
-        return ExpansionEval(self.lead * zf ** self.exponent * ratio, ratio,
+        return ExpansionEval(self._leading(z, zf) * ratio, ratio,
                              self.terms, self.remainder)
 
 

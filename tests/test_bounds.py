@@ -330,6 +330,21 @@ def test_average_bounds_hold_with_equality_at_gap_indices_d2():
     assert lower.min_slack == 0.0      # equality at every gap index for d=2
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_average_targets_are_the_exact_averages_rounded(d):
+    # verify divides the integer sums by k; the float must be the one
+    # float(Fraction) gives, bit for bit, in every side's rows.
+    q = SpectrumQuery(sphere(d))
+    grid = bounds.standard_grid("sd.avg.twosided", {"d": d}, points=300,
+                                zmax=40000)
+    grid = grid[::-1] + [1, 7, 40000, 39999]
+    for side in bounds.verify("sd.avg.twosided", {"d": d}, grid).sides:
+        assert [t.hex() for _, t, _, _ in side.points] == [
+            float(eigenvalue_average(q, k)).hex() for k in grid]
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        bounds.verify("sd.avg.twosided", {"d": d}, [3, 0, 5])
+
+
 def test_scan_report_serializes_to_json():
     rep = bounds.verify("s2.r1.upper", points=100, levels=10)
     blob = json.dumps(rep.to_dict(), sort_keys=True)

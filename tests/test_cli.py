@@ -344,8 +344,11 @@ def test_missing_positional_exits_two(argv):
     (["eval", "sphere:2", "N", "--zmin", "nan", "--zmax", "10",
       "--grid", "levels-plus-midpoints"], "0 <= zmin < zmax"),
     (["eval", "sphere:2", "N", "--zmax", "inf"], "zmax < inf"),
+    (["expansion", "sphere:3", "N", "--z", "1e300", "--terms", "1"],
+     "expansion requires z^1.5 in float range, got z=1e+300"),
 ], ids=["zero-denominator", "expansion-zmax-nan", "expansion-zmin-nan",
-        "eval-levels-grid-zmin-nan", "eval-zmax-inf"])
+        "eval-levels-grid-zmin-nan", "eval-zmax-inf",
+        "expansion-power-past-float-range"])
 def test_bad_grid_bounds_exit_two(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and message in err

@@ -485,24 +485,39 @@ def _per_point_loop(q, quantity, grid):
 
 
 def _value_grids(q):
-    """Float, int and Fraction grids at z = 0 and every level value +-1 ulp
-    (+-1 for ints; +-2^-70, below one float ulp, for Fractions, so that
-    float(x) rounds onto the level), each sorted, shuffled and duplicated."""
+    """Float, int, Fraction and mixed float/int grids at z = 0, below the
+    first level, at every level value +-1 ulp (+-1 for ints; +-2^-70, below
+    one float ulp, for Fractions, so that float(x) rounds onto the level)
+    and at the largest point, in the table's last row (halfway between its
+    last two level values for ints and Fractions).  Each is sorted,
+    shuffled and duplicated; float grids also hold -0.0 and 5e-324.  Then
+    single-point grids of the smallest and the largest points."""
     lams = [q.level_value(l) for l in range(q.min_level, q.min_level + 15)]
+    *_, prev, last = _table(q, "lam", lams[-1]).lam
     tiny = Fraction(1, 2 ** 70)
     kinds = {
-        "float": [0.0] + [z for lam in lams for z in (
-            math.nextafter(float(lam), -math.inf), float(lam),
-            math.nextafter(float(lam), math.inf))],
-        "int": [0] + [lam + e for lam in lams for e in (-1, 0, 1)],
-        "Fraction": [Fraction(0)] + [lam + e for lam in lams
-                                     for e in (-tiny, Fraction(0), tiny)],
+        "float": [0.0, 5e-324, lams[0] / 2,
+                  math.nextafter(float(last), -math.inf)] + [
+            z for lam in lams for z in (
+                math.nextafter(float(lam), -math.inf), float(lam),
+                math.nextafter(float(lam), math.inf))],
+        "int": [0, lams[0] // 2, (prev + last) // 2] + [
+            lam + e for lam in lams for e in (-1, 0, 1)],
+        "Fraction": [Fraction(0), Fraction(lams[0], 2),
+                     Fraction(prev + last, 2)] + [
+            lam + e for lam in lams for e in (-tiny, Fraction(0), tiny)],
     }
+    kinds["mixed"] = kinds["float"][1::2] + kinds["int"][::2]
+    singles = []
     for kind, pts in kinds.items():  # the kind seeds the shuffle
         pts = sorted(set(z for z in pts if z >= 0))
+        if kind == "float":
+            pts.insert(0, -0.0)  # the set kept 0.0 of the two zeros
         shuffled = pts[:]
         random.Random(kind).shuffle(shuffled)
         yield from (pts, shuffled, shuffled + pts[::3])
+        singles += pts[:4] + pts[-1:]
+    yield from ([z] for z in singles)
 
 
 def _assert_same(got, want):
@@ -559,10 +574,18 @@ K_PAST_CAP = counting(S2, S2.level_value(DEFAULT_LEVEL_CAP)) + 1
     ("average", [5, K_PAST_CAP, -1]),
     ("average", [K_PAST_CAP, K_PAST_CAP + 3]),
     ("R2", [PAST_CAP, PAST_CAP + 7]),
+    ("R1", [math.nan]),
+    ("N", [math.inf]),
+    ("R2", [-0.0, math.nan]),
+    ("R1", [0.5, 2.0, float(PAST_CAP), float(PAST_CAP) * 2]),
+    ("N", [6.0, 2.0, math.nan, 1.0]),
+    ("R2", [6.0, 2.0, -1.0, math.nan]),
 ], ids=["nan-first", "negative-first", "negative-before-cap",
         "cap-before-nan", "float-cap-before-negative", "cap-in-fraction",
         "inf", "huge-fraction", "k0-before-cap", "k0", "cap-before-k-negative",
-        "k-first-of-two-past-cap", "z-first-of-two-past-cap"])
+        "k-first-of-two-past-cap", "z-first-of-two-past-cap", "only-nan",
+        "only-inf", "nan-after-negative-zero", "sorted-past-cap-tail",
+        "unsorted-nan", "unsorted-negative-before-nan"])
 def test_evaluate_grid_raises_as_first_failing_point(quantity, grid):
     want = _first_failure(lambda: _per_point_loop(S2, quantity, grid))
     assert _first_failure(lambda: evaluate_grid(S2, quantity, grid)) == want

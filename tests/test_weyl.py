@@ -126,10 +126,11 @@ def test_remainder_scale_below_last_retained_power():
 
 @pytest.mark.parametrize("z", [
     math.nan, math.inf, -math.inf, 0, 0.0, -0.0, -1.0, -3, Fraction(-1, 2),
-    10 ** 400, -10 ** 400, Fraction(10 ** 400, 3), Fraction(1, 10 ** 400)],
-    ids=repr)
+    10 ** 400, -10 ** 400, Fraction(10 ** 400, 3), Fraction(1, 10 ** 400),
+    1e300, 10 ** 300], ids=repr)
 def test_expansion_rejects_bad_z_with_one_value_error(z):
-    # NaN, +-inf, z <= 0 and ints/Fractions past float range (either way).
+    # NaN, +-inf, z <= 0, ints/Fractions past float range (either way), and
+    # z whose leading power z^(d/2) leaves float range.
     bound = BoundExpansion(sphere(3), "N", 3)
     for evaluate in (lambda: expansion(sphere(3), "N", z, 3),
                      lambda: bound(z), lambda: bound.at(z)):
@@ -149,9 +150,11 @@ def test_one_term_expansion_is_the_bare_leading_power(space, quantity):
     for z in zs + [5e-324, 1e-300, 0.5, 1e100]:
         old = bound.lead * z ** bound.exponent * 1.0
         assert bound(z).hex() == old.hex() == bound.at(z).value.hex(), z
-    for z in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0):
-        with pytest.raises(ValueError, match="expansion requires .* got z="):
-            bound(z)
+    for z in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e300):
+        for evaluate in (bound, bound.at):
+            with pytest.raises(ValueError,
+                               match="expansion requires .* got z="):
+                evaluate(z)
 
 
 def _theorem_coefficients(space, quantity, psi):
