@@ -6,22 +6,19 @@ rank-one symmetric spaces, with exact rational oracles alongside every
 floating-point path.
 """
 
-from .spaces import (Family, Space, EnergyLevel, circle, energy_level,
-                     eigenvalue, fluctuation, hemisphere_dirichlet,
-                     hemisphere_neumann, invert_w, max_level_index,
-                     multiplicity, parse_space, sphere)
+from .spaces import (Family, Space, eigenvalue, fluctuation,
+                     hemisphere_dirichlet, hemisphere_neumann, invert_w,
+                     max_level_index, multiplicity, parse_space, sphere)
 from .riesz import (PrefixSums, SpectrumQuery, Variant, counting,
                     eigenvalue_average, evaluate_grid, lemma_sum,
                     poly_transform_check, prefix_sums, riesz1_closed_sphere,
                     riesz_mean)
 from .weyl import (ExpansionEval, SemiclassicalConstant, Volumes, expansion,
-                   gamma_asymptotic_check, lclass, lclass_volume, pab,
-                   pab_product, volumes)
+                   lclass, lclass_volume, volumes)
 from .bounds import (BoundSpec, ScanReport, bound_value, bly345_gap_diagnostics,
-                     catalog, equality_points, legendre_average_bound,
-                     optimal_shift, standard_grid, verify)
-from .sumrules import (QuadPoly, check_pq_identity, pn, qn, r2_shifted_ratio,
-                       trace_identity_partial)
+                     catalog, legendre_average_bound, optimal_shift,
+                     standard_grid, verify)
+from .sumrules import check_pq_identity, trace_identity_partial
 from .scan import GapExtremum, GridPolicy, Series, figure, gap_extrema
 
 __version__ = "1.0.0"

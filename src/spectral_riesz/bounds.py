@@ -755,7 +755,7 @@ _build_catalog()
 
 
 # ---------------------------------------------------------------------------
-# Evaluation, equality points, verification
+# Evaluation and verification
 
 
 def _resolve_side(bound_id: str, params: Optional[dict],
@@ -796,21 +796,6 @@ def bound_value(bound_id: str, params: Optional[dict] = None, z: Real = None,
     except OverflowError:
         raise ValueError(f"z={z!r} is beyond float range for "
                          f"{spec.id}") from None
-
-
-def equality_points(bound_id: str, params: Optional[dict] = None,
-                    count: int = 8) -> list:
-    """First recorded equality points (exact where closed forms allow).
-
-    For sd.r1.upper.shift at d >= 3 the returned values are the per-gap
-    optimal shifts b(l) (whose limit is z_d), the sharpness data the
-    theorem carries instead of finite equality z's.
-    """
-    spec = get(bound_id)
-    if spec.equality is None:
-        raise ValueError(f"{spec.id} has no recorded equality structure")
-    prm = spec.validate(dict(params or {}))
-    return spec.equality(prm, count)
 
 
 @dataclass(frozen=True)
@@ -1009,64 +994,24 @@ def legendre_average_bound(bound_id: str, params: Optional[dict] = None,
     """max_z (k z - B(z)) / k: converts an R1 bound into an average bound.
 
     An upper bound B for R1 yields a lower bound for the eigenvalue
-    average; a lower bound yields an upper bound.  Closed form when the
-    side is a Power, golden-section refinement to 1e-10 otherwise.  A k
-    whose transform leaves float range, or whose maximiser lies past
-    z = 1e12 on the numeric path, is one ValueError.
+    average; a lower bound yields an upper bound.  The transform is the
+    closed form of a side c (z + b)^q (`Power.legendre`); a side of any
+    other form, and a k whose transform leaves float range, is one
+    ValueError.
     """
     spec, bound = _resolve_side(bound_id, params, side)
     if spec.quantity != "R1":
         raise ValueError(f"{spec.id} does not bound R1")
+    if not isinstance(bound, Power):
+        raise ValueError(f"no closed-form Legendre transform for {spec.id}: "
+                         f"the side is not c (z + b)^q")
     if not 1 <= k < math.inf:  # NaN fails too
         raise ValueError(f"k must be finite and >= 1, got {k!r}")
     try:
-        value = (bound.legendre(k) if isinstance(bound, Power)
-                 else _legendre_numeric(bound, k))
-    except ArithmeticError:  # OverflowError, or no maximum found
+        value = bound.legendre(k)
+    except OverflowError:
         value = math.nan
     if not math.isfinite(value):
         raise ValueError(f"k={k!r} is too large for the Legendre transform "
                          f"of {spec.id}")
     return value
-
-
-def _legendre_numeric(bound: Callable, k) -> float:
-    def g(z):
-        return k * z - float(bound(z))
-
-    # Bracket the argmax with a coarse scan, then golden-section refine.
-    zhi = 1.0
-    while g(zhi * 2) > g(zhi) or g(zhi * 4) > g(zhi):
-        zhi *= 2
-        if zhi > 1e12:
-            raise ArithmeticError("no interior maximum found")
-    n = 4000
-    best_i = max(range(n + 1), key=lambda i: g(4 * zhi * i / n))
-    lo = 4 * zhi * max(best_i - 1, 0) / n
-    hi = 4 * zhi * min(best_i + 1, n) / n
-    _, best = golden_section_max(g, lo, hi, 1e-10 * max(1.0, hi))
-    # A maximum at the bracket's lower end (z = 0 behind a sqrt term) is
-    # only approached by the search; g(lo) holds it exactly.
-    return max(best, g(lo)) / k
-
-
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
-                       tol: float) -> Tuple[float, float]:
-    """(z, f(z)) at the maximum of a unimodal f on [lo, hi], with the
-    bracket narrowed by golden sections to width tol."""
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c1 = b - (b - a) * invphi
-    c2 = a + (b - a) * invphi
-    f1, f2 = f(c1), f(c2)
-    while b - a > tol:
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + (b - a) * invphi
-            f2 = f(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - (b - a) * invphi
-            f1 = f(c1)
-    z = (a + b) / 2
-    return z, f(z)

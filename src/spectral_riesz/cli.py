@@ -23,14 +23,14 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import bounds, report, scan, sumrules
-from .riesz import SpectrumQuery, closed_form, evaluate_grid
+from .riesz import (SpectrumQuery, closed_form, evaluate_grid,
+                    level_values_upto)
 from .output import (dumps_json, fmt_number, table_csv, atomic_write,
                      series_csv, write_json, write_series_csv,
                      write_series_svg)
 from .scan import GridPolicy, Series
 from .spaces import DEFAULT_LEVEL_CAP, Space, eigenvalue, invert_w, \
-    is_space_descriptor, level_cap_exceeded, max_level_index, multiplicity, \
-    parse_space
+    is_space_descriptor, level_cap_exceeded, multiplicity, parse_space
 from .weyl import BoundExpansion
 
 
@@ -66,7 +66,10 @@ def cmd_levels(args) -> int:
 # eval
 
 
-def _grid_from_args(space: Space, args) -> List[float]:
+def _grid_from_args(q: SpectrumQuery, args) -> List[float]:
+    """The z grid of eval and expansion.  levels-plus-midpoints reads the
+    level values lambda^p of q, each with the midpoint to the next."""
+    space = q.space
     if args.z:
         try:
             return [float(Fraction(t)) for t in args.z.split(",")]
@@ -88,9 +91,9 @@ def _grid_from_args(space: Space, args) -> List[float]:
         ws = [wlo + (whi - wlo) * i / (n - 1) for i in range(n)]
         return [w * (w + space.dim - 1) for w in ws]
     pts = []
-    top = max_level_index(space, zmax)  # raises past the cap; None if low
-    for l in range(space.min_level, (top or 0) + 1):
-        lam, nxt = eigenvalue(space, l), eigenvalue(space, l + 1)
+    lams = level_values_upto(q, zmax)  # raises past the cap
+    nxts = lams[1:] + [q.level_value(q.min_level + len(lams))]
+    for lam, nxt in zip(lams, nxts):
         if lam >= zmin:
             pts.append(float(lam))
         mid = (lam + nxt) / 2
@@ -101,9 +104,9 @@ def _grid_from_args(space: Space, args) -> List[float]:
 
 def cmd_eval(args) -> int:
     space = parse_space(args.space)
-    zs = _grid_from_args(space, args)
-    brute, _ = evaluate_grid(SpectrumQuery(space, power=args.power),
-                             args.quantity, zs)
+    q = SpectrumQuery(space, power=args.power)
+    zs = _grid_from_args(q, args)
+    brute, _ = evaluate_grid(q, args.quantity, zs)
     closed = [closed_form(space, args.quantity, z) if args.power == 1
               else None for z in zs]
     rows = [(z, value, "" if c is None else c)
@@ -201,7 +204,7 @@ def cmd_verify(args) -> int:
 def cmd_expansion(args) -> int:
     space = parse_space(args.space)
     quantity = args.quantity.upper()
-    zs = [z for z in _grid_from_args(space, args) if z > 0]
+    zs = [z for z in _grid_from_args(SpectrumQuery(space), args) if z > 0]
     ex = BoundExpansion(space, quantity, args.terms)
     pts = [(z, ex(z)) for z in zs]
     series = Series(f"{quantity}:{space.describe()}:{args.terms}-term",

@@ -12,7 +12,8 @@ one row per level with named columns lam, mult, count, s1, s2) through one
 of two integer bisects: by value, `bisect_right` on lam at floor(z), for
 N, R_1, R_2 and the level inversion (exact: level values are ints, so
 lam <= z iff lam <= floor(z), and no float ever seeds a lookup); by count,
-`bisect_left` on count, for the prefix sums and the j-th eigenvalue.
+`bisect_left` on count, for the prefix sums and averages over the first
+k eigenvalues (k an int).
 
 The per-grid sweep `evaluate_grid` grows the table once, at the largest
 point.  An all-float grid is then cut, in sorted order, into runs of
@@ -66,8 +67,9 @@ class SpectrumQuery:
     variant: Variant = Variant.STANDARD
 
     def __post_init__(self):
-        if self.power < 1:
-            raise ValueError("power must be >= 1")
+        if type(self.power) is not int or self.power < 1:
+            raise ValueError(f"power must be an integer >= 1, "
+                             f"got {self.power!r}")
         if self.variant is Variant.BUCKLING and self.space.family is not Family.SPHERE:
             raise ValueError("buckling spectrum is only defined on spheres")
 
@@ -176,10 +178,11 @@ def _rows_upto(q: SpectrumQuery, z: Real):
 def _row_of(q: SpectrumQuery, k: int):
     """(table, i): row i is the level holding the k-th eigenvalue.
 
-    Lookup by count: an exact bisect of the count column.
+    Lookup by count: an exact bisect of the count column.  k is an int:
+    an average over 2.5 eigenvalues is no average.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     tab = _tables.get(q)
     if tab is None or tab.count[-1] < k:
         tab = _table(q, "count", k - 1)
@@ -238,6 +241,9 @@ def eigenvalue_sums(q: SpectrumQuery, ks: Sequence[int]) -> List[int]:
 
     Each equals prefix_sums(q, k).sum1, and raises as it would.
     """
+    if {*map(type, ks)} - {int}:  # the first k that is not an int raises
+        for k in ks:
+            _row_of(q, k)
     tab = _grown_table(q, _row_of, 1, ks)[0]
     count, lam, s1 = tab.count, tab.lam, tab.s1
     # Row i sums its whole level; take back the eigenvalues past the k-th.
@@ -352,12 +358,6 @@ def prefix_sums(q: SpectrumQuery, k: int) -> PrefixSums:
 def eigenvalue_average(q: SpectrumQuery, k: int) -> Fraction:
     """(1/k) Sigma_{j<=k} lambda_j, exact."""
     return Fraction(prefix_sums(q, k).sum1, k)
-
-
-def nth_eigenvalue(q: SpectrumQuery, j: int) -> int:
-    """lambda_j of the flattened spectrum (1-based, nondecreasing)."""
-    tab, i = _row_of(q, j)
-    return tab.lam[i]
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,28 @@ FIGURES = {
 # Per-gap extrema
 
 
+def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
+                       tol: float) -> Tuple[float, float]:
+    """(z, f(z)) at the maximum of a unimodal f on [lo, hi], with the
+    bracket narrowed by golden sections to width tol."""
+    invphi = (math.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c1 = b - (b - a) * invphi
+    c2 = a + (b - a) * invphi
+    f1, f2 = f(c1), f(c2)
+    while b - a > tol:
+        if f1 < f2:
+            a, c1, f1 = c1, c2, f2
+            c2 = a + (b - a) * invphi
+            f2 = f(c2)
+        else:
+            b, c2, f2 = c2, c1, f1
+            c1 = b - (b - a) * invphi
+            f1 = f(c1)
+    z = (a + b) / 2
+    return z, f(z)
+
+
 def gap_extrema(space: Space, l_range: Sequence[int],
                 reference: Tuple[float, float, float]) -> List[GapExtremum]:
     """Maximum of R_1 / (C (z+b)^q) inside each level gap of the Laplacian.
@@ -269,7 +291,7 @@ def gap_extrema(space: Space, l_range: Sequence[int],
     for l in l_range:
         lam = q.level_value(l)
         lo, hi = float(lam), float(q.level_value(l + 1))
-        z_star, r_star = bounds.golden_section_max(ratio, lo, hi, 1e-10 * hi)
+        z_star, r_star = golden_section_max(ratio, lo, hi, 1e-10 * hi)
         n = counting(q, lam)
         s = n * lam - riesz_mean(q, 1, lam)
         unique = q_ref > 1 and lo < (q_ref * s + n * b_ref) / (

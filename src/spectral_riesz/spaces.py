@@ -138,25 +138,12 @@ def sphere(d: int) -> Space:
     return Space(Family.SPHERE, d)
 
 
-def circle() -> Space:
-    return Space(Family.SPHERE, 1)
-
-
 def hemisphere_dirichlet(d: int) -> Space:
     return Space(Family.HEMISPHERE_DIRICHLET, d)
 
 
 def hemisphere_neumann(d: int) -> Space:
     return Space(Family.HEMISPHERE_NEUMANN, d)
-
-
-@dataclass(frozen=True)
-class EnergyLevel:
-    """One energy level: index l, exact eigenvalue and exact multiplicity."""
-
-    l: int
-    lam: int
-    mult: int
 
 
 def _require_level(space: Space, l: int) -> None:
@@ -198,11 +185,6 @@ def level_columns(space: Space, start: int,
     levels = range(start, stop)
     return ([_exact_div(a * l * l + b * l, s) for l in levels],
             [rec.mult(d, l) if l else 1 for l in levels])
-
-
-def energy_level(space: Space, l: int) -> EnergyLevel:
-    """Level index, eigenvalue and multiplicity bundled together."""
-    return EnergyLevel(l, eigenvalue(space, l), multiplicity(space, l))
 
 
 def level_cap_exceeded(name: str, value) -> ValueError:

@@ -1,11 +1,12 @@
-"""Semiclassical constants, volumes, and asymptotic expansions.
+"""Semiclassical constants, volumes, and the truncated Weyl expansions.
 
 The constants L^class_{gamma,d} and their polyharmonic variants are kept
 exact: for gamma in {0, 1, 2} every constant here is a rational multiple
-of a half-integer power of pi, and the products with the space volumes
-are plain rationals.  Expansion coefficients are transcribed from the
-two/three-term theorems and certified numerically by the test suite, not
-derived symbolically.
+of a half-integer power of pi (Gamma enters only at integer and
+half-integer points), and the products with the space volumes are plain
+rationals.  Expansion coefficients are transcribed from the two/three-term
+theorems and certified numerically by the test suite, not derived
+symbolically.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional
 
 from .spaces import Family, Real, Space, fluctuation, invert_w
 
@@ -62,13 +63,6 @@ def gamma_exact_half(two_x: int) -> PiMultiple:
     n = (two_x - 1) // 2
     return PiMultiple(Fraction(math.factorial(2 * n),
                                4 ** n * math.factorial(n)), 1)
-
-
-def gamma_real(x: float) -> float:
-    """Gamma for general real x (Lanczos-class, ~1 ulp); utility only."""
-    if x > 0 and float(x).is_integer():
-        return float(math.factorial(int(x) - 1))
-    return math.gamma(x)
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +142,6 @@ def lclass_volume(space: Space, gamma: int, p: int = 1) -> Fraction:
     follows from the rational ratio of the semiclassical constants.
     """
     return space.record.w0(space.dim) * _gamma_ratio(gamma, space.dim, p)
-
-
-def lclass_boundary_volume(d: int, gamma: int) -> Fraction:
-    """L^class_{gamma,d-1} * |S^(d-1)| as an exact rational (d >= 2)."""
-    if d < 2:
-        raise ValueError("boundary term needs d >= 2")
-    return lclass_volume(Space(Family.SPHERE, d - 1), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -310,61 +297,3 @@ def expansion(space: Space, quantity: str, z: Real, terms: int) -> ExpansionEval
     that evaluate many z bind a BoundExpansion once instead.
     """
     return BoundExpansion(space, quantity, terms).at(z)
-
-
-# ---------------------------------------------------------------------------
-# Quadratic-polynomial bookkeeping and the Stirling check
-
-
-def pab(a, b, x):
-    """P_{a,b}(x) = 1 + a x + b x^2."""
-    return 1 + a * x + b * x * x
-
-
-def pab_product(pairs: Sequence[Tuple[Real, Real]]):
-    """Combined (A, B+C) with Prod P_{a_j,b_j} = P_{A,B+C} + O(x^3).
-
-    A = Sigma a_j, B = Sigma b_j, C = (A^2 - Sigma a_j^2) / 2.
-    """
-    pairs = list(pairs)
-    a_total = sum((Fraction(a) for a, _ in pairs), Fraction(0))
-    b_total = sum((Fraction(b) for _, b in pairs), Fraction(0))
-    sq = sum((Fraction(a) ** 2 for a, _ in pairs), Fraction(0))
-    c = (a_total ** 2 - sq) / 2
-    return a_total, b_total + c
-
-
-def pab_inverse(a, b):
-    """1 / P_{a,b} = P_{-a, a^2-b} + O(x^3)."""
-    a = Fraction(a)
-    return -a, a * a - Fraction(b)
-
-
-def pab_shifted(a, b, c):
-    """P_{a,b}(x / (1 + c x)) = P_{a, b - a c}(x) + O(x^3)."""
-    return Fraction(a), Fraction(b) - Fraction(a) * Fraction(c)
-
-
-@dataclass(frozen=True)
-class StirlingCheck:
-    max_scaled_deviation: float       # max over grid of |ratio - 1| * x^3
-    deviations: Tuple[Tuple[float, float], ...]  # (x, |ratio - 1|)
-
-
-def gamma_asymptotic_check(x_grid: Iterable[float]) -> StirlingCheck:
-    """|Gamma(x) / two-term Stirling - 1| * x^3 over a grid of x >= 5.
-
-    The two-term Stirling factor is P_{1/12, 1/288}(1/x); the scaled
-    deviation tends to the third Stirling coefficient 139/51840.
-    """
-    rows = []
-    worst = 0.0
-    for x in x_grid:
-        if x < 5:
-            raise ValueError("grid points must satisfy x >= 5")
-        stirling = (math.sqrt(2 * math.pi) * x ** (x - 0.5) * math.exp(-x)
-                    * pab(1 / 12.0, 1 / 288.0, 1.0 / x))
-        dev = abs(gamma_real(x) / stirling - 1.0)
-        rows.append((x, dev))
-        worst = max(worst, dev * x ** 3)
-    return StirlingCheck(worst, tuple(rows))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectral_riesz import bounds
+from spectral_riesz.scan import golden_section_max
 from spectral_riesz.riesz import SpectrumQuery, eigenvalue_average, riesz_mean
 from spectral_riesz.spaces import Family, Space, hemisphere_dirichlet, sphere
 
@@ -60,14 +61,19 @@ def test_every_entry_declares_a_parameter_matrix():
     hash(bounds.get("sd.r2.twosided"))  # the matrix leaves specs hashable
 
 
+def _equality(bound_id, params=None, count=8):
+    """The entry's first `count` recorded equality points."""
+    spec = bounds.get(bound_id)
+    return spec.equality(spec.validate(dict(params or {})), count)
+
+
 def test_equality_points_examples():
-    assert bounds.equality_points("s2.r1.upper", count=3) \
+    assert _equality("s2.r1.upper", count=3) \
         == [Fraction(1, 2), Fraction(7, 2), Fraction(17, 2)]
-    assert bounds.equality_points("s2.r1.lower", count=4) == [0, 2, 6, 12]
-    shifts = bounds.equality_points("sd.r1.upper.shift", {"d": 3}, count=50)
+    assert _equality("s2.r1.lower", count=4) == [0, 2, 6, 12]
+    shifts = _equality("sd.r1.upper.shift", {"d": 3}, count=50)
     assert abs(shifts[-1] - 1.25) < 0.05   # b(l) -> z_3 = 5/4
-    with pytest.raises(ValueError):
-        bounds.equality_points("hemi2.r1d.upper")
+    assert bounds.get("hemi2.r1d.upper").equality is None
 
 
 def test_equality_points_satisfy_equality_exactly():
@@ -79,7 +85,7 @@ def test_equality_points_satisfy_equality_exactly():
                      ("sd.r1.upper.shift", {"d": 2})]:
         spec = bounds.get(bid)
         q = spec.query(spec.validate(dict(prm)))
-        for z in bounds.equality_points(bid, prm, count=6):
+        for z in _equality(bid, prm, count=6):
             target = riesz_mean(q, 1, z) if spec.quantity == "R1" \
                 else Fraction(__import__("spectral_riesz.riesz",
                                          fromlist=["counting"]).counting(q, z))
@@ -191,45 +197,66 @@ def test_legendre_average_bound_examples():
             bounds.legendre_average_bound("sd.r1.upper.shift", {"d": 2}, k)
     with pytest.raises(ValueError):
         bounds.legendre_average_bound("hemi2.nd.polya", {}, 1)
-    # Past float range (an overflow, or a NaN from inf - inf) on the closed
-    # form, and past the numeric bracket's z = 1e12 cap.
+    # Past float range: an overflow, or a NaN from inf - inf.
     for bound_id, params, k in [
             ("sd.r1.upper.shift", {"d": 3}, 1e200),
-            ("sd.r1.upper.shift", {"d": 3}, 1e308),
-            ("s2.r1.lower.imp", {}, 1e12),
-            ("hemi2.r1d.upper", {}, 1e12),
-            ("sd.r1.lower.shift", {"d": 3}, 1e100)]:
+            ("sd.r1.upper.shift", {"d": 3}, 1e308)]:
         with pytest.raises(ValueError, match=re.escape(
                 f"k={k!r} is too large for the Legendre transform "
                 f"of {bound_id}")):
             bounds.legendre_average_bound(bound_id, params, k)
 
 
+@pytest.mark.parametrize("bound_id,params,k,side", [
+    ("dom.s2p.poly23", {"p": 2}, 1e6, None),
+    ("sd.r1p.twosided", {"d": 2, "p": 2}, 1, "upper"),
+    ("s2.r1.lower.imp", {}, 1e12, None),
+    ("hemi2.r1d.upper", {}, 1e12, None),
+    ("sd.r1.lower.shift", {"d": 3}, 1e100, None),
+])
+def test_legendre_refuses_a_side_that_is_not_a_power(bound_id, params, k,
+                                                     side):
+    # Only c (z + b)^q has the closed-form transform; any other side is one
+    # ValueError naming the entry, whatever k is.
+    with pytest.raises(ValueError, match=re.escape(
+            f"no closed-form Legendre transform for {bound_id}")):
+        bounds.legendre_average_bound(bound_id, params, k, side)
+
+
+def _legendre_numeric(bound, k) -> float:
+    """max over z >= 0 of (k z - B(z)) / k by search, for any side B: a
+    coarse scan brackets the maximiser, golden sections refine it to 1e-10.
+
+    The reference the closed forms are checked against.
+    """
+    def g(z):
+        return k * z - float(bound(z))
+
+    zhi = 1.0
+    while g(zhi * 2) > g(zhi) or g(zhi * 4) > g(zhi):
+        zhi *= 2
+        assert zhi <= 1e12, "no interior maximum found"
+    n = 4000
+    best_i = max(range(n + 1), key=lambda i: g(4 * zhi * i / n))
+    lo = 4 * zhi * max(best_i - 1, 0) / n
+    hi = 4 * zhi * min(best_i + 1, n) / n
+    _, best = golden_section_max(g, lo, hi, 1e-10 * max(1.0, hi))
+    # A maximum at the bracket's lower end (z = 0 behind a sqrt term) is
+    # only approached by the search; g(lo) holds it exactly.
+    return max(best, g(lo)) / k
+
+
 def test_legendre_numeric_path_keeps_maximum_at_bracket_end():
     # k z - B(z) = -L z^1.5 - sqrt(z)/4 has its supremum 0 at z = 0.
-    assert bounds.legendre_average_bound(
-        "sd.r1p.twosided", {"d": 2, "p": 2}, 1, side="upper") == 0.0
+    _, side = bounds._resolve_side("sd.r1p.twosided", {"d": 2, "p": 2},
+                                   "upper")
+    assert _legendre_numeric(side, 1) == 0.0
 
 
-def _without_power_forms(spec):
-    """spec with every side bound to a plain function, hiding its Power,
-    so that the Legendre transform takes its numeric path."""
-    def strip(rule):
-        def bind(**prm):
-            side = rule.bind(**prm)
-            return lambda z: side(z)
-        return dataclasses.replace(rule, bind=bind)
-    return dataclasses.replace(spec, sides=tuple(map(strip, spec.sides)))
-
-
-def test_legendre_numeric_path_matches_closed_form(monkeypatch):
-    # hemi.d.bly345 has a closed power form; compare against a blinded
-    # numeric run by stripping the side's Power.
+def test_legendre_numeric_path_matches_closed_form():
     closed = bounds.legendre_average_bound("hemi.d.bly345", {"d": 3}, 7)
-    spec = bounds.get("hemi.d.bly345")
-    monkeypatch.setitem(bounds._CATALOG, spec.id, _without_power_forms(spec))
-    numeric = bounds.legendre_average_bound("hemi.d.bly345", {"d": 3}, 7)
-    assert numeric == pytest.approx(closed, rel=1e-9)
+    _, side = bounds._resolve_side("hemi.d.bly345", {"d": 3}, None)
+    assert _legendre_numeric(side, 7) == pytest.approx(closed, rel=1e-9)
 
 
 def test_legendre_closed_form_of_the_s2_lower_side():
@@ -251,20 +278,15 @@ def _power_sides():
 
 @pytest.mark.parametrize("bound_id,params,side", list(_power_sides()))
 def test_power_form_matches_its_side_and_numeric_legendre(
-        bound_id, params, side, monkeypatch):
-    spec = bounds.get(bound_id)
+        bound_id, params, side):
     _, power = bounds._resolve_side(bound_id, params, side)
-    form = next(r for r in spec.sides if r.side == side).bind(
-        **spec.validate(dict(params)))
-    c, q, b = float(form.c), form.q, float(form.b)
+    c, q, b = float(power.c), power.q, float(power.b)
     for z in (0.0, 0.75, 3.0, 47.5, 1234.5):
         assert float(power(z)) == pytest.approx(c * (z + b) ** q, rel=1e-14)
     ks = (1, 5, 50)
     closed = [bounds.legendre_average_bound(bound_id, params, k, side)
               for k in ks]
-    monkeypatch.setitem(bounds._CATALOG, spec.id, _without_power_forms(spec))
-    numeric = [bounds.legendre_average_bound(bound_id, params, k, side)
-               for k in ks]
+    numeric = [_legendre_numeric(power, k) for k in ks]
     assert numeric == pytest.approx(closed, rel=1e-9, abs=1e-12)
 
 
@@ -341,8 +363,18 @@ def test_average_targets_are_the_exact_averages_rounded(d):
     for side in bounds.verify("sd.avg.twosided", {"d": d}, grid).sides:
         assert [t.hex() for _, t, _, _ in side.points] == [
             float(eigenvalue_average(q, k)).hex() for k in grid]
-    with pytest.raises(ValueError, match="k must be >= 1"):
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
         bounds.verify("sd.avg.twosided", {"d": d}, [3, 0, 5])
+
+
+@pytest.mark.parametrize("k", [Fraction(5, 2), 2.5, 3.0, Fraction(3)],
+                         ids=["fraction-5/2", "float-2.5", "float-3.0",
+                              "fraction-3"])
+def test_average_entries_refuse_a_k_that_is_not_an_int(k):
+    # An average over 2.5 eigenvalues is no average, and the exact path
+    # has no float or Fraction k: every such k is one ValueError.
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        bounds.verify("sd.avg.twosided", {"d": 3}, [1, k, 4])
 
 
 def test_scan_report_serializes_to_json():
@@ -387,7 +419,7 @@ def test_standard_grid_average_spreads_points_up_to_zmax():
 
 @pytest.mark.parametrize("bound_id,params,zmax,message", [
     ("s2.r1.upper", {}, 2.0e8, "level cap 10000 exceeded at z=200000000.0"),
-    ("sd.avg.twosided", {"d": 2}, 0.5, "k must be >= 1"),
+    ("sd.avg.twosided", {"d": 2}, 0.5, "k must be an integer >= 1"),
     ("s2.r1.lower", {}, 0, "zmax=0: z must be finite and > 0"),
     ("s2.r1.lower", {}, -1.0, "zmax=-1.0: z must be finite"),
     ("s2.r1.lower", {}, math.nan, "zmax=nan: z must be finite"),
@@ -420,7 +452,7 @@ def test_verify_accepts_unsorted_grids_with_duplicates():
 def test_s1_equality_points_solve_the_fluctuation_equation():
     # psi(w) = w - sqrt(w^2 + 1/12) at each returned point, one per gap.
     from spectral_riesz.spaces import fluctuation
-    pts = bounds.equality_points("s1.r1.upper.shift", count=10)
+    pts = _equality("s1.r1.upper.shift", count=10)
     for l, z in enumerate(pts):
         w = math.sqrt(float(z))
         assert l < w < l + 1

@@ -9,6 +9,7 @@ import pytest
 import spectral_riesz
 from spectral_riesz.cli import main
 from spectral_riesz.output import dumps_json
+from spectral_riesz.spaces import eigenvalue, parse_space
 
 
 def run(capsys, *argv):
@@ -67,6 +68,30 @@ def test_eval_counting_hemisphere(capsys):
     code, out, _ = run(capsys, "eval", "hemisphere-n:2", "N", "--z", "2")
     assert code == 0
     assert out.strip().splitlines()[1] == "2,3,3"
+
+
+@pytest.mark.parametrize("space,power,zmax", [
+    ("sphere:3", 2, "70"), ("sphere:2", 3, "20000"),
+    ("hemisphere-d:3", 2, "900"), ("rp:3", 2, "2000"), ("sphere:5", 1, "200"),
+])
+def test_eval_levels_grid_walks_the_levels_of_the_power(capsys, space, power,
+                                                        zmax):
+    # The grid is every level value lambda^p <= zmax of the operator, each
+    # followed by its midpoint to the next level value while that is <= zmax.
+    code, out, _ = run(capsys, "eval", space, "N", "--power", str(power),
+                       "--grid", "levels-plus-midpoints", "--zmax", zmax)
+    assert code == 0
+    sp = parse_space(space)
+    lams = [eigenvalue(sp, l) ** power
+            for l in range(sp.min_level, sp.min_level + 60)]
+    want = []
+    for lam, nxt in zip(lams, lams[1:]):
+        if lam <= float(zmax):
+            want.append(lam)
+        if (lam + nxt) / 2 <= float(zmax):
+            want.append((lam + nxt) / 2)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [float(z) for z, _, _ in rows] == want
 
 
 def test_eval_usage_error(capsys):

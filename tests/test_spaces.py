@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectral_riesz.spaces import (Family, Space, circle, energy_level,
-                                   eigenvalue, fluctuation,
+from spectral_riesz.spaces import (Family, Space, eigenvalue, fluctuation,
                                    hemisphere_dirichlet, hemisphere_neumann,
                                    invert_w, max_level_index, multiplicity,
                                    parse_space, sphere)
@@ -34,8 +33,7 @@ ALL_SPACES = [
     (Space(Family.CAYLEY_PLANE, 16), 1, 12, 26),
 ])
 def test_energy_level_examples(space, l, lam, mult):
-    lev = energy_level(space, l)
-    assert (lev.lam, lev.mult) == (lam, mult)
+    assert (eigenvalue(space, l), multiplicity(space, l)) == (lam, mult)
 
 
 def test_bottom_level_multiplicity_one_on_closed_spaces():
@@ -45,8 +43,9 @@ def test_bottom_level_multiplicity_one_on_closed_spaces():
 
 
 def test_dirichlet_hemisphere_has_no_bottom_level():
-    with pytest.raises(ValueError):
-        energy_level(hemisphere_dirichlet(3), 0)
+    for level_fact in (eigenvalue, multiplicity):
+        with pytest.raises(ValueError, match="level 0 below minimum 1"):
+            level_fact(hemisphere_dirichlet(3), 0)
 
 
 @pytest.mark.parametrize("family,dim", [
@@ -154,8 +153,8 @@ def test_fluctuation_range(w):
 
 
 def test_circle_is_sphere_dim_one():
-    c = circle()
-    assert c == sphere(1)
+    c = sphere(1)
+    assert parse_space("circle") == c
     assert [eigenvalue(c, l) for l in range(6)] == [0, 1, 4, 9, 16, 25]
     assert [multiplicity(c, l) for l in range(4)] == [1, 2, 2, 2]
 

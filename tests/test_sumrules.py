@@ -1,16 +1,18 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from spectral_riesz import sumrules
 from spectral_riesz.bounds import verify
-from spectral_riesz.riesz import SpectrumQuery, _Table, _tables, riesz_mean
+from spectral_riesz.riesz import (SpectrumQuery, _Table, _tables, prefix_sums,
+                                  riesz_mean)
 from spectral_riesz.spaces import (DEFAULT_LEVEL_CAP, Family, Space,
-                                   hemisphere_dirichlet, sphere)
-from spectral_riesz.sumrules import (QuadPoly, check_pq_identity, gap_indices,
-                                     natural_shift, pn, q_plus_dr1_at_gap_minimum,
-                                     qn, r2_shifted_ratio,
+                                   eigenvalue, hemisphere_dirichlet,
+                                   multiplicity, sphere)
+from spectral_riesz.sumrules import (check_pq_identity, natural_shift,
                                      trace_identity_partial)
 
 RP2 = Space(Family.REAL_PROJECTIVE, 2)
@@ -18,6 +20,55 @@ RP3 = Space(Family.REAL_PROJECTIVE, 3)
 CP4 = Space(Family.COMPLEX_PROJECTIVE, 4)
 HP8 = Space(Family.QUATERNION_PROJECTIVE, 8)
 CAY = Space(Family.CAYLEY_PLANE, 16)
+
+
+# ---------------------------------------------------------------------------
+# Reference for check_pq_identity: P_N and Q_N as quadratics in z with
+# exact coefficients, built from prefix sums and a walk over the levels.
+
+
+@dataclass(frozen=True)
+class QuadPoly:
+    """Quadratic c2 z^2 + c1 z + c0 with exact rational coefficients."""
+
+    c2: Fraction
+    c1: Fraction
+    c0: Fraction
+
+
+def pn(space: Space, n: int) -> QuadPoly:
+    """P_N(z) = Sigma_{j<=N} (z - lambda_j)(z - lambda - (d+4)/d lambda_j).
+
+    lambda is the first positive eigenvalue of the space (= d on the
+    sphere); coefficients come from exact prefix sums.
+    """
+    sumrules._require_closed(space)
+    if n < 1:
+        raise ValueError("N must be >= 1")
+    d = space.dim
+    lam1 = space.first_positive_eigenvalue
+    ps = prefix_sums(SpectrumQuery(space), n)
+    c1 = -2 * Fraction(d + 2, d) * ps.sum1 - Fraction(lam1 * n)
+    c0 = Fraction(d + 4, d) * ps.sum2 + Fraction(lam1 * ps.sum1)
+    return QuadPoly(Fraction(n), c1, c0)
+
+
+def _nth_eigenvalue(space: Space, j: int) -> int:
+    """lambda_j (1-based) of the flattened spectrum, by a walk over the
+    levels with eigenvalue and multiplicity."""
+    l = space.min_level
+    n = multiplicity(space, l)
+    while n < j:
+        l += 1
+        n += multiplicity(space, l)
+    return eigenvalue(space, l)
+
+
+def qn(space: Space, n: int) -> QuadPoly:
+    """Q_N(z) = N (z - lambda_N)(z - lambda_{N+1})."""
+    lam_n, lam_n1 = _nth_eigenvalue(space, n), _nth_eigenvalue(space, n + 1)
+    return QuadPoly(Fraction(n), Fraction(-n * (lam_n + lam_n1)),
+                    Fraction(n * lam_n * lam_n1))
 
 
 def test_pn_qn_examples():
@@ -39,12 +90,11 @@ def test_pn_rejects_hemispheres_and_bad_n():
 
 
 def test_gap_indices_are_cumulative_multiplicities():
-    assert gap_indices(sphere(2), 3) == [1, 4, 9, 16]
-    assert gap_indices(sphere(3), 2) == [1, 5, 14]
+    assert check_pq_identity(sphere(2), 3).gap_indices == (1, 4, 9, 16)
+    assert check_pq_identity(sphere(3), 2).gap_indices == (1, 5, 14)
 
 
-@pytest.mark.parametrize("check,dim", [(gap_indices, 9),
-                                       (check_pq_identity, 10),
+@pytest.mark.parametrize("check,dim", [(check_pq_identity, 10),
                                        (trace_identity_partial, 11)])
 def test_sum_rules_refuse_levels_past_cap_before_building(check, dim):
     space = Space(Family.REAL_PROJECTIVE, dim)  # a spectrum no other test reads
@@ -55,9 +105,7 @@ def test_sum_rules_refuse_levels_past_cap_before_building(check, dim):
 
 
 def test_sum_rules_reach_the_level_cap():
-    space = sphere(1)
-    assert len(gap_indices(space, DEFAULT_LEVEL_CAP)) == DEFAULT_LEVEL_CAP + 1
-    rep = trace_identity_partial(space, DEFAULT_LEVEL_CAP)
+    rep = trace_identity_partial(sphere(1), DEFAULT_LEVEL_CAP)
     assert abs(rep.partial_sum - rep.target) <= rep.tail_estimate
 
 
@@ -82,7 +130,8 @@ PQ_SPACES = [sphere(1), sphere(2), sphere(3), RP3, CP4, HP8, CAY]
 @pytest.mark.parametrize("space", PQ_SPACES, ids=Space.describe)
 def test_integer_pq_check_agrees_with_pn_qn(space):
     rep = check_pq_identity(space, 40)
-    assert list(rep.gap_indices) == gap_indices(space, 40)
+    assert list(rep.gap_indices) == list(
+        accumulate(multiplicity(space, l) for l in range(41)))
     for n in rep.gap_indices:
         assert (n not in rep.mismatches) == (pn(space, n) == qn(space, n)), n
 
@@ -106,7 +155,7 @@ def _perturbed_levels(column, row):
 ])
 def test_integer_pq_check_reports_exactly_the_broken_gaps(
         monkeypatch, space, column, row, bad_gaps):
-    gaps = gap_indices(space, 12)
+    gaps = check_pq_identity(space, 12).gap_indices
     monkeypatch.setattr(sumrules, "_levels", _perturbed_levels(column, row))
     rep = check_pq_identity(space, 12)
     want = [gaps[L] + (column == "count" and L == row) for L in bad_gaps]
@@ -122,6 +171,17 @@ def test_pq_identity_fails_for_perturbed_polynomials():
 def test_pq_mismatch_detected_on_non_gap_index():
     # N = 2 is not a cumulative multiplicity on S^2 (gaps are 1, 4, 9, ...)
     assert pn(sphere(2), 2) != qn(sphere(2), 2)
+
+
+def r2_shifted_ratio(space: Space, z, shift) -> float:
+    """R_2(z) / (z + b)^(2 + d/2); b = d lambda/4 is the natural shift."""
+    if z < 0 or not 0 <= shift < math.inf:  # NaN fails too
+        raise ValueError("need z >= 0 and a finite shift >= 0")
+    q = SpectrumQuery(space)
+    r2 = float(riesz_mean(q, 2, float(z)))
+    if z == 0 and shift == 0:
+        return 0.0
+    return r2 / (float(z) + float(shift)) ** (2 + space.dim / 2.0)
 
 
 def test_r2_shifted_ratio_examples():
@@ -167,6 +227,22 @@ def test_trace_identity_d1_limit():
     rep = trace_identity_partial(sphere(1), 2000)
     assert rep.target == 2.0
     assert abs(rep.partial_sum - 2.0) < 1e-5
+
+
+def q_plus_dr1_at_gap_minimum(space: Space, l: int):
+    """(Q_N(z0) + d R_1(z0)) / N at z0 = (lambda_N + lambda_{N+1} - lambda)/2.
+
+    Returns the exact value and the predicted (d-2)/(d+2) L(L+d) for the
+    sphere gap after level L (lambda = d there).  N and lambda_N, lambda_N+1
+    are rows L, L + 1 of the prefix table, so L may reach the level cap.
+    """
+    d, tab = space.dim, sumrules._levels(space, l)
+    n, lam_n, lam_n1 = tab.count[l], tab.lam[l], tab.lam[l + 1]
+    z0 = Fraction(lam_n + lam_n1 - space.first_positive_eigenvalue, 2)
+    q_n = n * (z0 - lam_n) * (z0 - lam_n1)
+    value = (q_n + d * riesz_mean(SpectrumQuery(space), 1, z0)) / n
+    predicted = Fraction(d - 2, d + 2) * l * (l + d)
+    return value, predicted
 
 
 def test_gap_minimum_value_matches_prediction():

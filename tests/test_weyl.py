@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 from spectral_riesz.spaces import (Family, Space, hemisphere_dirichlet,
                                    hemisphere_neumann, invert_w, sphere)
 from spectral_riesz import weyl
-from spectral_riesz.weyl import (BoundExpansion, expansion,
-                                 gamma_asymptotic_check, gamma_exact_half,
-                                 gamma_real, lclass, lclass_boundary_volume,
-                                 lclass_volume, pab, pab_inverse, pab_product,
-                                 pab_shifted, snapped_fluctuation, volumes)
+from spectral_riesz.weyl import (BoundExpansion, expansion, gamma_exact_half,
+                                 lclass, lclass_volume, snapped_fluctuation,
+                                 volumes)
 
 
 def test_lclass_volume_paper_values():
@@ -65,13 +63,12 @@ def test_gamma_exact_half():
     assert gamma_exact_half(12).as_fraction() == math.factorial(5)
     g = gamma_exact_half(7)  # Gamma(7/2) = 15/8 sqrt(pi)
     assert g.coef == Fraction(15, 8) and g.pi_halves == 1
-    assert gamma_real(6.0) == 120.0
 
 
 def test_hemisphere_surface_coefficient_is_rational():
     # (1/4) L_{1,d-1}|bd S^d_+| / (L_{1,d}|S^d_+|) = d(d+2)/(2(d+1))
     for d in range(2, 9):
-        ratio = Fraction(1, 4) * lclass_boundary_volume(d, 1) \
+        ratio = Fraction(1, 4) * lclass_volume(sphere(d - 1), 1) \
             / lclass_volume(hemisphere_dirichlet(d), 1)
         assert ratio == Fraction(d * (d + 2), 2 * (d + 1))
 
@@ -232,47 +229,3 @@ def test_snapped_fluctuation():
     assert snapped_fluctuation(5.0 + 2 * math.ulp(5.0)) == -0.5
     assert snapped_fluctuation(5.0 - 2 * math.ulp(5.0)) == -0.5
     assert snapped_fluctuation(5.25) == -0.25
-
-
-# ---------------------------------------------------------------------------
-# Appendix utilities
-
-
-def test_pab_examples():
-    assert pab(0, 0, 0.37) == 1.0
-    assert pab(2, 3, Fraction(1, 2)) == Fraction(11, 4)
-    assert pab_product([(1, 0), (-1, 0)]) == (0, -1)
-    assert pab_product([(Fraction(1, 12), Fraction(1, 288))]) \
-        == (Fraction(1, 12), Fraction(1, 288))
-
-
-def test_pab_inverse_and_shift():
-    a, b = pab_inverse(Fraction(1, 12), Fraction(1, 288))
-    assert (a, b) == (Fraction(-1, 12), Fraction(1, 288))
-    a, b = pab_shifted(Fraction(1, 12), Fraction(1, 288), 3)
-    assert (a, b) == (Fraction(1, 12), Fraction(1, 288) - Fraction(1, 4))
-
-
-def test_pab_product_drops_third_order_only():
-    # Exact check through order x^2 against the literal product.
-    pairs = [(Fraction(1, 3), Fraction(2, 5)), (Fraction(-1, 2), Fraction(1, 7)),
-             (Fraction(2), Fraction(-3))]
-    a, bc = pab_product(pairs)
-    x = Fraction(1, 97)
-    literal = Fraction(1)
-    for ai, bi in pairs:
-        literal *= pab(ai, bi, x)
-    truncated = pab(a, bc, x)
-    diff = literal - truncated
-    assert abs(diff) <= 3 * x ** 3  # bounded cubic remainder
-
-
-def test_gamma_asymptotic_check():
-    rep = gamma_asymptotic_check([10.0, 20.0, 50.0, 100.0])
-    assert rep.max_scaled_deviation < 1.0
-    devs = dict(rep.deviations)
-    assert devs[100.0] < devs[10.0]
-    # the scaled deviation tends to the third Stirling coefficient
-    assert rep.max_scaled_deviation == pytest.approx(139 / 51840, rel=0.05)
-    with pytest.raises(ValueError):
-        gamma_asymptotic_check([2.0])
