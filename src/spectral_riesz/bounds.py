@@ -32,26 +32,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .riesz import (SpectrumQuery, Variant, eigenvalue_sums, evaluate_grid,
                     level_values_upto, prefix_sums, riesz_mean)
-from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, fluctuation,
-                     hemisphere_dirichlet, hemisphere_neumann, invert_w,
-                     require_finite_nonnegative, sphere)
+from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, _integer_nth_root,
+                     fluctuation, hemisphere_dirichlet, hemisphere_neumann,
+                     invert_w, require_finite_nonnegative, sphere)
 from .sumrules import natural_shift
 from .weyl import BoundExpansion, lclass, lclass_volume, volumes
 
 # ---------------------------------------------------------------------------
 # Exactness-preserving numeric helpers
-
-
-def _integer_nth_root(m: int, n: int) -> int:
-    """floor(m^(1/n)) by integer Newton iteration (no float overflow)."""
-    if m < 2:
-        return m
-    r = 1 << -(-m.bit_length() // n)  # >= m^(1/n)
-    while True:
-        nr = ((n - 1) * r + m // r ** (n - 1)) // n
-        if nr >= r:
-            return r
-        r = nr
 
 
 def _root(x, n: int = 2):

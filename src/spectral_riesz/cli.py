@@ -80,7 +80,7 @@ def _grid_from_args(q: SpectrumQuery, args) -> List[float]:
                              "float range") from None
     zmin, zmax, n = args.zmin, args.zmax, args.points
     if zmax is None:
-        zmax = float(eigenvalue(space, space.min_level + 39))
+        zmax = float(q.level_value(q.min_level + 39))
     if not 0 <= zmin < zmax < math.inf or n < 2:  # NaN fails too
         raise ValueError("need 0 <= zmin < zmax < inf and points >= 2")
     policy = GridPolicy(args.grid)

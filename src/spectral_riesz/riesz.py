@@ -8,10 +8,12 @@ Fraction z = a / b runs the same formula on the integers a and b and
 divides once, so each exact R_1 or R_2 builds a single Fraction.
 
 Every quantity is read off one exact prefix table per spectrum (`_table`,
-one row per level with named columns lam, mult, count, s1, s2) through one
-of two integer bisects: by value, `bisect_right` on lam at floor(z), for
-N, R_1, R_2 and the level inversion (exact: level values are ints, so
-lam <= z iff lam <= floor(z), and no float ever seeds a lookup); by count,
+one row per level with named columns lam, mult, count, s1, s2; found by
+the query's plain `table_key`) in one of two exact ways.  By value, for
+N, R_1, R_2 and the level inversion: the row count is the closed-form
+integer level inversion of floor(z) (`spaces._level_inversion`), with no
+search of the lam column; level values are ints, so lambda^p <= z iff
+lambda^p <= floor(z), and no float ever seeds a lookup.  By count,
 `bisect_left` on count, for the prefix sums and averages over the first
 k eigenvalues (k an int).
 
@@ -20,7 +22,7 @@ point.  An all-float grid is then cut, in sorted order, into runs of
 points that share a row: one `bisect_left` of the grid per level value,
 exact because CPython compares a float with an int exactly.  Each row's
 count and sums are spread over its run and combined in C.  Int, Fraction
-and mixed grids bisect the table per point.  `eigenvalue_sums` gives
+and mixed grids take the lookup by value per point.  `eigenvalue_sums` gives
 Sigma lambda_j for a list of k as ints, so a float average is one
 correctly rounded int division.
 
@@ -36,7 +38,7 @@ s1 and s2 by running sums in C.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -44,9 +46,10 @@ from itertools import accumulate, chain, islice, repeat
 from operator import add, ge, le, mul, sub
 from typing import List, NamedTuple, Optional, Sequence
 
-from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, eigenvalue,
-                     level_cap_exceeded, level_columns, max_level_index,
-                     require_finite_nonnegative, sphere, hemisphere_dirichlet)
+from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, _level_inversion,
+                     eigenvalue, level_cap_exceeded, level_columns,
+                     max_level_index, require_finite_nonnegative, sphere,
+                     hemisphere_dirichlet)
 
 
 class Variant(Enum):
@@ -59,7 +62,10 @@ class SpectrumQuery:
     """Spectrum selector: space, operator power p for (-Delta)^p, variant.
 
     The buckling spectrum exists on the whole sphere only and equals the
-    Laplacian spectrum with the l = 0 level removed.
+    Laplacian spectrum with the l = 0 level removed.  Construction keeps
+    min_level, the key of the query's prefix table and the constants of
+    its level inversion (p, a, b, s), in plain ints and strs: a lookup
+    hashes no dataclass or Enum, and a pickled query keeps its table.
     """
 
     space: Space
@@ -72,12 +78,13 @@ class SpectrumQuery:
                              f"got {self.power!r}")
         if self.variant is Variant.BUCKLING and self.space.family is not Family.SPHERE:
             raise ValueError("buckling spectrum is only defined on spheres")
-
-    @property
-    def min_level(self) -> int:
-        if self.variant is Variant.BUCKLING:
-            return 1
-        return self.space.min_level
+        space = self.space
+        object.__setattr__(self, "min_level", 1 if self.variant is
+                           Variant.BUCKLING else space.min_level)
+        object.__setattr__(self, "table_key", (
+            space.family.value, space.dim, self.power, self.variant.value))
+        object.__setattr__(self, "inversion",
+                           (self.power, *space.record.quadratic(space.dim)))
 
     def level_value(self, l: int) -> int:
         """Exact eigenvalue lambda_(l)^p of level l for this query."""
@@ -135,7 +142,7 @@ def _table(q: SpectrumQuery, column: str, x) -> _Table:
     mult from `_level_rows`, lam raised to the power p, and the running
     sums of m, m lam and m lam^2.
     """
-    tab = _tables.get(q) or _Table([], [], [], [], [])
+    tab = _tables.get(q.table_key) or _Table([], [], [], [], [])
     lams, mults, cnt, s1, s2 = tab
     col = getattr(tab, column)
     top = DEFAULT_LEVEL_CAP + 1
@@ -155,24 +162,29 @@ def _table(q: SpectrumQuery, column: str, x) -> _Table:
         s1 += accumulate(m_lam, initial=s1.pop() if s1 else None)
         s2 += accumulate(map(mul, m_lam, lam),
                          initial=s2.pop() if s2 else None)
-    _tables[q] = tab  # held once its first run of levels is built
+    _tables[q.table_key] = tab  # held once its first run of levels is built
     return tab
 
 
 def _rows_upto(q: SpectrumQuery, z: Real):
-    """(table, i): rows 0..i-1 are the levels with lambda^p <= z.
+    """(table, i, a, b): rows 0..i-1 are the levels with lambda^p <= z,
+    and z = a / b.
 
-    Lookup by value: an int bisect of the lam column on floor(z), since
-    for an int lam, lam <= z exactly when lam <= floor(z).
+    Lookup by value: the closed-form level inversion of floor(z), no
+    search of the lam column; the table is grown past row i.  A Fraction
+    z is split once, by as_integer_ratio, for its floor and for the value
+    formula of `_value_at`; any other z is (z, 1).
     """
-    key = require_finite_nonnegative(z)
-    tab = _tables.get(q)
-    if tab is None or tab.lam[-1] <= key:
+    if type(z) is not Fraction:
+        a, b, key = z, 1, require_finite_nonnegative(z)
+    else:
+        a, b = z.as_integer_ratio()
+        key = a // b if a >= 0 else require_finite_nonnegative(z)
+    i = _level_inversion(z, key, *q.inversion) - q.min_level + 1
+    tab = _tables.get(q.table_key)
+    if tab is None or len(tab.lam) <= i:
         tab = _table(q, "lam", key)
-    i = bisect_right(tab.lam, key)
-    if i == len(tab.lam):  # growth stopped at the cap: z >= its last level
-        raise level_cap_exceeded("z", z)
-    return tab, i
+    return tab, i, a, b
 
 
 def _row_of(q: SpectrumQuery, k: int):
@@ -183,7 +195,7 @@ def _row_of(q: SpectrumQuery, k: int):
     """
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    tab = _tables.get(q)
+    tab = _tables.get(q.table_key)
     if tab is None or tab.count[-1] < k:
         tab = _table(q, "count", k - 1)
     i = bisect_left(tab.count, k)
@@ -192,8 +204,9 @@ def _row_of(q: SpectrumQuery, k: int):
     return tab, i
 
 
-def _value_at(tab: _Table, i: int, gamma: int, z: Real):
-    """N (gamma 0), R_1 or R_2 at z, from rows 0..i-1: the levels <= z."""
+def _value_at(gamma: int, z: Real, tab: _Table, i: int, a: Real, b: int):
+    """N (gamma 0), R_1 or R_2 at z = a / b, from rows 0..i-1: the levels
+    <= z (the arguments after z are those `_rows_upto` returns)."""
     if i:
         n, s1, s2 = tab.count[i - 1], tab.s1[i - 1], tab.s2[i - 1]
     else:
@@ -201,7 +214,6 @@ def _value_at(tab: _Table, i: int, gamma: int, z: Real):
     if gamma == 0:
         return n
     if type(z) is Fraction:  # the same formula on a / b, one division
-        a, b = z.numerator, z.denominator
         if gamma == 1:
             return Fraction(n * a - s1 * b, b)
         return Fraction((n * a - 2 * s1 * b) * a + s2 * b * b, b * b)
@@ -218,7 +230,7 @@ def _prefix_sums_at(tab: _Table, i: int, k: int) -> PrefixSums:
 
 
 def _grown_table(q: SpectrumQuery, lookup, lowest: int, grid: Sequence):
-    """(table, i) of the lookup at the largest point of grid, after the
+    """The lookup's (table, i, ...) at the largest point of grid, after the
     checks that every point's own lookup makes.
 
     One per-point lookup, at the largest point, grows and cap-checks the
@@ -291,11 +303,12 @@ def evaluate_grid(q: SpectrumQuery, quantity: str, grid: Sequence):
     One lookup at the largest point grows the table (`_grown_table`).  An
     all-float grid is then read in runs of points that share a table row
     (`_float_runs`, on its sorted order if it is not sorted); int, Fraction
-    and mixed grids bisect the table per point.
+    and mixed grids take the per-point lookup of x for the value and of
+    float(x) for the gap level.
     """
     if quantity == "average":
         return list(map(Fraction, eigenvalue_sums(q, grid), grid)), None
-    tab, top = _grown_table(q, _rows_upto, 0, grid)
+    tab, top = _grown_table(q, _rows_upto, 0, grid)[:2]
     gamma, below = {"N": 0, "R1": 1, "R2": 2}[quantity], q.min_level - 1
     if {*map(type, grid)} == {float}:
         if all(map(le, grid, islice(grid, 1, None))):
@@ -306,35 +319,26 @@ def evaluate_grid(q: SpectrumQuery, quantity: str, grid: Sequence):
         back = sorted(range(len(order)), key=order.__getitem__)
         return (list(map(values.__getitem__, back)),
                 list(map(gaps.__getitem__, back)))
-    lam = tab.lam
-    rows = [bisect_right(lam, math.floor(x)) for x in grid]
-    values = [_value_at(tab, i, gamma, x) for x, i in zip(grid, rows)]
-    # The gap level reads float(x), which for a float point is its row.
-    rows = [i if isinstance(x, float) else bisect_right(lam, float(x))
-            for x, i in zip(grid, rows)]
-    end = len(lam)
-    # float(x) can round up onto the last row: there the per-point lookup
-    # grows the table or raises.
-    return values, [below + i if i < end else max_level_index_pow(q, float(x))
-                    for x, i in zip(grid, rows)]
+    return ([_value_at(gamma, x, *_rows_upto(q, x)) for x in grid],
+            [below + _rows_upto(q, float(x))[1] for x in grid])
 
 
 def max_level_index_pow(q: SpectrumQuery, z: Real) -> Optional[int]:
     """Largest l with lambda_(l)^p <= z (exact comparisons), or None."""
-    _, i = _rows_upto(q, z)
+    i = _rows_upto(q, z)[1]
     return q.min_level + i - 1 if i else None
 
 
 def level_values_upto(q: SpectrumQuery, z: Real) -> List[int]:
     """The level values lambda_(l)^p <= z in level order (exact ints), read
     off the prefix table; raises past the cap like the other lookups."""
-    tab, i = _rows_upto(q, z)
+    tab, i, _, _ = _rows_upto(q, z)
     return tab.lam[:i]
 
 
 def counting(q: SpectrumQuery, z: Real) -> int:
     """N(z): number of eigenvalues lambda_j^p <= z, inclusive at equality."""
-    tab, i = _rows_upto(q, z)
+    tab, i, _, _ = _rows_upto(q, z)
     return tab.count[i - 1] if i else 0
 
 
@@ -345,8 +349,7 @@ def riesz_mean(q: SpectrumQuery, gamma: int, z: Real):
     """
     if gamma not in (1, 2):
         raise ValueError("riesz_mean covers gamma in {1, 2}; use counting for 0")
-    tab, i = _rows_upto(q, z)
-    return _value_at(tab, i, gamma, z)
+    return _value_at(gamma, z, *_rows_upto(q, z))
 
 
 def prefix_sums(q: SpectrumQuery, k: int) -> PrefixSums:
@@ -427,7 +430,7 @@ def _pieces(q: SpectrumQuery, z: Real):
     """(N, S1, lo, hi) for each piece [lo, hi) from one level to the next,
     the last one ending at z; on it N(u) = N and R_1(u) = N u - S1.
     """
-    tab, i = _rows_upto(q, z)
+    tab, i, _, _ = _rows_upto(q, z)
     lam = tab.lam
     return [(tab.count[j], tab.s1[j], lam[j], min(lam[j + 1], z))
             for j in range(i)]

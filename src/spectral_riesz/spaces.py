@@ -205,20 +205,46 @@ def require_finite_nonnegative(z: Real) -> int:
     return key
 
 
-def max_level_index(space: Space, z: Real) -> Optional[int]:
-    """Largest l with lambda_(l) <= z, in exact integer arithmetic.
+def _integer_nth_root(m: int, n: int) -> int:
+    """floor(m^(1/n)) by integer Newton iteration (no float overflow)."""
+    if m < 2:
+        return m
+    r = 1 << -(-m.bit_length() // n)  # >= m^(1/n)
+    while True:
+        nr = ((n - 1) * r + m // r ** (n - 1)) // n
+        if nr >= r:
+            return r
+        r = nr
 
-    Returns None for the Dirichlet hemisphere when z < lambda_(1); for all
-    other spaces z >= 0 guarantees at least the bottom level.  With
-    s lambda(l) = a l^2 + b l (integers a, b, s), and lambda(l) an integer,
-    lambda(l) <= z exactly when a l^2 + b l <= s floor(z); the largest such
-    l is (isqrt(b^2 + 4 a s floor(z)) - b) // (2a), with no rounding.
+
+def _level_inversion(z: Real, key: int, p: int, a: int, b: int,
+                     s: int) -> int:
+    """Largest l >= 0 with lambda_(l)^p <= z, for key = floor(z) >= 0 and
+    s lambda(l) = a l^2 + b l; past DEFAULT_LEVEL_CAP, the cap error
+    naming z.
+
+    Every lambda(l) is an int, so lambda(l)^p <= z exactly when
+    lambda(l) <= r, r the integer p-th root of floor(z), that is when
+    a l^2 + b l <= s r; the largest such l is
+    (isqrt(b^2 + 4 a s r) - b) // (2a), with no rounding.
     """
-    key = require_finite_nonnegative(z)
-    a, b, s = space.record.quadratic(space.dim)
-    l = (math.isqrt(b * b + 4 * a * s * key) - b) // (2 * a)
+    r = (key if p == 1 else math.isqrt(key) if p == 2
+         else _integer_nth_root(key, p))
+    l = (math.isqrt(b * b + 4 * a * s * r) - b) // (2 * a)
     if l > DEFAULT_LEVEL_CAP:
         raise level_cap_exceeded("z", z)
+    return l
+
+
+def max_level_index(space: Space, z: Real) -> Optional[int]:
+    """Largest l with lambda_(l) <= z, in exact integer arithmetic
+    (`_level_inversion` at p = 1).
+
+    Returns None for the Dirichlet hemisphere when z < lambda_(1); for all
+    other spaces z >= 0 guarantees at least the bottom level.
+    """
+    l = _level_inversion(z, require_finite_nonnegative(z), 1,
+                         *space.record.quadratic(space.dim))
     return l if l >= space.min_level else None
 
 

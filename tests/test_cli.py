@@ -94,6 +94,24 @@ def test_eval_levels_grid_walks_the_levels_of_the_power(capsys, space, power,
     assert [float(z) for z, _, _ in rows] == want
 
 
+@pytest.mark.parametrize("space,power", [
+    ("sphere:2", 2), ("sphere:2", 1), ("hemisphere-d:3", 3)])
+def test_eval_levels_grid_defaults_to_forty_levels_of_the_power(
+        capsys, space, power):
+    # Without --zmax the grid ends at the 40th level value lambda^p of the
+    # operator itself, not of the Laplacian.
+    code, out, _ = run(capsys, "eval", space, "N", "--power", str(power),
+                       "--grid", "levels-plus-midpoints")
+    assert code == 0
+    sp = parse_space(space)
+    lams = [eigenvalue(sp, l) ** power
+            for l in range(sp.min_level, sp.min_level + 40)]
+    want = [z for lam, nxt in zip(lams, lams[1:])
+            for z in (lam, (lam + nxt) / 2)]
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [float(z) for z, _, _ in rows] == want + [lams[-1]]
+
+
 def test_eval_usage_error(capsys):
     code, _, err = run(capsys, "eval", "sphere:2", "R7", "--z", "1")
     assert code == 2

@@ -2,6 +2,7 @@ import bisect
 import functools
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -453,8 +454,10 @@ def test_non_finite_z_is_a_value_error(fn, z):
     lambda z: riesz_mean(S2, 2, z),
     lambda z: max_level_index(sphere(2), z),
     lambda z: poly_transform_check(2, 2, z),
+    lambda z: max_level_index_pow(SpectrumQuery(sphere(2), power=3), z),
+    lambda z: evaluate_grid(S2, "R1", [Fraction(5, 2), z]),
 ], ids=["counting", "riesz_mean", "riesz_mean_2", "max_level_index",
-        "poly_transform_check"])
+        "poly_transform_check", "max_level_index_pow_p3", "evaluate_grid"])
 def test_bad_z_error_text(fn, z, message):
     with pytest.raises(ValueError) as info:
         fn(z)
@@ -465,6 +468,9 @@ def test_negative_zero_is_zero():
     assert counting(S2, -0.0) == 1
     assert riesz_mean(S2, 1, -0.0) == 0.0
     assert max_level_index(sphere(2), -0.0) == 0
+    assert max_level_index_pow(SpectrumQuery(sphere(2), power=3), -0.0) == 0
+    assert evaluate_grid(S2, "R1", [Fraction(5, 2), -0.0]) == (
+        [Fraction(4), 0.0], [1, 0])
     assert poly_transform_check(2, 2, -0.0) == 0.0
 
 
@@ -613,7 +619,8 @@ def test_evaluate_grid_raises_as_first_failing_point(quantity, grid):
 
 
 # ---------------------------------------------------------------------------
-# Lookups by value bisect on floor(z); the transform integrals sum in ints
+# Lookups by value invert floor(z) in integers; the transform integrals sum
+# in ints
 
 
 def _brute_by_value(levels, min_level, z):
@@ -655,7 +662,7 @@ def test_value_lookups_on_fraction_z_match_flattened_spectrum(q):
     lambda z: max_level_index_pow(S2, z),
 ], ids=["counting", "riesz_mean", "riesz_mean_2", "max_level_index_pow"])
 def test_past_cap_fraction_names_the_given_z(fn, z):
-    # The bisect key is floor(z); the error still reports z itself.
+    # The level inversion reads floor(z); the error still reports z itself.
     assert _first_failure(lambda: fn(z)) == (
         f"level cap {DEFAULT_LEVEL_CAP} exceeded at z={z!r}")
 
@@ -664,6 +671,51 @@ def test_fraction_just_below_the_cap_level_is_the_last_level():
     for z in (PAST_CAP - Fraction(1, 997), PAST_CAP - Fraction(1, 2 ** 70)):
         assert counting(S2, z) == (DEFAULT_LEVEL_CAP + 1) ** 2
         assert max_level_index_pow(S2, z) == DEFAULT_LEVEL_CAP
+
+
+#: Every spectrum of TABLE_QUERIES at powers 1, 2 and 3, the three ways
+#: the level inversion takes the integer p-th root of floor(z): as is, by
+#: math.isqrt and by Newton's iteration.
+INVERSION_QUERIES = [SpectrumQuery(q.space, power=p, variant=q.variant)
+                     for q in TABLE_QUERIES if q.power == 1
+                     for p in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("q", INVERSION_QUERIES, ids=lambda q: (
+    f"{q.space.describe()}-{q.variant.value}-p{q.power}"))
+def test_level_inversion_is_the_bisect_of_lam(q, cold_tables):
+    lam = _table(q, "lam", q.level_value(TOP_LEVEL)).lam
+    tiny, step = Fraction(1, 2 ** 70), Fraction(1, 997)
+    zs = []
+    for v in lam[:40]:
+        zs += [v, v - 1, v + 1, Fraction(v), v - step, v + step, v - tiny,
+               v + tiny, float(v), math.nextafter(float(v), -math.inf),
+               math.nextafter(float(v), math.inf)]
+    for z in [z for z in zs if z >= 0]:
+        assert riesz._rows_upto(q, z)[1] == bisect.bisect_right(
+            lam, math.floor(z)), z
+    # Level 10,000 is the last row a lookup reads; level 10,001 and past
+    # it raise the cap error naming z.
+    assert len(lam) == TOP_LEVEL - q.min_level + 1
+    last, past = lam[-2], lam[-1]
+    for z in (last, Fraction(last), last + step, past - 1, past - tiny):
+        assert riesz._rows_upto(q, z)[1] == len(lam) - 1, z
+        assert max_level_index_pow(q, z) == DEFAULT_LEVEL_CAP, z
+    for z in (past, Fraction(past), past + tiny, past + 1):
+        assert _first_failure(lambda: riesz._rows_upto(q, z)) == (
+            f"level cap {DEFAULT_LEVEL_CAP} exceeded at z={z!r}")
+
+
+def test_pickled_query_finds_the_same_table():
+    q = SpectrumQuery(sphere(3), power=2)
+    back = pickle.loads(pickle.dumps(q))
+    assert back == q and hash(back) == hash(q)
+    # Only strs and ints: a new process recomputes their hashes.
+    assert {type(v) for v in back.table_key} == {str, int}
+    assert (back.table_key, back.inversion, back.min_level) == (
+        q.table_key, q.inversion, q.min_level)
+    assert riesz._rows_upto(back, 100)[0] is riesz._rows_upto(q, 100)[0]
+    assert counting(back, 100) == counting(q, 100)
 
 
 def _reference_integrals(q, z, p):

@@ -98,10 +98,11 @@ def test_gap_indices_are_cumulative_multiplicities():
                                        (trace_identity_partial, 11)])
 def test_sum_rules_refuse_levels_past_cap_before_building(check, dim):
     space = Space(Family.REAL_PROJECTIVE, dim)  # a spectrum no other test reads
-    rows = len(_tables.get(SpectrumQuery(space), ([],))[0])
+    key = SpectrumQuery(space).table_key
+    rows = len(_tables.get(key, ([],))[0])
     with pytest.raises(ValueError, match="level cap"):
         check(space, DEFAULT_LEVEL_CAP + 500)
-    assert len(_tables.get(SpectrumQuery(space), ([],))[0]) == rows
+    assert len(_tables.get(key, ([],))[0]) == rows
 
 
 def test_sum_rules_reach_the_level_cap():
