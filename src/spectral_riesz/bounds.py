@@ -483,10 +483,8 @@ def _build_catalog():
             return c * _pow_half(z, d) * (z + shift)
         return side
 
-    def sd_equality(p, n):
-        if p["d"] == 2:
-            return lam_points(p, n)
-        raise ValueError(f"no finite equality points for d={p['d']}")
+    def sd_equality(p, n):  # no finite equality points for d >= 3
+        return lam_points(p, n) if p["d"] == 2 else []
 
     _register(BoundSpec(
         "sd.r1.lower", "Weyl lower bound for R1 on S^d", "R1", sd_query,
@@ -850,6 +848,8 @@ def standard_grid(bound_id: str, params: Optional[dict] = None,
     """
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
     if zmax is not None and not 0 < zmax < math.inf:  # NaN fails too
         raise ValueError(f"bad zmax={zmax!r}: z must be finite and > 0")
     spec = get(bound_id)
@@ -865,12 +865,8 @@ def standard_grid(bound_id: str, params: Optional[dict] = None,
     pts = {i * zmax / points for i in range(points + 1)}
     pts.update(map(float, level_values_upto(q, zmax)))  # raises past the cap
     if spec.equality is not None:
-        try:
-            for e in spec.equality(prm, levels + 2):
-                if 0 <= e <= zmax:
-                    pts.add(float(e))
-        except ValueError:
-            pass
+        pts.update(float(e) for e in spec.equality(prm, levels + 2)
+                   if 0 <= e <= zmax)
     if spec.witnesses is not None:
         pts.update(float(t) for t in spec.witnesses(prm, zmax))
     return sorted(pts)
@@ -932,6 +928,8 @@ def verify(bound_id: str, params: Optional[dict] = None,
     """
     if not 0 < tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
     spec = get(bound_id)
     prm = spec.validate(dict(params or {}))
     q = spec.query(prm)
@@ -952,12 +950,9 @@ def verify(bound_id: str, params: Optional[dict] = None,
 
     eq_checks = []
     if spec.equality is not None and spec.expected_valid:
-        try:
-            eq_pts = spec.equality(prm, min(levels, 12))
-        except ValueError:
-            eq_pts = []
         # Informational values (e.g. b(l) shifts) are not exact z's.
-        eq_pts = [e for e in eq_pts if isinstance(e, (int, Fraction))]
+        eq_pts = [e for e in spec.equality(prm, min(levels, 12))
+                  if isinstance(e, (int, Fraction))]
         eq_targets, _ = evaluate_grid(q, spec.quantity, eq_pts)
         for side, fn in bound:
             if spec.equality_side not in (None, side):

@@ -308,8 +308,11 @@ def evaluate_grid(q: SpectrumQuery, quantity: str, grid: Sequence):
     """
     if quantity == "average":
         return list(map(Fraction, eigenvalue_sums(q, grid), grid)), None
+    if quantity not in ("N", "R1", "R2"):
+        raise ValueError(f"quantity must be N, R1, R2 or average, "
+                         f"got {quantity!r}")
     tab, top = _grown_table(q, _rows_upto, 0, grid)[:2]
-    gamma, below = {"N": 0, "R1": 1, "R2": 2}[quantity], q.min_level - 1
+    gamma, below = ("N", "R1", "R2").index(quantity), q.min_level - 1
     if {*map(type, grid)} == {float}:
         if all(map(le, grid, islice(grid, 1, None))):
             return _float_runs(tab, top, gamma, grid, below)
@@ -429,11 +432,15 @@ def lemma_sum(p: int, z: Real):
 def _pieces(q: SpectrumQuery, z: Real):
     """(N, S1, lo, hi) for each piece [lo, hi) from one level to the next,
     the last one ending at z; on it N(u) = N and R_1(u) = N u - S1.
+    Rows 0..i-1 are the levels <= z, so every other piece ends at a level.
     """
     tab, i, _, _ = _rows_upto(q, z)
+    if not i:
+        return []
+    k = i - 1
     lam = tab.lam
-    return [(tab.count[j], tab.s1[j], lam[j], min(lam[j + 1], z))
-            for j in range(i)]
+    return [*zip(tab.count[:k], tab.s1[:k], lam[:k], lam[1:i]),
+            (tab.count[k], tab.s1[k], lam[k], z)]
 
 
 def _integral_power_times_r1(q: SpectrumQuery, z, p: int):

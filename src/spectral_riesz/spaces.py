@@ -253,8 +253,8 @@ def invert_w(d: int, z: Real) -> float:
 
     The refinement keeps |w(w+d-1) - z| within a few ulp of z.
     """
-    if z < 0:
-        raise ValueError("invert_w requires z >= 0")
+    if not z >= 0:  # NaN fails too
+        raise ValueError(f"invert_w requires z >= 0, got {z!r}")
     zf = float(z)
     c = d - 1.0
     w = (-c + math.sqrt(c * c + 4.0 * zf)) / 2.0

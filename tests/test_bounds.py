@@ -73,6 +73,7 @@ def test_equality_points_examples():
     assert _equality("s2.r1.lower", count=4) == [0, 2, 6, 12]
     shifts = _equality("sd.r1.upper.shift", {"d": 3}, count=50)
     assert abs(shifts[-1] - 1.25) < 0.05   # b(l) -> z_3 = 5/4
+    assert _equality("sd.r1.lower", {"d": 3}) == []   # none for d >= 3
     assert bounds.get("hemi2.r1d.upper").equality is None
 
 
@@ -403,6 +404,20 @@ def test_standard_grid_contains_levels_and_equality_points():
 def test_standard_grid_rejects_fewer_than_one_point(bound_id, params, points):
     with pytest.raises(ValueError, match="points must be >= 1"):
         bounds.standard_grid(bound_id, params, points=points)
+
+
+@pytest.mark.parametrize("levels", [0, -3])
+@pytest.mark.parametrize("build", [
+    lambda levels: bounds.standard_grid("s2.r1.upper", levels=levels),
+    lambda levels: bounds.standard_grid("sd.avg.twosided", {"d": 3},
+                                        levels=levels),
+    lambda levels: bounds.verify("sd.r1.lower", {"d": 3}, levels=levels),
+    lambda levels: bounds.verify("s2.r1.lower", {}, [0.5, 2.0],
+                                 levels=levels),
+], ids=["standard_grid", "standard_grid-average", "verify", "verify-grid"])
+def test_fewer_than_one_level_is_refused(build, levels):
+    with pytest.raises(ValueError, match=f"levels must be >= 1, got {levels}"):
+        build(levels)
 
 
 def test_standard_grid_average_spreads_points_up_to_zmax():

@@ -618,6 +618,13 @@ def test_evaluate_grid_raises_as_first_failing_point(quantity, grid):
     assert _first_failure(lambda: evaluate_grid(S2, quantity, grid)) == want
 
 
+@pytest.mark.parametrize("quantity", ["R3", "n"])
+def test_evaluate_grid_refuses_an_unknown_quantity(quantity):
+    with pytest.raises(ValueError, match="must be N, R1, R2 or average, "
+                                         f"got '{quantity}'"):
+        evaluate_grid(S2, quantity, [1.0])
+
+
 # ---------------------------------------------------------------------------
 # Lookups by value invert floor(z) in integers; the transform integrals sum
 # in ints

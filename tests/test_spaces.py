@@ -138,6 +138,12 @@ def test_invert_w_examples():
     assert invert_w(2, 3.75) == 1.5
 
 
+@pytest.mark.parametrize("z", [math.nan, -1.0], ids=["nan", "negative"])
+def test_invert_w_refuses_z_that_is_not_nonnegative(z):
+    with pytest.raises(ValueError, match=r"invert_w requires z >= 0, got"):
+        invert_w(3, z)
+
+
 def test_fluctuation_examples():
     assert fluctuation(1.0) == -0.5
     assert fluctuation(1.5) == 0.0
