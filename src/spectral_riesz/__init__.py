@@ -13,8 +13,8 @@ from .riesz import (PrefixSums, SpectrumQuery, Variant, counting,
                     eigenvalue_average, evaluate_grid, lemma_sum,
                     poly_transform_check, prefix_sums, riesz1_closed_sphere,
                     riesz_mean)
-from .weyl import (ExpansionEval, SemiclassicalConstant, Volumes, expansion,
-                   lclass, lclass_volume, volumes)
+from .weyl import (ExpansionEval, expansion, lclass, lclass_volume,
+                   sphere_volume)
 from .bounds import (BoundSpec, ScanReport, bound_value, bly345_gap_diagnostics,
                      catalog, legendre_average_bound, optimal_shift,
                      standard_grid, verify)

@@ -31,12 +31,12 @@ from operator import truediv
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .riesz import (SpectrumQuery, Variant, eigenvalue_sums, evaluate_grid,
-                    level_values_upto, prefix_sums, riesz_mean)
+                    level_values_upto, prefix_sums)
 from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, _integer_nth_root,
                      fluctuation, hemisphere_dirichlet, hemisphere_neumann,
                      invert_w, require_finite_nonnegative, sphere)
 from .sumrules import natural_shift
-from .weyl import BoundExpansion, lclass, lclass_volume, volumes
+from .weyl import lclass, lclass_volume, sphere_volume
 
 # ---------------------------------------------------------------------------
 # Exactness-preserving numeric helpers
@@ -317,7 +317,6 @@ class Bly345Diagnostics:
     x_crit: float        # interior critical point of the gap ratio
     z_crit: float        # (L+d)(L + 1/(d+1))
     ratio_at_crit: float  # f_L(x_L)
-    ratio_at_level: float  # f_L(0)
 
 
 def bly345_gap_diagnostics(d: int, level: int) -> Bly345Diagnostics:
@@ -329,11 +328,7 @@ def bly345_gap_diagnostics(d: int, level: int) -> Bly345Diagnostics:
     c = 2 * L + d - 1
     x = (-c + math.sqrt(c * c + 4 * float(z_star - L * (L + d - 1)))) / 2
     f_crit = math.prod(range(L, L + d)) / float(z_star) ** (d / 2)
-    lam = L * (L + d - 1)
-    space = hemisphere_dirichlet(d)
-    weyl = BoundExpansion(space, "R1", 1)
-    f0 = float(riesz_mean(SpectrumQuery(space), 1, lam)) / weyl(lam)
-    return Bly345Diagnostics(d, L, x, float(z_star), f_crit, f0)
+    return Bly345Diagnostics(d, L, x, float(z_star), f_crit)
 
 
 # ---------------------------------------------------------------------------
@@ -563,19 +558,19 @@ def _build_catalog():
         "fail.liyau.d>=6")
 
     # --- domains of S^d ----------------------------------------------------
-    sd_area = lambda p: float(volumes(p["d"]).sphere)
+    sd_area = lambda p: sphere_volume(p["d"])
 
     _register(BoundSpec(
         "dom.sd.bly.shift", "shifted Berezin-Li-Yau for domains of S^d",
         "R1", sd_query,
         (SideRule("upper", lambda d, area: Power(
-            lclass(1, d).value * area, d / 2 + 1, float(_zd(d)))),),
+            lclass(1, d) * area, d / 2 + 1, float(_zd(d)))),),
         (Param("d", lo=2), _area(sd_area)), matrix=_each("d", (2, 3, 4))))
 
     _register(BoundSpec(
         "dom.sd.kroger.imp", "improved Kroger bound for domains of S^d",
         "R1", sd_query, (SideRule("lower", lambda d, area: shifted_lower(
-            lclass(1, d).value * area, d)),),
+            lclass(1, d) * area, d)),),
         (Param("d", lo=2), _area(sd_area)), matrix=_each("d", (2, 3, 4))))
 
     # --- S^1 ----------------------------------------------------------------
@@ -719,7 +714,7 @@ def _build_catalog():
         "Kroger bound for the Neumann biharmonic on domains of S^d, d>=3",
         "R1", lambda p: SpectrumQuery(sphere(p["d"]), power=2),
         (SideRule("lower", lambda d, area: Power(
-            lclass(1, d, 2).value * area, 1 + d / 4)),),
+            lclass(1, d, 2) * area, 1 + d / 4)),),
         (Param("d", lo=3), _area(sd_area)), matrix=_each("d", (3, 4))))
 
     # --- R2 on rank-one spaces ---------------------------------------------
@@ -767,16 +762,17 @@ def bound_value(bound_id: str, params: Optional[dict] = None, z: Real = None,
 
     `side` is required for two-sided entries; z is the spectral parameter
     (or k for average entries).  A NaN, infinite or negative z, a k that is
-    not a finite k >= 1, and a z too large for a side's float arithmetic
-    are each one ValueError.
+    a bool or not a whole number >= 1 (an int, or an integral float or
+    Fraction), and a z too large for a side's float arithmetic are each one
+    ValueError.
     """
     spec, bound = _resolve_side(bound_id, params, side)
     if z is None:
         raise ValueError("z (or k) is required")
     if spec.quantity != "average":
         require_finite_nonnegative(z)
-    elif not 1 <= z < math.inf:  # NaN fails too
-        raise ValueError(f"k must be finite and >= 1, got {z!r}")
+    elif type(z) is bool or not 1 <= z < math.inf or z % 1:  # NaN fails
+        raise ValueError(f"k must be an integer >= 1, got {z!r}")
     try:
         return bound(_normalize_arg(z))
     except OverflowError:

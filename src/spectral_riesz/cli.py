@@ -68,7 +68,9 @@ def cmd_levels(args) -> int:
 
 def _grid_from_args(q: SpectrumQuery, args) -> List[float]:
     """The z grid of eval and expansion.  levels-plus-midpoints reads the
-    level values lambda^p of q, each with the midpoint to the next."""
+    level values lambda^p of q, each with the midpoint to the next;
+    uniform-in-w is z = (w(w+d-1))^p at w uniform over the Laplacian's w of
+    zmin^(1/p)..zmax^(1/p), the figures' map: fixed phases of q's levels."""
     space = q.space
     if args.z:
         try:
@@ -87,9 +89,14 @@ def _grid_from_args(q: SpectrumQuery, args) -> List[float]:
     if policy is GridPolicy.UNIFORM_IN_Z:
         return [zmin + (zmax - zmin) * i / (n - 1) for i in range(n)]
     if policy is GridPolicy.UNIFORM_IN_W:
-        wlo, whi = invert_w(space.dim, zmin), invert_w(space.dim, zmax)
+        d, p = space.dim, q.power
+        wlo, whi = invert_w(d, zmin ** (1 / p)), invert_w(d, zmax ** (1 / p))
         ws = [wlo + (whi - wlo) * i / (n - 1) for i in range(n)]
-        return [w * (w + space.dim - 1) for w in ws]
+        try:
+            return [(w * (w + d - 1)) ** p for w in ws]
+        except OverflowError:  # a rounding past zmax near the float limit
+            raise ValueError(f"the uniform-in-w grid to zmax={zmax!r} "
+                             "leaves float range") from None
     pts = []
     lams = level_values_upto(q, zmax)  # raises past the cap
     nxts = lams[1:] + [q.level_value(q.min_level + len(lams))]

@@ -350,8 +350,9 @@ def riesz_mean(q: SpectrumQuery, gamma: int, z: Real):
 
     Exact (int or Fraction, as z) for int/Fraction z, binary64 for float z.
     """
-    if gamma not in (1, 2):
-        raise ValueError("riesz_mean covers gamma in {1, 2}; use counting for 0")
+    if type(gamma) is not int or gamma not in (1, 2):
+        raise ValueError(f"riesz_mean covers the integers gamma in {{1, 2}}; "
+                         f"use counting for 0, got {gamma!r}")
     return _value_at(gamma, z, *_rows_upto(q, z))
 
 

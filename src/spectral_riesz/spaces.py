@@ -107,7 +107,8 @@ class Space:
     dim: int
 
     def __post_init__(self):
-        if not _FAMILIES[self.family].admits(self.dim):
+        admits = _FAMILIES[self.family].admits
+        if type(self.dim) is not int or not admits(self.dim):
             raise ValueError(f"dimension {self.dim} out of range "
                              f"for {self.family.value}")
 
@@ -147,6 +148,8 @@ def hemisphere_neumann(d: int) -> Space:
 
 
 def _require_level(space: Space, l: int) -> None:
+    if type(l) is not int:
+        raise ValueError(f"level must be an integer, got {l!r}")
     if l < space.min_level:
         raise ValueError(f"level {l} below minimum {space.min_level} "
                          f"for {space.describe()}")
@@ -253,8 +256,9 @@ def invert_w(d: int, z: Real) -> float:
 
     The refinement keeps |w(w+d-1) - z| within a few ulp of z.
     """
-    if not z >= 0:  # NaN fails too
-        raise ValueError(f"invert_w requires z >= 0, got {z!r}")
+    if not 0 <= z < math.inf:  # NaN fails too
+        raise ValueError(f"invert_w requires z >= 0, got {z!r}: z must be "
+                         "finite and nonnegative")
     zf = float(z)
     c = d - 1.0
     w = (-c + math.sqrt(c * c + 4.0 * zf)) / 2.0

@@ -1,12 +1,14 @@
-"""Semiclassical constants, volumes, and the truncated Weyl expansions.
+"""Semiclassical constants, the sphere volume, and the truncated Weyl
+expansions.
 
-The constants L^class_{gamma,d} and their polyharmonic variants are kept
-exact: for gamma in {0, 1, 2} every constant here is a rational multiple
-of a half-integer power of pi (Gamma enters only at integer and
-half-integer points), and the products with the space volumes are plain
-rationals.  Expansion coefficients are transcribed from the two/three-term
-theorems and certified numerically by the test suite, not derived
-symbolically.
+Every constant has one exact derivation: L^class_{gamma,d,p} |M^d| is the
+rational `lclass_volume`, from the family record's gamma = 0 value and a
+rational Gamma ratio.  The sphere volume |S^d| is a rational times a
+half-integer power of pi (Gamma enters only at integer and half-integer
+points), so L^class_{gamma,d,p} itself is `lclass_volume` on S^d over that
+rational, times the reciprocal power of pi.  Expansion coefficients are
+transcribed from the two/three-term theorems and certified numerically by
+the test suite, not derived symbolically.
 """
 
 from __future__ import annotations
@@ -15,122 +17,50 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Tuple
 
-from .spaces import Family, Real, Space, fluctuation, invert_w
-
-# ---------------------------------------------------------------------------
-# Exact pi-multiples and Gamma at integer/half-integer points
-
-
-@dataclass(frozen=True)
-class PiMultiple:
-    """Exact value coef * pi^(pi_halves/2)."""
-
-    coef: Fraction
-    pi_halves: int
-
-    def __float__(self) -> float:
-        return float(self.coef) * math.pi ** (self.pi_halves / 2)
-
-    def __mul__(self, other):
-        if isinstance(other, PiMultiple):
-            return PiMultiple(self.coef * other.coef,
-                              self.pi_halves + other.pi_halves)
-        return PiMultiple(self.coef * Fraction(other), self.pi_halves)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, PiMultiple):
-            return PiMultiple(self.coef / other.coef,
-                              self.pi_halves - other.pi_halves)
-        return PiMultiple(self.coef / Fraction(other), self.pi_halves)
-
-    def as_fraction(self) -> Fraction:
-        if self.pi_halves != 0:
-            raise ValueError("value is not rational")
-        return self.coef
-
-
-def gamma_exact_half(two_x: int) -> PiMultiple:
-    """Gamma(two_x / 2) by exact recursion down to Gamma(1) or Gamma(1/2)."""
-    if two_x <= 0:
-        raise ValueError("argument must be positive")
-    if two_x % 2 == 0:
-        return PiMultiple(Fraction(math.factorial(two_x // 2 - 1)), 0)
-    # Gamma(n + 1/2) = (2n)! / (4^n n!) sqrt(pi)
-    n = (two_x - 1) // 2
-    return PiMultiple(Fraction(math.factorial(2 * n),
-                               4 ** n * math.factorial(n)), 1)
-
+from .spaces import Family, Real, Space, fluctuation, invert_w, sphere
 
 # ---------------------------------------------------------------------------
-# Semiclassical constants and volumes
-
-
-@dataclass(frozen=True)
-class SemiclassicalConstant:
-    """L^class_{gamma,d,p}; value > 0, exact as a pi-multiple."""
-
-    gamma: int
-    d: int
-    p: int
-    value: float
-    exact: PiMultiple
+# Semiclassical constants and the sphere volume
 
 
 def _gamma_ratio(gamma: int, d: int, p: int) -> Fraction:
     """Gamma(gamma+1) Gamma(1 + d/2p) / Gamma(1 + gamma + d/2p)
-    = gamma! / (1 + d/2p)_gamma, for gamma in {0, 1, 2}."""
+    = gamma! / (1 + d/2p)_gamma, for gamma in {0, 1, 2} and p >= 1."""
     if gamma not in (0, 1, 2):
         raise ValueError("gamma must be 0, 1 or 2")
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p!r}")
     x = 1 + Fraction(d, 2 * p)
     return Fraction(math.factorial(gamma)) / math.prod(
         (x + i for i in range(gamma)), start=Fraction(1))
 
 
+def _sphere_volume_exact(d: int) -> Tuple[Fraction, int]:
+    """(c, h) with |S^d| = 2 pi^((d+1)/2) / Gamma((d+1)/2) = c pi^(h/2)."""
+    n, odd = divmod(d + 1, 2)
+    if odd:  # Gamma(n + 1/2) = (2n)! / (4^n n!) sqrt(pi)
+        return Fraction(2 * 4 ** n * math.factorial(n),
+                        math.factorial(2 * n)), d
+    return Fraction(2, math.factorial(n - 1)), d + 1
+
+
 @functools.cache
-def lclass(gamma: int, d: int, p: int = 1) -> SemiclassicalConstant:
+def lclass(gamma: int, d: int, p: int = 1) -> float:
     """L^class_{gamma,d,p} = (4 pi)^(-d/2) Gamma(gamma+1) Gamma(1 + d/2p)
-    / (Gamma(1 + d/2) Gamma(1 + gamma + d/2p)).
-
-    For integer gamma the ratio of the two fractional Gammas is the
-    reciprocal Pochhammer product, so the value is an exact rational
-    multiple of pi^(-d/2) (times 1/sqrt(pi) in odd dimension).
-    """
-    if d < 1 or p < 1:
-        raise ValueError("d and p must be >= 1")
-    # (4 pi)^(-d/2) = 2^(-d) pi^(-d/2) exactly.
-    exact = PiMultiple(Fraction(1, 2 ** d) * _gamma_ratio(gamma, d, p),
-                       -d) / gamma_exact_half(d + 2)
-    return SemiclassicalConstant(gamma, d, p, float(exact), exact)
+    / (Gamma(1 + d/2) Gamma(1 + gamma + d/2p)), as the exact rational
+    lclass_volume(S^d) / c times pi^(-h/2), (c, h) the sphere volume's."""
+    exact = lclass_volume(sphere(d), gamma, p)  # sphere(d) checks d
+    c, h = _sphere_volume_exact(d)
+    return float(exact / c) * math.pi ** (-h / 2)
 
 
-@dataclass(frozen=True)
-class Volumes:
-    """|S^d|, |S^d_+|, |boundary of S^d_+| = |S^(d-1)|, omega_d (unit ball)."""
-
-    sphere: PiMultiple
-    hemisphere: Optional[PiMultiple]
-    boundary: Optional[PiMultiple]
-    ball: PiMultiple
-
-
-def volumes(d: int) -> Volumes:
-    """Exact closed forms via Gamma at integer/half-integer points.
-
-    Hemisphere entries require d >= 2 and are None for the circle.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    sph = PiMultiple(Fraction(2), d + 1) / gamma_exact_half(d + 1)
-    ball = PiMultiple(Fraction(1), d) / gamma_exact_half(d + 2)
-    if d == 1:
-        return Volumes(sph, None, None, ball)
-    hemi = PiMultiple(sph.coef / 2, sph.pi_halves)
-    bnd = PiMultiple(Fraction(2), d) / gamma_exact_half(d)
-    return Volumes(sph, hemi, bnd, ball)
+def sphere_volume(d: int) -> float:
+    """|S^d| = 2 pi^((d+1)/2) / Gamma((d+1)/2), rounded once from its
+    exact rational and pi power."""
+    c, h = _sphere_volume_exact(sphere(d).dim)  # sphere(d) checks d
+    return float(c) * math.pi ** (h / 2)
 
 
 @functools.cache

@@ -378,6 +378,16 @@ def test_average_entries_refuse_a_k_that_is_not_an_int(k):
         bounds.verify("sd.avg.twosided", {"d": 3}, [1, k, 4])
 
 
+@pytest.mark.parametrize("k", [2.5, True, Fraction(5, 2)],
+                         ids=["float-2.5", "bool", "fraction-5/2"])
+def test_bound_value_refuses_a_k_that_is_not_a_whole_number(k):
+    # The closed forms take an integral float or Fraction k on both
+    # arithmetic paths; a fractional k or a bool is one ValueError, with
+    # the message of eigenvalue_average.
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        bounds.bound_value("sd.avg.twosided", {"d": 3}, k, side="lower")
+
+
 def test_scan_report_serializes_to_json():
     rep = bounds.verify("s2.r1.upper", points=100, levels=10)
     blob = json.dumps(rep.to_dict(), sort_keys=True)

@@ -112,6 +112,17 @@ def test_eval_levels_grid_defaults_to_forty_levels_of_the_power(
     assert [float(z) for z, _, _ in rows] == want + [lams[-1]]
 
 
+def test_eval_uniform_in_w_grid_follows_the_levels_of_the_power(capsys):
+    # w uniform over the Laplacian's w of zmin^(1/p) .. zmax^(1/p), and
+    # z = (w(w+d-1))^p: the w of levels 10, 20 and 30 land on level values.
+    code, out, _ = run(capsys, "eval", "sphere:2", "N", "--power", "2",
+                       "--grid", "uniform-in-w", "--points", "5")
+    assert code == 0
+    assert out.splitlines() == [
+        "z,brute_force,closed_form", "0,1,", "10985.66015625,100,",
+        "159800.0625,400,", "782893.16015625,900,", "2433600,1600,"]
+
+
 def test_eval_usage_error(capsys):
     code, _, err = run(capsys, "eval", "sphere:2", "R7", "--z", "1")
     assert code == 2
@@ -278,6 +289,13 @@ def test_verify_zero_points_exits_two(capsys):
 def test_eval_z_beyond_float_range_exits_two(capsys):
     code, out, err = run(capsys, "eval", "sphere:3", "R1", "--z", "1e400")
     assert code == 2 and out == "" and "beyond float range" in err
+
+
+def test_eval_power_w_grid_beyond_float_range_exits_two(capsys):
+    code, out, err = run(capsys, "eval", "sphere:2", "N", "--power", "2",
+                         "--grid", "uniform-in-w",
+                         "--zmax", "1.7976931348623157e308")
+    assert code == 2 and out == "" and "leaves float range" in err
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -63,6 +63,12 @@ def test_riesz_mean_gamma_two():
     assert r2 == (z - 0) ** 2 + 3 * (z - 2) ** 2
 
 
+@pytest.mark.parametrize("gamma", [1.0, True, 2.0, 0, 3])
+def test_riesz_mean_refuses_a_gamma_that_is_not_the_int_1_or_2(gamma):
+    with pytest.raises(ValueError, match="riesz_mean covers"):
+        riesz_mean(S2, gamma, 5)
+
+
 def test_riesz1_closed_sphere_examples():
     assert riesz1_closed_sphere(2, 3.75) == 9
     assert riesz1_closed_sphere(3, 3) == 3

@@ -206,6 +206,11 @@ def test_gap_extrema_requires_sphere():
         gap_extrema(hemisphere_dirichlet(3), [1], (1.0, 2.5, 0.0))
 
 
+def test_gap_extrema_refuses_a_level_that_is_not_an_int():
+    with pytest.raises(ValueError, match="level must be an integer"):
+        gap_extrema(sphere(2), [2.5], (1.0, 2.0, 0.0))
+
+
 def test_w_grid_is_strictly_increasing():
     g = w_grid(3, 10, 16)
     assert g == sorted(set(g))

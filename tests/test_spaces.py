@@ -58,10 +58,20 @@ def test_dirichlet_hemisphere_has_no_bottom_level():
     (Family.QUATERNION_PROJECTIVE, 10),
     (Family.QUATERNION_PROJECTIVE, 4),
     (Family.CAYLEY_PLANE, 8),
+    (Family.SPHERE, 2.5),
+    (Family.SPHERE, 2.0),
+    (Family.SPHERE, True),
 ])
 def test_out_of_range_dimension_rejected(family, dim):
     with pytest.raises(ValueError):
         Space(family, dim)
+
+
+@pytest.mark.parametrize("level", [2.5, 2.0, True])
+def test_level_that_is_not_an_int_is_refused(level):
+    for level_fact in (eigenvalue, multiplicity):
+        with pytest.raises(ValueError, match="level must be an integer"):
+            level_fact(sphere(3), level)
 
 
 def test_levels_strictly_increasing_up_to_200():
@@ -138,7 +148,8 @@ def test_invert_w_examples():
     assert invert_w(2, 3.75) == 1.5
 
 
-@pytest.mark.parametrize("z", [math.nan, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("z", [math.nan, -1.0, math.inf],
+                         ids=["nan", "negative", "inf"])
 def test_invert_w_refuses_z_that_is_not_nonnegative(z):
     with pytest.raises(ValueError, match=r"invert_w requires z >= 0, got"):
         invert_w(3, z)

@@ -105,6 +105,12 @@ def test_sum_rules_refuse_levels_past_cap_before_building(check, dim):
     assert len(_tables.get(key, ([],))[0]) == rows
 
 
+@pytest.mark.parametrize("check", [check_pq_identity, trace_identity_partial])
+def test_sum_rules_refuse_a_level_that_is_not_an_int(check):
+    with pytest.raises(ValueError, match="level must be an integer"):
+        check(sphere(3), 2.5)
+
+
 def test_sum_rules_reach_the_level_cap():
     rep = trace_identity_partial(sphere(1), DEFAULT_LEVEL_CAP)
     assert abs(rep.partial_sum - rep.target) <= rep.tail_estimate

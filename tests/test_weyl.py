@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from spectral_riesz.spaces import (Family, Space, hemisphere_dirichlet,
                                    hemisphere_neumann, invert_w, sphere)
 from spectral_riesz import weyl
-from spectral_riesz.weyl import (BoundExpansion, expansion, gamma_exact_half,
-                                 lclass, lclass_volume, snapped_fluctuation,
-                                 volumes)
+from spectral_riesz.weyl import (BoundExpansion, _sphere_volume_exact,
+                                 expansion, lclass, lclass_volume,
+                                 snapped_fluctuation, sphere_volume)
 
 
 def test_lclass_volume_paper_values():
@@ -30,7 +30,7 @@ def test_constant_identities_exact_up_to_d16():
 def test_lclass_matches_float_gamma_formula():
     for gamma, d, p in [(0, 3, 1), (1, 5, 1), (2, 4, 1), (1, 2, 4),
                         (1, 3, 2), (2, 7, 3)]:
-        got = lclass(gamma, d, p).value
+        got = lclass(gamma, d, p)
         want = ((4 * math.pi) ** (-d / 2) * math.gamma(gamma + 1)
                 * math.gamma(1 + d / (2 * p))
                 / (math.gamma(1 + d / 2) * math.gamma(1 + gamma + d / (2 * p))))
@@ -40,29 +40,53 @@ def test_lclass_matches_float_gamma_formula():
 def test_lclass_times_sphere_volume_consistency():
     for d in (1, 2, 3, 5, 8):
         for gamma in (0, 1, 2):
-            lhs = lclass(gamma, d).value * float(volumes(d).sphere)
+            lhs = lclass(gamma, d) * sphere_volume(d)
             assert abs(lhs / float(lclass_volume(sphere(d), gamma)) - 1) < 1e-14
 
 
-def test_volumes_examples():
-    v2 = volumes(2)
-    assert (float(v2.sphere), float(v2.hemisphere), float(v2.boundary),
-            float(v2.ball)) == (4 * math.pi, 2 * math.pi, 2 * math.pi,
-                                math.pi)
-    v1 = volumes(1)
-    assert float(v1.sphere) == 2 * math.pi
-    assert v1.hemisphere is None and v1.boundary is None
-    assert float(v1.ball) == 2.0
-    v3 = volumes(3)
-    assert abs(float(v3.sphere) - 2 * math.pi ** 2) < 1e-14
-    assert abs(float(v3.boundary) - 4 * math.pi) < 1e-14
-    assert abs(float(v3.ball) - 4 * math.pi / 3) < 1e-14
+def test_sphere_volume_examples():
+    assert sphere_volume(1) == 2 * math.pi
+    assert sphere_volume(2) == 4 * math.pi
+    assert abs(sphere_volume(3) - 2 * math.pi ** 2) < 1e-14
+    assert abs(sphere_volume(4) - 8 * math.pi ** 2 / 3) < 1e-14
+    for d in (0, 2.0, True):
+        with pytest.raises(ValueError):
+            sphere_volume(d)
 
 
-def test_gamma_exact_half():
-    assert gamma_exact_half(12).as_fraction() == math.factorial(5)
-    g = gamma_exact_half(7)  # Gamma(7/2) = 15/8 sqrt(pi)
-    assert g.coef == Fraction(15, 8) and g.pi_halves == 1
+def test_sphere_volume_exact_pair():
+    # |S^d| = c pi^(h/2): Gamma((d+1)/2) is an integer factorial in odd d
+    # and a rational times sqrt(pi) in even d (Gamma(5/2) = 3/4 sqrt(pi)).
+    assert _sphere_volume_exact(1) == (2, 2)
+    assert _sphere_volume_exact(4) == (Fraction(8, 3), 4)
+    assert _sphere_volume_exact(11) == (Fraction(2, math.factorial(5)), 12)
+    for d in range(1, 40):
+        c, h = _sphere_volume_exact(d)
+        want = 2 * math.pi ** ((d + 1) / 2) / math.gamma((d + 1) / 2)
+        assert abs(float(c) * math.pi ** (h / 2) / want - 1) < 1e-13
+
+
+def test_catalog_constants_are_pinned_bit_for_bit():
+    # The floats that the catalog binds (dom.sd.bly.shift, dom.sd.kroger.imp,
+    # dom.sd.neubih.lower and their sphere areas), as rounded once from the
+    # exact rational and pi power.
+    assert [lclass(1, d).hex() for d in (2, 3, 4)] == [
+        "0x1.45f306dc9c883p-5", "0x1.baadd357a6e00p-8",
+        "0x1.14aca416c84c0p-10"]
+    assert [lclass(1, d, 2).hex() for d in (3, 4)] == [
+        "0x1.3c3304ac52a00p-7", "0x1.9f02f6222c720p-10"]
+    assert [sphere_volume(d).hex() for d in (2, 3, 4)] == [
+        "0x1.921fb54442d18p+3", "0x1.3bd3cc9be45dep+4",
+        "0x1.a51a6625307d2p+4"]
+
+
+@pytest.mark.parametrize("gamma,p", [(1, 0), (1, -2), (3, 1)],
+                         ids=["p=0", "p=-2", "gamma=3"])
+def test_constants_refuse_bad_gamma_and_p(gamma, p):
+    for constant in (lambda: lclass(gamma, 2, p),
+                     lambda: lclass_volume(sphere(2), gamma, p)):
+        with pytest.raises(ValueError):
+            constant()
 
 
 def test_hemisphere_surface_coefficient_is_rational():
