@@ -34,7 +34,8 @@ from .riesz import (SpectrumQuery, Variant, eigenvalue_sums, evaluate_grid,
                     level_values_upto, prefix_sums)
 from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, _integer_nth_root,
                      fluctuation, hemisphere_dirichlet, hemisphere_neumann,
-                     invert_w, require_finite_nonnegative, sphere)
+                     invert_w, require_finite_nonnegative, require_int,
+                     sphere)
 from .sumrules import natural_shift
 from .weyl import lclass, lclass_volume, sphere_volume
 
@@ -89,17 +90,14 @@ def _normalize_arg(z):
 # Catalog data model
 
 
-def _integer(name: str, value):
-    if not isinstance(value, int):
-        raise ValueError(f"parameter {name} must be an integer, got {value!r}")
+def _real(name: str, value, lo, hi) -> float:
+    value = float(value)
+    if not lo <= value <= hi:  # NaN fails too
+        raise ValueError(f"{name}={value} outside declared range [{lo}, {hi}]")
     return value
 
 
-def _real(name: str, value) -> float:
-    return float(value)
-
-
-def _closed_space(name: str, value) -> Space:
+def _closed_space(name: str, value, lo, hi) -> Space:
     if not isinstance(value, Space):
         raise ValueError(f"parameter {name!r} must be a Space")
     if not value.is_closed:
@@ -115,14 +113,15 @@ def _closed_space(name: str, value) -> Space:
 class Param:
     """One declared entry parameter.
 
-    `kind` checks and converts a given value.  `lo`/`hi` bound it
-    inclusively.  A `default` of None makes the parameter required.
-    `default` and `hi` may be callables of the parameters declared before
-    this one (a domain's area is bounded by the area of its space).
+    `kind(name, value, lo, hi)` checks a given value, inclusively within
+    `lo`/`hi`, and converts it; an integer is `require_int`.  A `default`
+    of None makes the parameter required.  `default`, `lo` and `hi` may be
+    callables of the parameters declared before this one (a domain's area
+    is bounded by the area of its space).
     """
 
     name: str
-    kind: Callable[[str, Any], Any] = _integer
+    kind: Callable[[str, Any, Any, Any], Any] = require_int
     lo: Any = None
     hi: Any = None
     default: Any = None
@@ -209,7 +208,6 @@ class BoundSpec:
     equality: Optional[Callable[[dict, int], list]] = None
     equality_side: Optional[str] = None  # None: applies to every side
     witnesses: Optional[Callable[[dict, float], list]] = None
-    rule: Optional[Callable[[dict], None]] = None  # cross-parameter check
     # The representative parameter sets the catalog sweep verifies.
     matrix: Tuple[dict, ...] = field(default=({},), compare=False)
 
@@ -230,15 +228,8 @@ class BoundSpec:
                     raise ValueError(f"parameter {par.name} is required")
                 value = par.default(out) if callable(par.default) \
                     else par.default
-            value = par.kind(par.name, value)
-            hi = par.hi(out) if callable(par.hi) else par.hi
-            if not ((par.lo is None or par.lo <= value)
-                    and (hi is None or value <= hi)):  # NaN fails too
-                raise ValueError(f"{par.name}={value} outside declared range "
-                                 f"[{par.lo}, {'inf' if hi is None else hi}]")
-            out[par.name] = value
-        if self.rule is not None:
-            self.rule(out)
+            lo, hi = (v(out) if callable(v) else v for v in (par.lo, par.hi))
+            out[par.name] = par.kind(par.name, value, lo, hi)
         return out
 
 
@@ -297,8 +288,8 @@ def optimal_shift(d: int, l: int) -> float:
 
     b(l) = d/(d+2) (4^(-1/d) ((d+2l)(d+l-1)!/l!)^(2/d) - l(l+d)).
     """
-    if d < 2 or l < 1:
-        raise ValueError("need d >= 2, l >= 1")
+    require_int("d", d, 2)
+    require_int("l", l, 1)
     x = (d + 2 * l) * math.prod(range(l + 1, l + d))
     val = _root(Fraction(x * x, 4), d)
     return float(Fraction(d, d + 2) * (val - l * (l + d)))
@@ -320,9 +311,8 @@ class Bly345Diagnostics:
 
 
 def bly345_gap_diagnostics(d: int, level: int) -> Bly345Diagnostics:
-    if d < 2 or level < 1:
-        raise ValueError("need d >= 2, level >= 1")
-    L = level
+    require_int("d", d, 2)
+    L = require_int("level", level, 1)
     z_star = Fraction((L + d) * ((d + 1) * L + 1), d + 1)
     # Solve (L+x)(L+x+d-1) = z* for the fractional part x.
     c = 2 * L + d - 1
@@ -628,11 +618,6 @@ def _build_catalog():
     def sdp_query(p):
         return SpectrumQuery(sphere(p["d"]), power=p["p"])
 
-    def r1p_p_range(prm):
-        if prm["p"] < (1 if prm["d"] == 2 else 2):
-            raise ValueError("p out of range (corollary allows p>=1 at d=2, "
-                             "theorem needs p>=2)")
-
     def r1p_side(upper):
         def bind(d, p):
             lp = float(_ld(d, p))
@@ -658,7 +643,9 @@ def _build_catalog():
         "R1", sdp_query,
         (SideRule("lower", r1p_side(False)),
          SideRule("upper", r1p_side(True))),
-        (Param("d", lo=2), Param("p", lo=1)), rule=r1p_p_range,
+        # The corollary allows p = 1 at d = 2 only; the theorem needs p >= 2.
+        (Param("d", lo=2),
+         Param("p", lo=lambda prm: 1 if prm["d"] == 2 else 2)),
         matrix=tuple({"d": d, "p": p} for d, p in (
             (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)))))
 
@@ -763,8 +750,8 @@ def bound_value(bound_id: str, params: Optional[dict] = None, z: Real = None,
     `side` is required for two-sided entries; z is the spectral parameter
     (or k for average entries).  A NaN, infinite or negative z, a k that is
     a bool or not a whole number >= 1 (an int, or an integral float or
-    Fraction), and a z too large for a side's float arithmetic are each one
-    ValueError.
+    Fraction), and a z too large for a side's float arithmetic (an
+    overflow, or an infinite or NaN float value) are each one ValueError.
     """
     spec, bound = _resolve_side(bound_id, params, side)
     if z is None:
@@ -774,10 +761,12 @@ def bound_value(bound_id: str, params: Optional[dict] = None, z: Real = None,
     elif type(z) is bool or not 1 <= z < math.inf or z % 1:  # NaN fails
         raise ValueError(f"k must be an integer >= 1, got {z!r}")
     try:
-        return bound(_normalize_arg(z))
+        value = bound(_normalize_arg(z))
     except OverflowError:
-        raise ValueError(f"z={z!r} is beyond float range for "
-                         f"{spec.id}") from None
+        value = math.nan
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"z={z!r} is beyond float range for {spec.id}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -842,10 +831,8 @@ def standard_grid(bound_id: str, params: Optional[dict] = None,
     (default min(points, 500)), at most points + 1 of them, evenly spread.
     A zmax that is NaN, infinite or not positive is a ValueError.
     """
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
+    require_int("points", points, 1)
+    require_int("levels", levels, 1)
     if zmax is not None and not 0 < zmax < math.inf:  # NaN fails too
         raise ValueError(f"bad zmax={zmax!r}: z must be finite and > 0")
     spec = get(bound_id)
@@ -924,8 +911,7 @@ def verify(bound_id: str, params: Optional[dict] = None,
     """
     if not 0 < tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
+    require_int("levels", levels, 1)
     spec = get(bound_id)
     prm = spec.validate(dict(params or {}))
     q = spec.query(prm)
@@ -984,7 +970,7 @@ def legendre_average_bound(bound_id: str, params: Optional[dict] = None,
     if not isinstance(bound, Power):
         raise ValueError(f"no closed-form Legendre transform for {spec.id}: "
                          f"the side is not c (z + b)^q")
-    if not 1 <= k < math.inf:  # NaN fails too
+    if type(k) is bool or not 1 <= k < math.inf:  # NaN fails too
         raise ValueError(f"k must be finite and >= 1, got {k!r}")
     try:
         value = bound.legendre(k)

@@ -18,11 +18,11 @@ lambda^p <= floor(z), and no float ever seeds a lookup.  By count,
 k eigenvalues (k an int).
 
 The per-grid sweep `evaluate_grid` grows the table once, at the largest
-point.  An all-float grid is then cut, in sorted order, into runs of
-points that share a row: one `bisect_left` of the grid per level value,
-exact because CPython compares a float with an int exactly.  Each row's
-count and sums are spread over its run and combined in C.  Int, Fraction
-and mixed grids take the lookup by value per point.  `eigenvalue_sums` gives
+point.  A sorted all-float grid is then cut into runs of points that
+share a row: one `bisect_left` of the grid per level value, exact because
+CPython compares a float with an int exactly.  Each row's count and sums
+are spread over its run and combined in C.  Unsorted, int, Fraction and
+mixed grids take the lookup by value per point.  `eigenvalue_sums` gives
 Sigma lambda_j for a list of k as ints, so a float average is one
 correctly rounded int division.
 
@@ -48,8 +48,8 @@ from typing import List, NamedTuple, Optional, Sequence
 
 from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, _level_inversion,
                      eigenvalue, level_cap_exceeded, level_columns,
-                     max_level_index, require_finite_nonnegative, sphere,
-                     hemisphere_dirichlet)
+                     max_level_index, require_finite_nonnegative, require_int,
+                     sphere, hemisphere_dirichlet)
 
 
 class Variant(Enum):
@@ -73,9 +73,7 @@ class SpectrumQuery:
     variant: Variant = Variant.STANDARD
 
     def __post_init__(self):
-        if type(self.power) is not int or self.power < 1:
-            raise ValueError(f"power must be an integer >= 1, "
-                             f"got {self.power!r}")
+        require_int("power", self.power, 1)
         if self.variant is Variant.BUCKLING and self.space.family is not Family.SPHERE:
             raise ValueError("buckling spectrum is only defined on spheres")
         space = self.space
@@ -193,8 +191,7 @@ def _row_of(q: SpectrumQuery, k: int):
     Lookup by count: an exact bisect of the count column.  k is an int:
     an average over 2.5 eigenvalues is no average.
     """
-    if type(k) is not int or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    require_int("k", k, 1)
     tab = _tables.get(q.table_key)
     if tab is None or tab.count[-1] < k:
         tab = _table(q, "count", k - 1)
@@ -300,11 +297,10 @@ def evaluate_grid(q: SpectrumQuery, quantity: str, grid: Sequence):
     type included, for grids in any order and with duplicates.
     gap_levels[i] is the largest level l with lambda_(l)^p <= float(grid[i]),
     min_level - 1 below the first level; None for average (points are k).
-    One lookup at the largest point grows the table (`_grown_table`).  An
-    all-float grid is then read in runs of points that share a table row
-    (`_float_runs`, on its sorted order if it is not sorted); int, Fraction
-    and mixed grids take the per-point lookup of x for the value and of
-    float(x) for the gap level.
+    One lookup at the largest point grows the table (`_grown_table`).  A
+    sorted all-float grid is then read in runs of points that share a table
+    row (`_float_runs`); unsorted, int, Fraction and mixed grids take the
+    per-point lookup of x for the value and of float(x) for the gap level.
     """
     if quantity == "average":
         return list(map(Fraction, eigenvalue_sums(q, grid), grid)), None
@@ -313,15 +309,9 @@ def evaluate_grid(q: SpectrumQuery, quantity: str, grid: Sequence):
                          f"got {quantity!r}")
     tab, top = _grown_table(q, _rows_upto, 0, grid)[:2]
     gamma, below = ("N", "R1", "R2").index(quantity), q.min_level - 1
-    if {*map(type, grid)} == {float}:
-        if all(map(le, grid, islice(grid, 1, None))):
-            return _float_runs(tab, top, gamma, grid, below)
-        order = sorted(range(len(grid)), key=grid.__getitem__)
-        values, gaps = _float_runs(tab, top, gamma,
-                                   list(map(grid.__getitem__, order)), below)
-        back = sorted(range(len(order)), key=order.__getitem__)
-        return (list(map(values.__getitem__, back)),
-                list(map(gaps.__getitem__, back)))
+    if {*map(type, grid)} == {float} and all(
+            map(le, grid, islice(grid, 1, None))):
+        return _float_runs(tab, top, gamma, grid, below)
     return ([_value_at(gamma, x, *_rows_upto(q, x)) for x in grid],
             [below + _rows_upto(q, float(x))[1] for x in grid])
 
@@ -477,8 +467,7 @@ def poly_transform_check(d: int, p: int, z: Real):
     so for rational z the residual is exactly zero.  Returns the max
     absolute residual of the two identities.
     """
-    if p < 2:
-        raise ValueError("transforms require p >= 2")
+    require_int("p", p, 2)
     require_finite_nonnegative(z)
     zq = Fraction(z)  # exact for float z too
     residuals = []

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from . import bounds
 from .riesz import SpectrumQuery, counting, evaluate_grid, riesz_mean
 from .spaces import (Family, Space, hemisphere_dirichlet, hemisphere_neumann,
-                     sphere)
+                     require_int, sphere)
 from .weyl import BoundExpansion, lclass_volume
 
 
@@ -104,11 +104,8 @@ def figure(fig_id: str, resolution: int = DEFAULT_POINTS_PER_INTERVAL,
     if fig_id not in FIGURES:
         raise ValueError(f"unknown figure id {fig_id!r}; "
                          f"valid: {', '.join(sorted(FIGURES))}")
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
-    if l_max < 1:
-        raise ValueError(f"l_max must be >= 1, got {l_max}")
-    return FIGURES[fig_id](resolution, l_max)
+    return FIGURES[fig_id](require_int("resolution", resolution, 1),
+                           require_int("l_max", l_max, 1))
 
 
 def _figure_f1(res, l_max):

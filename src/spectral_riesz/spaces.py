@@ -147,18 +147,10 @@ def hemisphere_neumann(d: int) -> Space:
     return Space(Family.HEMISPHERE_NEUMANN, d)
 
 
-def _require_level(space: Space, l: int) -> None:
-    if type(l) is not int:
-        raise ValueError(f"level must be an integer, got {l!r}")
-    if l < space.min_level:
-        raise ValueError(f"level {l} below minimum {space.min_level} "
-                         f"for {space.describe()}")
-
-
 def eigenvalue(space: Space, l: int) -> int:
     """Exact integer eigenvalue lambda_(l) = (a l^2 + b l) / s of the
     Laplacian, from the same quadratic as the level inversion."""
-    _require_level(space, l)
+    require_int("level", l, space.min_level)
     a, b, s = space.record.quadratic(space.dim)
     return _exact_div(a * l * l + b * l, s)
 
@@ -169,7 +161,7 @@ def multiplicity(space: Space, l: int) -> int:
     The projective-family formulas have l in a denominator; the l = 0
     eigenspace is the constants, so m_0 = 1 by definition.
     """
-    _require_level(space, l)
+    require_int("level", l, space.min_level)
     return space.record.mult(space.dim, l) if l else 1
 
 
@@ -182,7 +174,7 @@ def level_columns(space: Space, start: int,
     off the same record with the same exact-division check, in one call
     for a whole run of levels: the prefix tables are built from it.
     """
-    _require_level(space, start)
+    require_int("start", start, space.min_level)
     rec, d = space.record, space.dim
     a, b, s = rec.quadratic(d)
     levels = range(start, stop)
@@ -194,6 +186,16 @@ def level_cap_exceeded(name: str, value) -> ValueError:
     """The one error for a lookup past DEFAULT_LEVEL_CAP."""
     return ValueError(f"level cap {DEFAULT_LEVEL_CAP} exceeded "
                       f"at {name}={value!r}")
+
+
+def require_int(name: str, value, lo: int, hi: Optional[int] = None):
+    """value, after one ValueError unless it is an int (a bool is not) in
+    lo..hi, or >= lo when hi is None: the one check on an integer argument.
+    """
+    if type(value) is not int or value < lo or hi is not None and value > hi:
+        span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+    return value
 
 
 def require_finite_nonnegative(z: Real) -> int:
@@ -256,10 +258,13 @@ def invert_w(d: int, z: Real) -> float:
 
     The refinement keeps |w(w+d-1) - z| within a few ulp of z.
     """
-    if not 0 <= z < math.inf:  # NaN fails too
+    try:
+        zf = float(z)
+    except OverflowError:  # an int or Fraction beyond float range
+        zf = math.inf
+    if not (0 <= z and zf < math.inf):  # NaN fails too
         raise ValueError(f"invert_w requires z >= 0, got {z!r}: z must be "
-                         "finite and nonnegative")
-    zf = float(z)
+                         "finite, nonnegative and in float range")
     c = d - 1.0
     w = (-c + math.sqrt(c * c + 4.0 * zf)) / 2.0
     slope = 2.0 * w + c
@@ -273,11 +278,14 @@ def fluctuation(w):
 
     Exact for Fraction input (returns a Fraction); -1/2 at integers.
     """
-    if w < 0:
-        raise ValueError("fluctuation requires w >= 0")
-    if isinstance(w, float):
-        return w - math.floor(w) - 0.5
-    return w - math.floor(w) - Fraction(1, 2)
+    try:
+        if w >= 0:  # NaN fails too
+            if isinstance(w, float):
+                return w - math.floor(w) - 0.5
+            return w - math.floor(w) - Fraction(1, 2)
+    except OverflowError:  # w = inf
+        pass
+    raise ValueError(f"fluctuation requires a finite w >= 0, got {w!r}")
 
 
 _FAMILY_ALIASES = {

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .riesz import SpectrumQuery, _table
-from .spaces import DEFAULT_LEVEL_CAP, Space, level_cap_exceeded
+from .spaces import DEFAULT_LEVEL_CAP, Space, level_cap_exceeded, require_int
 from .weyl import lclass_volume
 
 
@@ -57,9 +57,7 @@ def check_pq_identity(space: Space, l_max: int) -> PQReport:
     and L + 1, for L = 0..l_max up to and including the level cap.
     A mismatch is a hard failure; the report carries the indices checked.
     """
-    if l_max < 1:
-        raise ValueError("l_max must be >= 1")
-    tab = _levels(space, l_max)
+    tab = _levels(space, require_int("l_max", l_max, 1))
     d, lam1 = space.dim, space.first_positive_eigenvalue
     gaps = tab.count[:l_max + 1]
     bad = [n for n, s1, s2, lo, hi in zip(gaps, tab.s1, tab.s2, tab.lam,
@@ -102,9 +100,7 @@ def trace_identity_partial(space: Space, l_max: int) -> TraceReport:
     behaves like |last| * l_max / 2; the estimate uses (l_max + 8)/2 as a
     validated safety margin.
     """
-    if l_max < 0:
-        raise ValueError("l_max must be >= 0")
-    tab = _levels(space, l_max)
+    tab = _levels(space, require_int("l_max", l_max, 0))
     d = space.dim
     b = float(natural_shift(space))
     e = d / 2.0

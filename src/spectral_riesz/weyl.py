@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .spaces import Family, Real, Space, fluctuation, invert_w, sphere
+from .spaces import (Family, Real, Space, fluctuation, invert_w, require_int,
+                     sphere)
 
 # ---------------------------------------------------------------------------
 # Semiclassical constants and the sphere volume
@@ -27,12 +28,9 @@ from .spaces import Family, Real, Space, fluctuation, invert_w, sphere
 
 def _gamma_ratio(gamma: int, d: int, p: int) -> Fraction:
     """Gamma(gamma+1) Gamma(1 + d/2p) / Gamma(1 + gamma + d/2p)
-    = gamma! / (1 + d/2p)_gamma, for gamma in {0, 1, 2} and p >= 1."""
-    if gamma not in (0, 1, 2):
-        raise ValueError("gamma must be 0, 1 or 2")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p!r}")
-    x = 1 + Fraction(d, 2 * p)
+    = gamma! / (1 + d/2p)_gamma, for the ints gamma in 0..2 and p >= 1."""
+    require_int("gamma", gamma, 0, 2)
+    x = 1 + Fraction(d, 2 * require_int("p", p, 1))
     return Fraction(math.factorial(gamma)) / math.prod(
         (x + i for i in range(gamma)), start=Fraction(1))
 
@@ -46,7 +44,9 @@ def _sphere_volume_exact(d: int) -> Tuple[Fraction, int]:
     return Fraction(2, math.factorial(n - 1)), d + 1
 
 
-@functools.cache
+# Both caches are typed: a cached (space, 1, 1) must not answer the call
+# (space, True) or (space, 1, 1.0) before _gamma_ratio refuses it.
+@functools.lru_cache(maxsize=None, typed=True)
 def lclass(gamma: int, d: int, p: int = 1) -> float:
     """L^class_{gamma,d,p} = (4 pi)^(-d/2) Gamma(gamma+1) Gamma(1 + d/2p)
     / (Gamma(1 + d/2) Gamma(1 + gamma + d/2p)), as the exact rational
@@ -63,7 +63,7 @@ def sphere_volume(d: int) -> float:
     return float(c) * math.pi ** (h / 2)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def lclass_volume(space: Space, gamma: int, p: int = 1) -> Fraction:
     """L^class_{gamma,d,p} * |M^d| as an exact rational.
 
@@ -176,9 +176,7 @@ class BoundExpansion:
 
     def __init__(self, space: Space, quantity: str, terms: int):
         gamma, max_terms, rem, coefficients = _theorem(space, quantity)
-        if not 1 <= terms <= max_terms:
-            raise ValueError(f"terms must be in 1..{max_terms} for "
-                             f"{quantity} on {space.describe()}")
+        require_int("terms", terms, 1, max_terms)
         self.dim = space.dim
         self.terms = terms
         self.max_terms = max_terms

@@ -412,7 +412,8 @@ def test_standard_grid_contains_levels_and_equality_points():
     ("s2.r1.upper", {}), ("sd.avg.twosided", {"d": 3})])
 @pytest.mark.parametrize("points", [0, -5])
 def test_standard_grid_rejects_fewer_than_one_point(bound_id, params, points):
-    with pytest.raises(ValueError, match="points must be >= 1"):
+    with pytest.raises(ValueError,
+                       match=f"points must be an integer >= 1, got {points}"):
         bounds.standard_grid(bound_id, params, points=points)
 
 
@@ -426,7 +427,8 @@ def test_standard_grid_rejects_fewer_than_one_point(bound_id, params, points):
                                  levels=levels),
 ], ids=["standard_grid", "standard_grid-average", "verify", "verify-grid"])
 def test_fewer_than_one_level_is_refused(build, levels):
-    with pytest.raises(ValueError, match=f"levels must be >= 1, got {levels}"):
+    with pytest.raises(ValueError,
+                       match=f"levels must be an integer >= 1, got {levels}"):
         build(levels)
 
 

@@ -283,7 +283,8 @@ def test_levels_out_of_range_lmax_exits_two(capsys, argv, message):
 
 def test_verify_zero_points_exits_two(capsys):
     code, out, err = run(capsys, "verify", "s2.r1.upper", "--points", "0")
-    assert code == 2 and out == "" and "points must be >= 1" in err
+    assert code == 2 and out == "" \
+        and "points must be an integer >= 1, got 0" in err
 
 
 def test_eval_z_beyond_float_range_exits_two(capsys):
@@ -321,9 +322,11 @@ def test_verify_average_zmax_below_cap_samples_points():
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["sumrule", "sphere:2", "pq", "--lmax", "0"], "l_max must be >= 1"),
-    (["sumrule", "sphere:2", "trace", "--lmax", "-1"], "l_max must be >= 0"),
-    (["figure", "f1", "--lmax", "0"], "l_max must be >= 1, got 0"),
+    (["sumrule", "sphere:2", "pq", "--lmax", "0"],
+     "l_max must be an integer >= 1, got 0"),
+    (["sumrule", "sphere:2", "trace", "--lmax", "-1"],
+     "l_max must be an integer >= 0, got -1"),
+    (["figure", "f1", "--lmax", "0"], "l_max must be an integer >= 1, got 0"),
 ], ids=["pq", "trace", "figure"])
 def test_explicit_bad_lmax_is_not_the_default(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -334,7 +337,7 @@ def test_explicit_bad_lmax_is_not_the_default(capsys, argv, message):
 def test_figure_bad_resolution_exits_two(capsys, resolution):
     code, out, err = run(capsys, "figure", "f1", "--resolution", resolution)
     assert code == 2 and out == "" \
-        and f"resolution must be >= 1, got {resolution}" in err
+        and f"resolution must be an integer >= 1, got {resolution}" in err
 
 
 def test_sumrule_trace_lmax_zero_is_one_term(capsys):

@@ -44,7 +44,8 @@ def test_bottom_level_multiplicity_one_on_closed_spaces():
 
 def test_dirichlet_hemisphere_has_no_bottom_level():
     for level_fact in (eigenvalue, multiplicity):
-        with pytest.raises(ValueError, match="level 0 below minimum 1"):
+        with pytest.raises(ValueError,
+                           match="level must be an integer >= 1, got 0"):
             level_fact(hemisphere_dirichlet(3), 0)
 
 

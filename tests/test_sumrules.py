@@ -107,7 +107,9 @@ def test_sum_rules_refuse_levels_past_cap_before_building(check, dim):
 
 @pytest.mark.parametrize("check", [check_pq_identity, trace_identity_partial])
 def test_sum_rules_refuse_a_level_that_is_not_an_int(check):
-    with pytest.raises(ValueError, match="level must be an integer"):
+    lo = 1 if check is check_pq_identity else 0
+    with pytest.raises(ValueError,
+                       match=rf"l_max must be an integer >= {lo}, got 2\.5"):
         check(sphere(3), 2.5)
 
 
