@@ -4,10 +4,14 @@
 The build is the exact-deep set-up's own: for each of the nine spaces at
 p = 1 and p = 2 (18 tables), `riesz.counting` at the value of level 9,901,
 which grows the table from empty through that level.  Each of five runs
-times it in a fresh interpreter, so every table starts cold; one more
+times it in a fresh interpreter, so every table starts cold, and reads the
+process's peak resident set (`ru_maxrss`) right after the build; one more
 fresh run, untimed, counts the rows built and the evaluations of the
-multiplicity formulas (`record.mult` of each family).  Prints one JSON
-object: the median and every run in seconds, rows and evaluations.
+multiplicity formulas (`record.mult` of each family).  Every run also
+counts the distinct int objects that the tables (`riesz._tables`) and the
+level columns (`riesz._spectra`) hold, and their bytes (`sys.getsizeof`).
+Prints one JSON object: the median and every run of the seconds and of
+the peak RSS in MB, rows, evaluations, ints and their bytes.
 
 Usage, from the root of a checkout:
 
@@ -29,7 +33,7 @@ RUNS = 5
 
 #: Runs in the fresh interpreter; argv[1] is "time" or "count".
 CHILD = r'''
-import json, sys, time
+import json, resource, sys, time
 from spectral_riesz import riesz, spaces
 
 SPACES = ("sphere:1", "sphere:2", "sphere:8", "hemisphere-d:5",
@@ -54,9 +58,14 @@ start = time.perf_counter()
 for q in queries:
     riesz.counting(q, q.level_value(TOP_LEVEL + 1))
 seconds = time.perf_counter() - start
-print(json.dumps({"seconds": seconds,
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+held = {id(v): sys.getsizeof(v)
+        for cols in [*riesz._tables.values(), *riesz._spectra.values()]
+        for col in cols for v in col}
+print(json.dumps({"seconds": seconds, "peak_rss_mb": rss_mb,
                   "rows": sum(len(t[0]) for t in riesz._tables.values()),
-                  "mult_evaluations": evaluations[0]}))
+                  "mult_evaluations": evaluations[0],
+                  "ints": len(held), "int_bytes": sum(held.values())}))
 '''
 
 
@@ -72,13 +81,19 @@ def main():
     ap.add_argument("--src", default=SRC,
                     help="engine source directory (default: this checkout's)")
     args = ap.parse_args()
-    seconds = [_child("time", args.src)["seconds"] for _ in range(RUNS)]
+    runs = [_child("time", args.src) for _ in range(RUNS)]
+    seconds = [run["seconds"] for run in runs]
+    rss = [round(run["peak_rss_mb"], 2) for run in runs]
     counts = _child("count", args.src)
     print(json.dumps({"tables": 18, "top_level": 9901,
                       "seconds_median": statistics.median(seconds),
                       "seconds_runs": seconds,
+                      "peak_rss_mb_median": statistics.median(rss),
+                      "peak_rss_mb_runs": rss,
                       "rows": counts["rows"],
-                      "mult_evaluations": counts["mult_evaluations"]}))
+                      "mult_evaluations": counts["mult_evaluations"],
+                      "ints": counts["ints"],
+                      "int_bytes": counts["int_bytes"]}))
 
 
 if __name__ == "__main__":

@@ -43,16 +43,31 @@ from .weyl import lclass, lclass_volume, sphere_volume
 # Exactness-preserving numeric helpers
 
 
+def _big_root(a: int, b: int, n: int) -> float:
+    """(a / b)^(1/n) for positive ints whose quotient is past float range:
+    the integer n-th root of a 2^(n s) / b, at a scale 2^s that leaves it
+    64 bits, scaled back once.  A root past float range is an
+    OverflowError."""
+    s = 64 - (a.bit_length() - b.bit_length()) // n
+    m = (a << n * s) // b if s >= 0 else a // (b << -n * s)
+    return math.ldexp(_integer_nth_root(m, n), -s)
+
+
 def _root(x, n: int = 2):
     """x^(1/n); Fraction in, Fraction out when x is a perfect n-th power.
-    Otherwise one float root: math.sqrt for n = 2, x ** (1/n) else."""
+    Otherwise one float root: math.sqrt for n = 2, x ** (1/n) else, of
+    float(x), or `_big_root` when float(x) is past float range."""
     if not isinstance(x, float):
         xq = Fraction(x)
+        a, b = xq.numerator, xq.denominator
         rn, rd = (math.isqrt(v) if n == 2 else _integer_nth_root(v, n)
-                  for v in (xq.numerator, xq.denominator))
-        if rn ** n == xq.numerator and rd ** n == xq.denominator:
+                  for v in (a, b))
+        if rn ** n == a and rd ** n == b:
             return Fraction(rn, rd)
-        x = float(xq)
+        try:
+            x = float(xq)
+        except OverflowError:
+            return _big_root(a, b, n)
     return math.sqrt(x) if n == 2 else x ** (1.0 / n)
 
 
@@ -511,9 +526,9 @@ def _build_catalog():
     def avg_side(d, shift):
         # d/(d+2) ((k / w0)^2)^(1/d) - shift in integers: with k = p/r and
         # w0 = a/b, (k / w0)^2 = n/m in lowest terms.  One Fraction when n
-        # and m are perfect d-th powers; else float(n/m) ** (1/d), the
-        # float _root takes, in the float arithmetic that Fraction *
-        # float and float - Fraction run.
+        # and m are perfect d-th powers; else float(n/m) ** (1/d), or
+        # _big_root past float range, the float _root takes, in the float
+        # arithmetic that Fraction * float and float - Fraction run.
         a, b = lclass_volume(sphere(d), 0).as_integer_ratio()
         sn, sq = shift.as_integer_ratio()
         ratio, e, shiftf = d / (d + 2), 1.0 / d, float(shift)
@@ -527,7 +542,10 @@ def _build_catalog():
             if rn ** d == n and rm ** d == m:
                 return Fraction(d * rn * sq - (d + 2) * rm * sn,
                                 (d + 2) * rm * sq)
-            return ratio * (n / m) ** e - shiftf
+            try:
+                return ratio * (n / m) ** e - shiftf
+            except OverflowError:
+                return ratio * _big_root(n, m, d) - shiftf
         return side
 
     _register(BoundSpec(
@@ -751,7 +769,8 @@ def bound_value(bound_id: str, params: Optional[dict] = None, z: Real = None,
     (or k for average entries).  A NaN, infinite or negative z, a k that is
     a bool or not a whole number >= 1 (an int, or an integral float or
     Fraction), and a z too large for a side's float arithmetic (an
-    overflow, or an infinite or NaN float value) are each one ValueError.
+    overflow, a root past float range, or an infinite or NaN float value)
+    are each one ValueError, which names the side.
     """
     spec, bound = _resolve_side(bound_id, params, side)
     if z is None:
@@ -765,7 +784,8 @@ def bound_value(bound_id: str, params: Optional[dict] = None, z: Real = None,
     except OverflowError:
         value = math.nan
     if type(value) is float and not math.isfinite(value):
-        raise ValueError(f"z={z!r} is beyond float range for {spec.id}")
+        raise ValueError(f"z={z!r} is beyond float range for the "
+                         f"{side or spec.sides[0].side} side of {spec.id}")
     return value
 
 

@@ -83,8 +83,13 @@ def _grid_from_args(q: SpectrumQuery, args) -> List[float]:
     zmin, zmax, n = args.zmin, args.zmax, args.points
     if zmax is None:
         zmax = float(q.level_value(q.min_level + 39))
-    if not 0 <= zmin < zmax < math.inf or n < 2:  # NaN fails too
-        raise ValueError("need 0 <= zmin < zmax < inf and points >= 2")
+    # NaN fails each comparison; the first argument at fault is named.
+    bad = (f"--zmin {zmin!r}" if not 0 <= zmin < math.inf
+           else f"--zmax {zmax!r}" if not zmin < zmax < math.inf
+           else f"--points {n}" if n < 2 else None)
+    if bad:
+        raise ValueError(f"{bad}: need 0 <= zmin < zmax < inf and "
+                         "points >= 2")
     policy = GridPolicy(args.grid)
     if policy is GridPolicy.UNIFORM_IN_Z:
         return [zmin + (zmax - zmin) * i / (n - 1) for i in range(n)]
@@ -283,8 +288,16 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and so each of its subcommand parsers, whose
+    command-line errors are one `error:` line and exit code 2, as main's."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="spectral-riesz",
         description="Exact eigenvalue counting functions, Riesz-means and "
                     "sharp spectral bounds on spheres, hemispheres and "

@@ -8,8 +8,8 @@ Fraction z = a / b runs the same formula on the integers a and b and
 divides once, so each exact R_1 or R_2 builds a single Fraction.
 
 Every quantity is read off one exact prefix table per spectrum (`_table`,
-one row per level with named columns lam, mult, count, s1, s2; found by
-the query's plain `table_key`) in one of two exact ways.  By value, for
+one row per level with named columns lam, count, s1, s2; found by the
+query's plain `table_key`) in one of two exact ways.  By value, for
 N, R_1, R_2 and the level inversion: the row count is the closed-form
 integer level inversion of floor(z) (`spaces._level_inversion`), with no
 search of the lam column; level values are ints, so lambda^p <= z iff
@@ -31,8 +31,13 @@ extends its columns in place by doubling, up to level
 DEFAULT_LEVEL_CAP + 1.  It builds them in columns, not row by row: the
 levels of a space (eigenvalue and multiplicity, kept once per `Space` and
 grown with the deepest table of that space) are shared by all its powers
-and variants, which slice them, raise lam to the power p, and fill count,
-s1 and s2 by running sums in C.
+and variants, which slice them and raise lam to the power p.  The
+columns count, s1 and s2 at power p are the running sums S_0, S_p and
+S_2p of m lambda^j over the levels, and the powers of one space and
+variant have moments in common: count at every p is S_0, and s2 at p is
+s1 at 2p.  So each S_j is built once, by running sums in C, and the tables
+that hold it later copy references to its int objects (`_moments`); a
+table never grows another's columns, so each query keeps its own depth.
 """
 
 from __future__ import annotations
@@ -101,12 +106,13 @@ class PrefixSums:
 class _Table(NamedTuple):
     """Per-query prefix table, one row per level from min_level on.
 
-    lam: level value lambda_(l)^p; mult: multiplicity; count: cumulative
-    multiplicity N; s1, s2: cumulative sums of m lambda^p and m lambda^(2p).
+    lam: level value lambda_(l)^p; count, s1, s2: the running sums S_0,
+    S_p and S_2p, with S_j the sum of m lambda^j over the levels so far
+    (m the multiplicity).  The int objects of a running sum are shared with
+    every table of the same space and variant that holds the same S_j.
     """
 
     lam: List[int]
-    mult: List[int]
     count: List[int]
     s1: List[int]
     s2: List[int]
@@ -116,6 +122,10 @@ _tables: dict = {}
 #: Space -> (lam, mult) of its levels from space.min_level on: the
 #: Laplacian level columns that every table of the space slices.
 _spectra: dict = {}
+#: (family, dim, variant, j) -> the longest table column that holds the
+#: running sum S_j of that space and variant (count is S_0 at every power,
+#: and s2 at power p is s1 at power 2p).
+_moments: dict = {}
 
 
 def _level_rows(space: Space, start: int, stop: int):
@@ -136,30 +146,42 @@ def _table(q: SpectrumQuery, column: str, x) -> _Table:
     Row i is level min_level + i.  The columns grow in place, doubling the
     row count, and growth stops at level DEFAULT_LEVEL_CAP + 1, so a lookup
     past the cap finds its answer in the last row and raises, without
-    building further.  Each step appends a run of levels at once: lam and
-    mult from `_level_rows`, lam raised to the power p, and the running
-    sums of m, m lam and m lam^2.
+    building further.  Each step appends a run of levels at once: lam from
+    `_level_rows`, raised to the power p, and for each of count, s1 and s2
+    (the running sums S_0, S_p and S_2p) the same rows of the `_moments`
+    column of that S_j when it holds them, else its own running sum of m,
+    m lam or m lam^2.  A table only reads other tables' columns, and
+    registers its own once built.
     """
-    tab = _tables.get(q.table_key) or _Table([], [], [], [], [])
-    lams, mults, cnt, s1, s2 = tab
-    col = getattr(tab, column)
+    tab = _tables.get(q.table_key) or _Table([], [], [], [])
+    family, dim, p, variant = q.table_key
+    sums = [((family, dim, variant, j), col)
+            for j, col in zip((0, p, 2 * p), tab[1:])]
+    lams, col = tab.lam, getattr(tab, column)
     top = DEFAULT_LEVEL_CAP + 1
     while (not col or col[-1] <= x) and q.min_level + len(lams) <= top:
         start = q.min_level + len(lams)
         stop = min(q.min_level + max(2 * len(lams), 16), top + 1)
         lam, m = _level_rows(q.space, start, stop)
-        if q.power > 1:
-            lam = list(map(pow, lam, repeat(q.power)))
-        m_lam = list(map(mul, m, lam))
+        if p > 1:
+            lam = list(map(pow, lam, repeat(p)))
         lams += lam
-        mults += m
-        # Each running sum carries on from its column's last entry: pop
-        # hands it to accumulate, whose first output puts it back (an
-        # empty column has none, and initial=None starts at the first term).
-        cnt += accumulate(m, initial=cnt.pop() if cnt else None)
-        s1 += accumulate(m_lam, initial=s1.pop() if s1 else None)
-        s2 += accumulate(map(mul, m_lam, lam),
-                         initial=s2.pop() if s2 else None)
+        m_lam = list(map(mul, m, lam))
+        for (key, sums_j), terms in zip(sums, (m, m_lam,
+                                              map(mul, m_lam, lam))):
+            shared = _moments.get(key, ())
+            if len(shared) >= len(lams):
+                sums_j += shared[len(sums_j):len(lams)]
+            else:
+                # Carry on from the column's last entry: pop hands it to
+                # accumulate, whose first output puts it back (an empty
+                # column has none, and initial=None starts at the first
+                # term).
+                sums_j += accumulate(terms, initial=sums_j.pop()
+                                     if sums_j else None)
+    for key, sums_j in sums:
+        if len(_moments.get(key, ())) < len(sums_j):
+            _moments[key] = sums_j
     _tables[q.table_key] = tab  # held once its first run of levels is built
     return tab
 

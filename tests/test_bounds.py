@@ -551,14 +551,20 @@ def test_bound_value_rejects_bad_arguments_on_every_side(bound_id, params,
         for bad in (0, Fraction(1, 2)):
             with pytest.raises(ValueError):
                 bounds.bound_value(bound_id, params, bad, side=side)
-    # Past float range a side gives its exact value or one ValueError.
+    # Past float range a side gives its exact value or one ValueError; an
+    # average side, the root of an integer ratio, gives the float that its
+    # Fraction expression gives through _root.
     huge = Fraction(10 ** 400)
     try:
         value = bounds.bound_value(bound_id, params, huge, side=side)
     except ValueError as exc:
         assert "z=" in str(exc)
     else:
-        assert isinstance(value, Fraction)
+        if bounds.get(bound_id).quantity == "average":
+            assert value == _average_sides_by_fraction(params["d"])[side](
+                huge)
+        else:
+            assert isinstance(value, Fraction)
 
 
 # _scan_side works in columns; this is the per-point loop it replaced, kept

@@ -441,3 +441,51 @@ def test_verify_all_selects_entries_of_the_space(capsys, space, count):
     argv = ["verify"] + ([space] if space else []) + ["all", "--points", "20"]
     _, out, _ = run(capsys, *argv)
     assert len(out.splitlines()) == count
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["levels", "sphere:2", "--lmax", "2.5"],
+     "argument --lmax: invalid int value: '2.5'"),
+    (["eval", "sphere:2", "N", "--points", "2.5"],
+     "argument --points: invalid int value: '2.5'"),
+    (["verify", "s2.r1.upper", "--points", "2.5"],
+     "argument --points: invalid int value: '2.5'"),
+    (["expansion", "sphere:3", "N", "--zmax", "ten"],
+     "argument --zmax: invalid float value: 'ten'"),
+    (["sumrule", "sphere:2", "pq", "--lmax", "1e3"],
+     "argument --lmax: invalid int value: '1e3'"),
+    (["figure", "f1", "--resolution", "1e3"],
+     "argument --resolution: invalid int value: '1e3'"),
+    (["report", "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["no-command", "levels", "eval", "verify", "expansion", "sumrule",
+        "figure", "report"])
+def test_a_command_line_argparse_refuses_is_one_error_line(capsys, argv,
+                                                            message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["eval", "sphere:2", "N", "--zmax", "1e400"], "--zmax inf"),
+    (["eval", "sphere:2", "N", "--zmin", "-1"], "--zmin -1.0"),
+    (["eval", "sphere:2", "N", "--zmin", "5", "--zmax", "3"], "--zmax 3.0"),
+    (["expansion", "sphere:3", "N", "--zmin", "inf"], "--zmin inf"),
+    (["expansion", "sphere:3", "N", "--points", "1"], "--points 1"),
+], ids=["zmax-past-float-range", "zmin-negative", "zmax-below-zmin",
+        "zmin-inf", "one-point"])
+def test_a_bad_grid_names_the_argument_at_fault(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        2, "", f"error: {name}: need 0 <= zmin < zmax < inf and "
+        "points >= 2\n")
+
+
+def test_verify_runs_at_a_dimension_whose_shift_root_passes_float_range(
+        capsys):
+    # optimal_shift(100, l) takes the 100th root of a rational past float
+    # range for the grid of sd.r1.upper.shift.
+    code, out, err = run(capsys, "verify", "sphere:100", "sd.r1.upper.shift",
+                         "--points", "200")
+    assert (code, err) == (0, "")
+    assert out.startswith("sd.r1.upper.shift [ok]")

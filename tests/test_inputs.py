@@ -9,6 +9,7 @@ is accepted.  The rows after the table cover the float and overflow inputs
 that refuse with a ValueError of their own.
 """
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -171,9 +172,59 @@ def test_bound_value_is_finite_or_one_value_error_at_huge_z(z):
                 value = bounds.bound_value(bound_id, params, z, side=rule.side)
             except ValueError as exc:
                 assert str(exc) == f"z={z!r} is beyond float range for " \
-                    f"{bound_id}"
+                    f"the {rule.side} side of {bound_id}"
                 refused += 1
             else:
                 assert isinstance(value, Fraction) or math.isfinite(value), \
                     (bound_id, params, rule.side, value)
     assert refused
+
+
+def _decimal_root(x: Fraction, n: int) -> float:
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        num = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+        return float(num ** (decimal.Decimal(1) / n))
+
+
+@pytest.mark.parametrize("x,n", [
+    (Fraction(10 ** 400) + Fraction(1, 3), 2),
+    (Fraction(3 * 10 ** 600), 2),
+    (Fraction(10 ** 400) + Fraction(1, 3), 3),
+    (Fraction(2 ** 1100 + 1, 3), 7),
+    (Fraction(2 ** 2046 + 1), 2),
+], ids=["sqrt-1e400", "sqrt-3e600", "cbrt-1e400", "7th-root", "sqrt-2^2046"])
+def test_root_of_a_rational_past_float_range_is_a_float(x, n):
+    root = bounds._root(x, n)
+    assert type(root) is float
+    assert root == pytest.approx(_decimal_root(x, n), rel=4e-16)
+
+
+@pytest.mark.parametrize("x,n", [
+    (Fraction(7, 3), 2), (Fraction(10 ** 300 + 1), 2),
+    (Fraction(10 ** 300 + 1, 7), 5), (Fraction(3, 10 ** 400), 2),
+    (Fraction(2, 3), 100)])
+def test_root_in_float_range_keeps_its_float_expression(x, n):
+    expected = math.sqrt(float(x)) if n == 2 else float(x) ** (1.0 / n)
+    assert bounds._root(x, n) == expected
+
+
+def test_a_root_past_float_range_is_one_value_error_naming_the_side():
+    with pytest.raises(OverflowError):
+        bounds._root(Fraction(10 ** 701))
+    z = Fraction(10 ** 701)
+    with pytest.raises(ValueError) as exc:
+        bounds.bound_value("hemi2.r1d.lower", None, z)
+    assert str(exc.value) == (f"z={z!r} is beyond float range for the "
+                              "lower side of hemi2.r1d.lower")
+
+
+@pytest.mark.parametrize("d", [100, 150])
+def test_optimal_shift_at_a_dimension_past_float_range(d):
+    # x^2 / 4 > 2^1024 for l = 1; b(l) still tends to z_d = d(2d-1)/12.
+    shifts = [bounds.optimal_shift(d, l) for l in (1, 2, 50)]
+    x = (d + 2) * math.prod(range(2, d + 1))
+    assert shifts[0] == pytest.approx(
+        d / (d + 2) * (_decimal_root(Fraction(x * x, 4), d) - (d + 1)),
+        rel=1e-12)
+    assert all(0 < b < d * (2 * d - 1) / 12 for b in shifts)

@@ -2,6 +2,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import pickle
 import random
 from fractions import Fraction
@@ -334,10 +335,11 @@ TOP_LEVEL = DEFAULT_LEVEL_CAP + 1  # the last row a table builds
 
 @pytest.fixture
 def cold_tables(monkeypatch):
-    """Empty prefix tables and level columns for the test, the process's
-    own restored after it."""
+    """Empty prefix tables, level columns and moment registry for the test,
+    the process's own restored after it."""
     monkeypatch.setattr(riesz, "_tables", {})
     monkeypatch.setattr(riesz, "_spectra", {})
+    monkeypatch.setattr(riesz, "_moments", {})
 
 
 @functools.cache
@@ -353,13 +355,12 @@ def _reference_table(q):
     multiplicity and running sums."""
     rows = _reference_levels(q.space)[q.min_level - q.space.min_level:]
     lam = [v ** q.power for v, _ in rows]
-    mult = [m for _, m in rows]
     cols, n, s1, s2 = ([], [], []), 0, 0, 0
-    for v, m in zip(lam, mult):
+    for v, (_, m) in zip(lam, rows):
         n, s1, s2 = n + m, s1 + m * v, s2 + m * v * v
         for col, value in zip(cols, (n, s1, s2)):
             col.append(value)
-    return (lam, mult, *cols)
+    return (lam, *cols)
 
 
 def _assert_matches_reference(tab, q):
@@ -418,6 +419,56 @@ def test_tables_of_one_space_share_its_levels(desc, order, cold_tables,
         _assert_matches_reference(tab, q)
 
 
+@pytest.mark.parametrize("desc", ["sphere:2", "sphere:8"])
+@pytest.mark.parametrize("order", [
+    ((1, "standard", 0), (2, "standard", 0)),
+    ((2, "standard", 0), (1, "standard", 0)),
+    ((2, "standard", 40), (1, "standard", 3000)),
+    ((1, "buckling", 100), (2, "standard", 40), (2, "buckling", 0),
+     (1, "standard", 200), (4, "standard", 0)),
+], ids=["p1-p2", "p2-p1", "p2-partly-p1-deeper", "buckling-mixed"])
+def test_tables_of_one_space_share_their_running_sums(desc, order,
+                                                      cold_tables):
+    """Tables of one space and variant, built in any order and each to a
+    partial depth first, equal the reference, and hold the same int
+    objects in every running sum S_j they have in common: count (S_0) at
+    every power, and s2 at power p and s1 at power 2p (S_2p)."""
+    space = parse_space(desc)
+    queries = [SpectrumQuery(space, power=p, variant=Variant(variant))
+               for p, variant, _ in order]
+    for q, (_, _, rows) in zip(queries, order):
+        _table(q, "lam", q.level_value(q.min_level + rows))
+    tables = {(q.power, q.variant): _table(q, "lam", math.inf)
+              for q in queries}
+    for q in queries:
+        _assert_matches_reference(tables[q.power, q.variant], q)
+    shared = 0
+    for (p, variant), tab in tables.items():
+        for (p2, variant2), tab2 in tables.items():
+            if variant2 is not variant or p2 <= p:
+                continue
+            pairs = [(tab.count, tab2.count)]
+            if p2 == 2 * p:
+                pairs.append((tab.s2, tab2.s1))
+            for col, col2 in pairs:
+                assert len(col) == len(col2)
+                assert all(map(operator.is_, col, col2)), (p, p2)
+                shared += 1
+    assert shared >= len(order) - 1
+
+
+def test_a_deep_table_leaves_the_other_powers_at_their_depth(cold_tables):
+    # Sharing copies what a column already holds; it grows no other table.
+    others = [SpectrumQuery(sphere(2), power=p) for p in range(2, 6)]
+    depths = [len(_table(q, "lam", q.level_value(60)).lam) for q in others]
+    deep = _table(S2, "lam", S2.level_value(9000))
+    assert len(deep.lam) > 9000
+    assert [[len(col) for col in riesz._tables[q.table_key]]
+            for q in others] == [[n] * 4 for n in depths]
+    for q in others:
+        _assert_matches_reference(riesz._tables[q.table_key], q)
+
+
 def test_column_build_keeps_the_exact_division_check(cold_tables,
                                                      monkeypatch):
     """A record whose eigenvalue is not an integer fails the build with
@@ -427,9 +478,10 @@ def test_column_build_keeps_the_exact_division_check(cold_tables,
         quadratic=lambda d: (1, d - 1, 3)))  # lambda(1) = 2/3 on S^2
     with pytest.raises(ArithmeticError, match="non-integer quotient 2/3"):
         eigenvalue(sphere(2), 1)
-    for _ in range(2):  # no table is left behind half built
+    for _ in range(2):  # no table or moment is left behind half built
         with pytest.raises(ArithmeticError, match="non-integer quotient 2/3"):
             counting(S2, 5)
+    assert riesz._tables == {} and riesz._moments == {}
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
