@@ -27,15 +27,16 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import product
 from operator import truediv
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .riesz import (SpectrumQuery, Variant, eigenvalue_sums, evaluate_grid,
                     level_values_upto, prefix_sums)
-from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, _integer_nth_root,
-                     fluctuation, hemisphere_dirichlet, hemisphere_neumann,
-                     invert_w, require_finite_nonnegative, require_int,
-                     sphere)
+from .spaces import (DEFAULT_LEVEL_CAP, FLOAT_MAX, Family, Real, Space,
+                     _fluctuation, _integer_nth_root, _invert_w,
+                     hemisphere_dirichlet, hemisphere_neumann, require_int,
+                     require_real, sphere)
 from .sumrules import natural_shift
 from .weyl import lclass, lclass_volume, sphere_volume
 
@@ -89,11 +90,11 @@ def _w_of(d: int, z):
         r = _root(disc)
         if not isinstance(r, float):
             return (r - (d - 1)) / 2
-    return invert_w(d, float(z))
+    return _invert_w(d, float(z))  # float(z) past float range: OverflowError
 
 
 def _psi_of(d: int, z):
-    return fluctuation(_w_of(d, z))
+    return _fluctuation(_w_of(d, z))
 
 
 def _normalize_arg(z):
@@ -103,13 +104,6 @@ def _normalize_arg(z):
 
 # ---------------------------------------------------------------------------
 # Catalog data model
-
-
-def _real(name: str, value, lo, hi) -> float:
-    value = float(value)
-    if not lo <= value <= hi:  # NaN fails too
-        raise ValueError(f"{name}={value} outside declared range [{lo}, {hi}]")
-    return value
 
 
 def _closed_space(name: str, value, lo, hi) -> Space:
@@ -129,10 +123,10 @@ class Param:
     """One declared entry parameter.
 
     `kind(name, value, lo, hi)` checks a given value, inclusively within
-    `lo`/`hi`, and converts it; an integer is `require_int`.  A `default`
-    of None makes the parameter required.  `default`, `lo` and `hi` may be
-    callables of the parameters declared before this one (a domain's area
-    is bounded by the area of its space).
+    `lo`/`hi`, and converts it: an integer is `require_int`, the area
+    `require_real` and float.  A `default` of None makes the parameter
+    required.  `default`, `lo` and `hi` may be callables of the parameters
+    declared before this one (a domain's area is bounded by its space's).
     """
 
     name: str
@@ -143,8 +137,8 @@ class Param:
 
 
 def _area(full: Callable[[dict], float]) -> Param:
-    return Param("area", _real, lo=0, hi=lambda prm: full(prm) * (1 + 1e-12),
-                 default=full)
+    return Param("area", lambda *arg: float(require_real(*arg)), lo=0,
+                 hi=lambda prm: full(prm) * (1 + 1e-12), default=full)
 
 
 @dataclass(frozen=True)
@@ -766,27 +760,30 @@ def bound_value(bound_id: str, params: Optional[dict] = None, z: Real = None,
     """Evaluate the bound's closed form; exact rational when it is rational.
 
     `side` is required for two-sided entries; z is the spectral parameter
-    (or k for average entries).  A NaN, infinite or negative z, a k that is
-    a bool or not a whole number >= 1 (an int, or an integral float or
-    Fraction), and a z too large for a side's float arithmetic (an
+    (`require_real`), or the int k >= 1 for average entries
+    (`require_int`).  A z too large for a side's float arithmetic (an
     overflow, a root past float range, or an infinite or NaN float value)
-    are each one ValueError, which names the side.
+    is one ValueError, which names the side.
     """
     spec, bound = _resolve_side(bound_id, params, side)
     if z is None:
         raise ValueError("z (or k) is required")
-    if spec.quantity != "average":
-        require_finite_nonnegative(z)
-    elif type(z) is bool or not 1 <= z < math.inf or z % 1:  # NaN fails
-        raise ValueError(f"k must be an integer >= 1, got {z!r}")
+    if spec.quantity == "average":
+        require_int("k", z, 1)
+    else:
+        require_real("z", z)
     try:
         value = bound(_normalize_arg(z))
     except OverflowError:
         value = math.nan
     if type(value) is float and not math.isfinite(value):
-        raise ValueError(f"z={z!r} is beyond float range for the "
-                         f"{side or spec.sides[0].side} side of {spec.id}")
+        raise _beyond_float_range(z, side or spec.sides[0].side, spec)
     return value
+
+
+def _beyond_float_range(z, side: str, spec: BoundSpec) -> ValueError:
+    return ValueError(f"z={z!r} is beyond float range for the {side} side "
+                      f"of {spec.id}")
 
 
 @dataclass(frozen=True)
@@ -849,12 +846,12 @@ def standard_grid(bound_id: str, params: Optional[dict] = None,
     40th level value), all level endpoints, recorded equality points and
     documented witness points.  average entries: k = 1..int(zmax)
     (default min(points, 500)), at most points + 1 of them, evenly spread.
-    A zmax that is NaN, infinite or not positive is a ValueError.
+    A given zmax is a float > 0 (`require_real`).
     """
     require_int("points", points, 1)
     require_int("levels", levels, 1)
-    if zmax is not None and not 0 < zmax < math.inf:  # NaN fails too
-        raise ValueError(f"bad zmax={zmax!r}: z must be finite and > 0")
+    if zmax is not None:
+        require_real("zmax", zmax, 0, FLOAT_MAX, strict=True)
     spec = get(bound_id)
     prm = spec.validate(dict(params or {}))
     q = spec.query(prm)
@@ -916,7 +913,8 @@ def verify(bound_id: str, params: Optional[dict] = None,
 
     Violations are slacks below -tol * max(1, |bound|); the documented
     counterexamples (expected_valid=False) must produce at least one and
-    report the first witness.  Failures are report content, never raises.
+    report the first witness.  Failures are report content, never raises;
+    a side past float range on the grid is `bound_value`'s ValueError.
     The parameters, the query, the target column and the per-point gap
     level are resolved once and shared by every side, which is bound
     once for the grid and the equality points.  Targets, gap levels and
@@ -929,8 +927,7 @@ def verify(bound_id: str, params: Optional[dict] = None,
     one pass each for the minimum, the per-gap minima and, when the
     minimum is negative, the violations.
     """
-    if not 0 < tol < math.inf:  # NaN fails too
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    require_real("tol", tol, 0, strict=True)
     require_int("levels", levels, 1)
     spec = get(bound_id)
     prm = spec.validate(dict(params or {}))
@@ -947,8 +944,16 @@ def verify(bound_id: str, params: Optional[dict] = None,
         targets, gaps = evaluate_grid(q, spec.quantity, grid)
     targets = list(map(float, targets))
     bound = [(rule.side, rule.bind(**prm)) for rule in spec.sides]
-    sides = tuple(_scan_side(side, fn, grid, zs, targets, gaps, tol)
-                  for side, fn in bound)
+    try:
+        sides = tuple(_scan_side(side, fn, grid, zs, targets, gaps, tol)
+                      for side, fn in bound)
+    except OverflowError:  # bound_value's error, at the first such point
+        for (side, fn), z in product(bound, grid):
+            try:
+                float(fn(z))
+            except OverflowError:
+                raise _beyond_float_range(z, side, spec) from None
+        raise
 
     eq_checks = []
     if spec.equality is not None and spec.expected_valid:
@@ -990,8 +995,7 @@ def legendre_average_bound(bound_id: str, params: Optional[dict] = None,
     if not isinstance(bound, Power):
         raise ValueError(f"no closed-form Legendre transform for {spec.id}: "
                          f"the side is not c (z + b)^q")
-    if type(k) is bool or not 1 <= k < math.inf:  # NaN fails too
-        raise ValueError(f"k must be finite and >= 1, got {k!r}")
+    require_real("k", k, 1)
     try:
         value = bound.legendre(k)
     except OverflowError:

@@ -16,7 +16,6 @@ digits.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from fractions import Fraction
@@ -30,7 +29,8 @@ from .output import (dumps_json, fmt_number, table_csv, atomic_write,
                      write_series_svg)
 from .scan import GridPolicy, Series
 from .spaces import DEFAULT_LEVEL_CAP, Space, eigenvalue, invert_w, \
-    is_space_descriptor, level_cap_exceeded, multiplicity, parse_space
+    is_space_descriptor, level_cap_exceeded, multiplicity, parse_space, \
+    require_int, require_real
 from .weyl import BoundExpansion
 
 
@@ -83,13 +83,9 @@ def _grid_from_args(q: SpectrumQuery, args) -> List[float]:
     zmin, zmax, n = args.zmin, args.zmax, args.points
     if zmax is None:
         zmax = float(q.level_value(q.min_level + 39))
-    # NaN fails each comparison; the first argument at fault is named.
-    bad = (f"--zmin {zmin!r}" if not 0 <= zmin < math.inf
-           else f"--zmax {zmax!r}" if not zmin < zmax < math.inf
-           else f"--points {n}" if n < 2 else None)
-    if bad:
-        raise ValueError(f"{bad}: need 0 <= zmin < zmax < inf and "
-                         "points >= 2")
+    require_real("--zmin", zmin)
+    require_real("--zmax", zmax, zmin, strict=True)
+    require_int("--points", n, 2)
     policy = GridPolicy(args.grid)
     if policy is GridPolicy.UNIFORM_IN_Z:
         return [zmin + (zmax - zmin) * i / (n - 1) for i in range(n)]

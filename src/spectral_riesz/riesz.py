@@ -53,8 +53,8 @@ from typing import List, NamedTuple, Optional, Sequence
 
 from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, _level_inversion,
                      eigenvalue, level_cap_exceeded, level_columns,
-                     max_level_index, require_finite_nonnegative, require_int,
-                     sphere, hemisphere_dirichlet)
+                     max_level_index, require_int, require_real, sphere,
+                     hemisphere_dirichlet)
 
 
 class Variant(Enum):
@@ -196,10 +196,10 @@ def _rows_upto(q: SpectrumQuery, z: Real):
     formula of `_value_at`; any other z is (z, 1).
     """
     if type(z) is not Fraction:
-        a, b, key = z, 1, require_finite_nonnegative(z)
+        a, b, key = z, 1, math.floor(require_real("z", z))
     else:
         a, b = z.as_integer_ratio()
-        key = a // b if a >= 0 else require_finite_nonnegative(z)
+        key = a // b if a >= 0 else require_real("z", z)
     i = _level_inversion(z, key, *q.inversion) - q.min_level + 1
     tab = _tables.get(q.table_key)
     if tab is None or len(tab.lam) <= i:
@@ -490,8 +490,7 @@ def poly_transform_check(d: int, p: int, z: Real):
     absolute residual of the two identities.
     """
     require_int("p", p, 2)
-    require_finite_nonnegative(z)
-    zq = Fraction(z)  # exact for float z too
+    zq = Fraction(require_real("z", z))  # exact for float z too
     residuals = []
 
     q1 = SpectrumQuery(sphere(d), power=1)

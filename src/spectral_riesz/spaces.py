@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,6 +22,12 @@ Real = Union[int, float, Fraction]
 #: The one level guard: levels beyond this cap are refused instead of
 #: silently enumerated, by every lookup and inversion.
 DEFAULT_LEVEL_CAP = 10_000
+#: The declared dimension range: the exact Gamma ratios of a d-dimensional
+#: space grow faster than linearly in d, and take about 0.1 s at this d.
+DIMENSION_CAP = 20_000
+#: The largest float, and the largest z whose 4 z (in `invert_w`) is one.
+FLOAT_MAX = sys.float_info.max
+INVERT_W_MAX = FLOAT_MAX / 4
 
 
 class Family(Enum):
@@ -108,7 +115,8 @@ class Space:
 
     def __post_init__(self):
         admits = _FAMILIES[self.family].admits
-        if type(self.dim) is not int or not admits(self.dim):
+        if (type(self.dim) is not int or not admits(self.dim)
+                or self.dim > DIMENSION_CAP):
             raise ValueError(f"dimension {self.dim} out of range "
                              f"for {self.family.value}")
 
@@ -198,16 +206,20 @@ def require_int(name: str, value, lo: int, hi: Optional[int] = None):
     return value
 
 
-def require_finite_nonnegative(z: Real) -> int:
-    """floor(z), after a ValueError for NaN, +-inf and z < 0: the one check
-    on bad z.  floor(z) < 0 exactly when z < 0, so one floor decides both.
+def require_real(name: str, value, lo: Real = 0, hi: Real = math.inf,
+                 strict: bool = False):
+    """value, after one ValueError unless it is a finite number (a bool is
+    not) >= lo (> lo when strict) and <= hi: the one check on a real
+    argument.  value is never converted, so exact comparisons decide: an
+    int or Fraction past float range passes when hi is infinite.
     """
-    if isinstance(z, float) and not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
-    key = math.floor(z)
-    if key < 0:
-        raise ValueError(f"z must be >= 0, got {z!r}")
-    return key
+    if (type(value) is bool or not (lo < value if strict else lo <= value)
+            or value > hi or value == math.inf):  # NaN fails lo too
+        span = (f"{'>' if strict else '>='} {lo}" if hi == math.inf
+                else f"in {'(' if strict else '['}{lo}, {hi}]")
+        raise ValueError(f"{name} must be a finite number {span}, "
+                         f"got {value!r}")
+    return value
 
 
 def _integer_nth_root(m: int, n: int) -> int:
@@ -248,44 +260,38 @@ def max_level_index(space: Space, z: Real) -> Optional[int]:
     Returns None for the Dirichlet hemisphere when z < lambda_(1); for all
     other spaces z >= 0 guarantees at least the bottom level.
     """
-    l = _level_inversion(z, require_finite_nonnegative(z), 1,
+    l = _level_inversion(z, math.floor(require_real("z", z)), 1,
                          *space.record.quadratic(space.dim))
     return l if l >= space.min_level else None
 
 
-def invert_w(d: int, z: Real) -> float:
-    """Nonnegative root w of w(w+d-1) = z, refined by one Newton step.
-
-    The refinement keeps |w(w+d-1) - z| within a few ulp of z.
-    """
-    try:
-        zf = float(z)
-    except OverflowError:  # an int or Fraction beyond float range
-        zf = math.inf
-    if not (0 <= z and zf < math.inf):  # NaN fails too
-        raise ValueError(f"invert_w requires z >= 0, got {z!r}: z must be "
-                         "finite, nonnegative and in float range")
+def _invert_w(d: int, z: float) -> float:
+    """`invert_w` of a float z already known to be in [0, INVERT_W_MAX]."""
     c = d - 1.0
-    w = (-c + math.sqrt(c * c + 4.0 * zf)) / 2.0
+    w = (-c + math.sqrt(c * c + 4.0 * z)) / 2.0
     slope = 2.0 * w + c
     if slope > 0.0:
-        w -= (w * (w + c) - zf) / slope
+        w -= (w * (w + c) - z) / slope
     return max(w, 0.0)
 
 
-def fluctuation(w):
-    """Fluctuation psi(w) = w - floor(w) - 1/2, in [-1/2, 1/2).
+def invert_w(d: int, z: Real) -> float:
+    """Nonnegative root w of w(w+d-1) = z, for z in [0, INVERT_W_MAX],
+    refined by one Newton step, which keeps |w(w+d-1) - z| within a few
+    ulp of z."""
+    return _invert_w(d, float(require_real("z", z, 0, INVERT_W_MAX)))
 
-    Exact for Fraction input (returns a Fraction); -1/2 at integers.
-    """
-    try:
-        if w >= 0:  # NaN fails too
-            if isinstance(w, float):
-                return w - math.floor(w) - 0.5
-            return w - math.floor(w) - Fraction(1, 2)
-    except OverflowError:  # w = inf
-        pass
-    raise ValueError(f"fluctuation requires a finite w >= 0, got {w!r}")
+
+def _fluctuation(w):
+    """`fluctuation` of a w already known to be finite and >= 0."""
+    return w - math.floor(w) - (0.5 if isinstance(w, float)
+                                else Fraction(1, 2))
+
+
+def fluctuation(w):
+    """Fluctuation psi(w) = w - floor(w) - 1/2, in [-1/2, 1/2), of a finite
+    w >= 0: exact (a Fraction) for Fraction w, and -1/2 at integers."""
+    return _fluctuation(require_real("w", w))
 
 
 _FAMILY_ALIASES = {

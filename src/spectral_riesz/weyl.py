@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .spaces import (Family, Real, Space, fluctuation, invert_w, require_int,
-                     sphere)
+from .spaces import (INVERT_W_MAX, Family, Real, Space, _fluctuation,
+                     _invert_w, require_int, require_real, sphere)
 
 # ---------------------------------------------------------------------------
 # Semiclassical constants and the sphere volume
@@ -88,7 +88,7 @@ def snapped_fluctuation(w: float) -> float:
     r = round(w)
     if abs(w - r) <= 8 * math.ulp(max(1.0, abs(w))):
         return -0.5
-    return fluctuation(w)
+    return _fluctuation(w)
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +148,7 @@ def _theorem(space: Space, quantity: str):
                      f"on {space.describe()}")
 
 
-def _expansion_z(z: Real) -> float:
-    """float(z), after one ValueError for NaN, +-inf, z <= 0 and z beyond
-    float range."""
-    try:
-        zf = float(z)
-    except OverflowError:
-        zf = math.inf
-    if not 0.0 < zf < math.inf:
-        raise ValueError(f"expansion requires a finite z > 0 in float range, "
-                         f"got z={z!r}")
-    return zf
+_SMALLEST = math.ulp(0.0)  # z >= this keeps float(z) > 0 for a Fraction
 
 
 class BoundExpansion:
@@ -168,7 +158,8 @@ class BoundExpansion:
     resolved here; a call at z runs only the level inversion, the snapped
     fluctuation and the psi-dependent coefficients.  Called, it returns the
     value (the approximation to the raw quantity); `at` gives the full
-    ExpansionEval.
+    ExpansionEval.  z is checked once per call, in [ulp(0), INVERT_W_MAX];
+    the w and psi arithmetic after it checks nothing again.
     """
 
     __slots__ = ("dim", "terms", "max_terms", "coefficients", "lead",
@@ -189,7 +180,7 @@ class BoundExpansion:
 
     def _bracket(self, zf: float) -> float:
         c_half, c_one = self.coefficients(
-            snapped_fluctuation(invert_w(self.dim, zf)))
+            snapped_fluctuation(_invert_w(self.dim, zf)))
         if self.max_terms == 2:
             # Sphere R_1 skips the absent z^(-1/2) order: term 2 is z^(-1).
             return 1.0 + c_one * (1.0 / zf)
@@ -205,13 +196,13 @@ class BoundExpansion:
                              f"float range, got z={z!r}") from None
 
     def __call__(self, z: Real) -> float:
-        zf = _expansion_z(z)
+        zf = float(require_real("z", z, _SMALLEST, INVERT_W_MAX))
         lead = self._leading(z, zf)
         # The one-term bracket is 1.0, and lead * 1.0 is lead bit for bit.
         return lead if self.terms == 1 else lead * self._bracket(zf)
 
     def at(self, z: Real) -> ExpansionEval:
-        zf = _expansion_z(z)
+        zf = float(require_real("z", z, _SMALLEST, INVERT_W_MAX))
         ratio = 1.0 if self.terms == 1 else self._bracket(zf)
         return ExpansionEval(self._leading(z, zf) * ratio, ratio,
                              self.terms, self.remainder)

@@ -194,7 +194,8 @@ def test_legendre_average_bound_examples():
     assert up == pytest.approx(2.0, rel=1e-12)
     assert float(eigenvalue_average(SpectrumQuery(sphere(2)), 4)) <= up
     for k in (0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="k must be finite and >= 1"):
+        with pytest.raises(ValueError,
+                           match="k must be a finite number >= 1, got "):
             bounds.legendre_average_bound("sd.r1.upper.shift", {"d": 2}, k)
     with pytest.raises(ValueError):
         bounds.legendre_average_bound("hemi2.nd.polya", {}, 1)
@@ -444,15 +445,19 @@ def test_standard_grid_average_spreads_points_up_to_zmax():
                                 points=50) == list(range(1, 51))
 
 
+BAD_ZMAX = re.escape("zmax must be a finite number in "
+                     "(0, 1.7976931348623157e+308], got ")
+
+
 @pytest.mark.parametrize("bound_id,params,zmax,message", [
     ("s2.r1.upper", {}, 2.0e8, "level cap 10000 exceeded at z=200000000.0"),
     ("sd.avg.twosided", {"d": 2}, 0.5, "k must be an integer >= 1"),
-    ("s2.r1.lower", {}, 0, "zmax=0: z must be finite and > 0"),
-    ("s2.r1.lower", {}, -1.0, "zmax=-1.0: z must be finite"),
-    ("s2.r1.lower", {}, math.nan, "zmax=nan: z must be finite"),
-    ("sd.avg.twosided", {"d": 3}, 0.0, "zmax=0.0: z must be finite"),
-    ("sd.avg.twosided", {"d": 3}, math.inf, "zmax=inf: z must be finite"),
-    ("sd.avg.twosided", {"d": 3}, -math.inf, "zmax=-inf: z must be finite"),
+    ("s2.r1.lower", {}, 0, BAD_ZMAX + "0$"),
+    ("s2.r1.lower", {}, -1.0, BAD_ZMAX + "-1.0"),
+    ("s2.r1.lower", {}, math.nan, BAD_ZMAX + "nan"),
+    ("sd.avg.twosided", {"d": 3}, 0.0, BAD_ZMAX + "0.0"),
+    ("sd.avg.twosided", {"d": 3}, math.inf, BAD_ZMAX + "inf"),
+    ("sd.avg.twosided", {"d": 3}, -math.inf, BAD_ZMAX + "-inf"),
 ], ids=["z-past-cap", "k-below-one", "z-zero", "z-negative", "z-nan",
         "k-zero", "k-inf", "k-minus-inf"])
 def test_standard_grid_checks_zmax_through_the_table(bound_id, params, zmax,
@@ -529,14 +534,16 @@ def _every_side():
 
 @pytest.mark.parametrize("bound_id,params,side", list(_every_side()))
 def test_float_path_matches_exact_path(bound_id, params, side):
-    if bounds.get(bound_id).quantity == "average":
-        args = [Fraction(1), Fraction(7), Fraction(40)]
+    spec, fn = bounds._resolve_side(bound_id, params, side)
+    if spec.quantity == "average":  # bound_value's k is an int
+        args = [1, 7, 40]
     else:
         args = [Fraction(9, 4), Fraction(47, 7), Fraction(12),
                 Fraction(301, 3)]
     for z in args:
         exact = bounds.bound_value(bound_id, params, z, side=side)
-        approx = bounds.bound_value(bound_id, params, float(z), side=side)
+        approx = fn(float(z)) if spec.quantity == "average" else \
+            bounds.bound_value(bound_id, params, float(z), side=side)
         assert float(approx) == pytest.approx(float(exact), rel=1e-12,
                                               abs=0), z
 
@@ -554,13 +561,14 @@ def test_bound_value_rejects_bad_arguments_on_every_side(bound_id, params,
     # Past float range a side gives its exact value or one ValueError; an
     # average side, the root of an integer ratio, gives the float that its
     # Fraction expression gives through _root.
-    huge = Fraction(10 ** 400)
+    average = bounds.get(bound_id).quantity == "average"
+    huge = 10 ** 400 if average else Fraction(10 ** 400)
     try:
         value = bounds.bound_value(bound_id, params, huge, side=side)
     except ValueError as exc:
         assert "z=" in str(exc)
     else:
-        if bounds.get(bound_id).quantity == "average":
+        if average:
             assert value == _average_sides_by_fraction(params["d"])[side](
                 huge)
         else:

@@ -12,6 +12,9 @@ from spectral_riesz.output import dumps_json
 from spectral_riesz.spaces import eigenvalue, parse_space
 
 
+BAD_ZMAX = "zmax must be a finite number in (0, 1.7976931348623157e+308], got "
+
+
 def run(capsys, *argv):
     try:
         code = main(list(argv))
@@ -191,9 +194,12 @@ def test_verify_explicit_id_rejects_mismatched_space_and_flags(
 
 @pytest.mark.parametrize("argv,message", [
     (["sphere:2", "all", "--power", "0"], "accepts --power 0"),
-    (["sphere:3", "sd.avg.twosided", "--zmax", "0"], "bad zmax=0.0"),
-    (["sphere:3", "sd.avg.twosided", "--zmax", "inf"], "bad zmax=inf"),
-    (["s2.r1.lower", "--zmax", "0"], "bad zmax=0.0"),
+    (["sphere:3", "sd.avg.twosided", "--zmax", "0"],
+     BAD_ZMAX + "0.0"),
+    (["sphere:3", "sd.avg.twosided", "--zmax", "inf"],
+     BAD_ZMAX + "inf"),
+    (["s2.r1.lower", "--zmax", "0"],
+     BAD_ZMAX + "0.0"),
 ], ids=["all-power-0", "average-zmax-zero", "average-zmax-inf", "zmax-zero"])
 def test_verify_flags_that_select_or_scan_nothing_exit_two(
         capsys, argv, message):
@@ -304,7 +310,8 @@ def test_eval_power_w_grid_beyond_float_range_exits_two(capsys):
      "level cap 10000 exceeded at z=1e+300"),
     (["verify", "sphere:2", "sd.avg.twosided", "--zmax", "1e9"],
      "level cap 10000 exceeded at k=1000000000"),
-    (["verify", "s2.r1.upper", "--zmax", "inf"], "z must be finite"),
+    (["verify", "s2.r1.upper", "--zmax", "inf"],
+     BAD_ZMAX + "inf"),
     (["eval", "sphere:2", "N", "--grid", "levels-plus-midpoints",
       "--zmax", "1e300"], "level cap 10000 exceeded at z=1e+300"),
 ], ids=["verify-z", "verify-average", "verify-inf", "eval-levels-grid"])
@@ -402,12 +409,15 @@ def test_missing_positional_exits_two(argv):
 
 @pytest.mark.parametrize("argv,message", [
     (["eval", "sphere:2", "R1", "--z", "1/0"], "bad z list '1/0'"),
-    (["expansion", "sphere:3", "N", "--zmax", "nan"], "0 <= zmin < zmax"),
+    (["expansion", "sphere:3", "N", "--zmax", "nan"],
+     "--zmax must be a finite number > 0.0, got nan"),
     (["expansion", "sphere:3", "N", "--zmin", "nan", "--zmax", "10"],
-     "0 <= zmin < zmax"),
+     "--zmin must be a finite number >= 0, got nan"),
     (["eval", "sphere:2", "N", "--zmin", "nan", "--zmax", "10",
-      "--grid", "levels-plus-midpoints"], "0 <= zmin < zmax"),
-    (["eval", "sphere:2", "N", "--zmax", "inf"], "zmax < inf"),
+      "--grid", "levels-plus-midpoints"],
+     "--zmin must be a finite number >= 0, got nan"),
+    (["eval", "sphere:2", "N", "--zmax", "inf"],
+     "--zmax must be a finite number > 0.0, got inf"),
     (["expansion", "sphere:3", "N", "--z", "1e300", "--terms", "1"],
      "expansion requires z^1.5 in float range, got z=1e+300"),
 ], ids=["zero-denominator", "expansion-zmax-nan", "expansion-zmin-nan",
@@ -466,19 +476,22 @@ def test_a_command_line_argparse_refuses_is_one_error_line(capsys, argv,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("argv,name", [
-    (["eval", "sphere:2", "N", "--zmax", "1e400"], "--zmax inf"),
-    (["eval", "sphere:2", "N", "--zmin", "-1"], "--zmin -1.0"),
-    (["eval", "sphere:2", "N", "--zmin", "5", "--zmax", "3"], "--zmax 3.0"),
-    (["expansion", "sphere:3", "N", "--zmin", "inf"], "--zmin inf"),
-    (["expansion", "sphere:3", "N", "--points", "1"], "--points 1"),
+@pytest.mark.parametrize("argv,message", [
+    (["eval", "sphere:2", "N", "--zmax", "1e400"],
+     "--zmax must be a finite number > 0.0, got inf"),
+    (["eval", "sphere:2", "N", "--zmin", "-1"],
+     "--zmin must be a finite number >= 0, got -1.0"),
+    (["eval", "sphere:2", "N", "--zmin", "5", "--zmax", "3"],
+     "--zmax must be a finite number > 5.0, got 3.0"),
+    (["expansion", "sphere:3", "N", "--zmin", "inf"],
+     "--zmin must be a finite number >= 0, got inf"),
+    (["expansion", "sphere:3", "N", "--points", "1"],
+     "--points must be an integer >= 2, got 1"),
 ], ids=["zmax-past-float-range", "zmin-negative", "zmax-below-zmin",
         "zmin-inf", "one-point"])
-def test_a_bad_grid_names_the_argument_at_fault(capsys, argv, name):
+def test_a_bad_grid_names_the_argument_at_fault(capsys, argv, message):
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (
-        2, "", f"error: {name}: need 0 <= zmin < zmax < inf and "
-        "points >= 2\n")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_runs_at_a_dimension_whose_shift_root_passes_float_range(
@@ -489,3 +502,21 @@ def test_verify_runs_at_a_dimension_whose_shift_root_passes_float_range(
                          "--points", "200")
     assert (code, err) == (0, "")
     assert out.startswith("sd.r1.upper.shift [ok]")
+
+
+def test_verify_of_a_side_past_float_range_exits_two():
+    # The shifted S^d upper side overflows at every point for d = 300.
+    code, out, err = run_guarded("verify", "sphere:300", "sd.r1.upper.shift",
+                                 "--points", "50")
+    assert (code, out, err) == (2, "", "error: z=0.0 is beyond float range "
+                                "for the upper side of sd.r1.upper.shift\n")
+
+
+def test_verify_past_the_dimension_cap_exits_two_at_once():
+    # d = 10^5 is past spaces.DIMENSION_CAP: refused when the space is
+    # built, before any Gamma-ratio work (which took minutes at this d).
+    code, out, err = run_guarded("verify", "sphere:100000",
+                                 "sd.r1.upper.shift", "--points", "3",
+                                 seconds=10)
+    assert (code, out, err) == (
+        2, "", "error: dimension 100000 out of range for sphere\n")

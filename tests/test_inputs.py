@@ -1,31 +1,44 @@
 """The bad-input contract, table-driven.
 
-Every integer argument of the library goes through `spaces.require_int`.
-Each row of INT_ARGS names one such argument: a call that takes the value,
-the argument's name and its inclusive bounds.  A bool, a non-integral and
-an integral float, an integral Fraction and lo - 1 (and hi + 1 where there
-is a hi) are each exactly one ValueError in the one wording, and lo itself
-is accepted.  The rows after the table cover the float and overflow inputs
-that refuse with a ValueError of their own.
+Every integer argument of the library goes through `spaces.require_int`,
+and every real one through `spaces.require_real`; a bool is neither.
+Each row of INT_ARGS names one integer argument: a call that takes the
+value, the argument's name and its inclusive bounds.  A bool, a
+non-integral and an integral float, an integral Fraction and lo - 1 (and
+hi + 1 where there is a hi) are each exactly one ValueError in the one
+wording, and lo itself is accepted.  Each row of REAL_ARGS names one real
+argument the same way, with its lower bound, its upper bound (inf, or the
+largest float where the value is converted to float) and whether lo itself
+is excluded: a bool, NaN, +-inf and values below lo are the one wording.
+The rows after the tables cover the overflow inputs that refuse with a
+ValueError of their own, and the declared dimension range.
 """
 
 import decimal
+import inspect
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import spectral_riesz
 from spectral_riesz import bounds
-from spectral_riesz.riesz import (SpectrumQuery, eigenvalue_average,
-                                  eigenvalue_sums, poly_transform_check,
-                                  prefix_sums)
+from spectral_riesz.riesz import (SpectrumQuery, counting, eigenvalue_average,
+                                  eigenvalue_sums, evaluate_grid, lemma_sum,
+                                  level_values_upto, max_level_index_pow,
+                                  poly_transform_check, prefix_sums,
+                                  riesz1_closed_sphere, riesz_mean)
 from spectral_riesz.scan import figure
-from spectral_riesz.spaces import (eigenvalue, fluctuation,
-                                   hemisphere_dirichlet, invert_w,
-                                   level_columns, multiplicity, sphere)
+from spectral_riesz.spaces import (DIMENSION_CAP, Family, Space, eigenvalue,
+                                   fluctuation, hemisphere_dirichlet,
+                                   invert_w, level_columns, max_level_index,
+                                   multiplicity, parse_space, sphere)
 from spectral_riesz.sumrules import check_pq_identity, trace_identity_partial
 from spectral_riesz.weyl import (BoundExpansion, expansion, lclass,
-                                 lclass_volume)
+                                 lclass_volume, sphere_volume)
 
 S2 = SpectrumQuery(sphere(2))
 
@@ -64,6 +77,9 @@ INT_ARGS = [
     ("param-p-rule",
      lambda v: bounds.bound_value("sd.r1p.twosided", {"d": 3, "p": v}, 1.0,
                                   side="lower"), "p", 2, None),
+    ("bound_value-k",
+     lambda v: bounds.bound_value("sd.avg.twosided", {"d": 2}, v,
+                                  side="lower"), "k", 1, None),
     ("optimal_shift-d", lambda v: bounds.optimal_shift(v, 1), "d", 2, None),
     ("optimal_shift-l", lambda v: bounds.optimal_shift(3, v), "l", 1, None),
     ("bly345-d", lambda v: bounds.bly345_gap_diagnostics(v, 1), "d", 2, None),
@@ -132,22 +148,178 @@ def test_lclass_caches_do_not_answer_a_bool_or_a_float():
             call()
 
 
+FLOAT_MAX = sys.float_info.max
+#: invert_w's root takes 4 z as a float.
+INVERT_W_MAX = FLOAT_MAX / 4
+#: The range of an expansion's z: the floats > 0 that invert_w takes.
+EXPANSION_Z = (math.ulp(0.0), INVERT_W_MAX)
+AREA_HI = 2 * math.pi * (1 + 1e-12)  # the full area of S^2_+, less strictly
+
+# Besides the one wording, the ValueErrors a valid-looking value may meet:
+# a lookup past the level cap, and a result past float range.
+CAP = "level cap 10000 exceeded at "
+SIDE = r"z=.* is beyond float range for the \w+ side of "
+LEAD = r"expansion requires z\^\S+ in float range, got z="
+LEGENDRE = r"k=.* is too large for the Legendre transform of "
+S2P3 = SpectrumQuery(sphere(2), power=3)
+
+# (id, call, name, lo, hi, strict, also): call(value) passes value as the
+# argument, which must be a finite number >= lo (> lo when strict) and
+# <= hi; `also` matches the other ValueErrors the call may raise.
+REAL_ARGS = [
+    ("counting", lambda v: counting(S2, v), "z", 0, math.inf, False, CAP),
+    ("riesz_mean-1", lambda v: riesz_mean(S2, 1, v), "z", 0, math.inf,
+     False, CAP),
+    ("riesz_mean-2", lambda v: riesz_mean(S2, 2, v), "z", 0, math.inf,
+     False, CAP),
+    ("evaluate_grid", lambda v: evaluate_grid(S2, "R1", [v]), "z", 0,
+     math.inf, False, CAP),
+    ("max_level_index", lambda v: max_level_index(sphere(2), v), "z", 0,
+     math.inf, False, CAP),
+    ("max_level_index_pow", lambda v: max_level_index_pow(S2P3, v), "z", 0,
+     math.inf, False, CAP),
+    ("level_values_upto", lambda v: level_values_upto(S2, v), "z", 0,
+     math.inf, False, CAP),
+    ("poly_transform_check", lambda v: poly_transform_check(2, 2, v), "z",
+     0, math.inf, False, CAP),
+    ("riesz1_closed_sphere", lambda v: riesz1_closed_sphere(2, v), "z", 0,
+     math.inf, False, CAP),
+    ("lemma_sum", lambda v: lemma_sum(1, v), "z", 0, math.inf, False, CAP),
+    ("invert_w", lambda v: invert_w(3, v), "z", 0, INVERT_W_MAX, False,
+     None),
+    ("fluctuation", fluctuation, "w", 0, math.inf, False, None),
+    ("expansion", lambda v: expansion(sphere(3), "N", v, 3), "z",
+     *EXPANSION_Z, False, LEAD),
+    ("BoundExpansion", lambda v: BoundExpansion(sphere(3), "R1", 2)(v), "z",
+     *EXPANSION_Z, False, LEAD),
+    ("BoundExpansion-at",
+     lambda v: BoundExpansion(hemisphere_dirichlet(2), "N", 3).at(v), "z",
+     *EXPANSION_Z, False, LEAD),
+    ("bound_value", lambda v: bounds.bound_value("s2.r1.lower", None, v),
+     "z", 0, math.inf, False, SIDE),
+    ("legendre_average_bound",
+     lambda v: bounds.legendre_average_bound("sd.r1.upper.shift", {"d": 2},
+                                             v), "k", 1, math.inf, False,
+     LEGENDRE),
+    ("standard_grid",
+     lambda v: bounds.standard_grid("s2.r1.lower", zmax=v, points=4,
+                                    levels=2), "zmax", 0, FLOAT_MAX, True,
+     CAP),
+    ("verify-zmax",
+     lambda v: bounds.verify("s2.r1.lower", zmax=v, points=4, levels=2),
+     "zmax", 0, FLOAT_MAX, True, CAP),
+    ("verify-tol", lambda v: bounds.verify("s2.r1.lower", grid=[1.0], tol=v),
+     "tol", 0, math.inf, True, None),
+    ("area", lambda v: bounds.bound_value("dom.s2p.bly", {"area": v}, 1.0),
+     "area", 0, AREA_HI, False, None),
+]
+
+
+def _real_message(name, lo, hi, strict, value):
+    span = (f"{'>' if strict else '>='} {lo}" if hi == math.inf
+            else f"in {'(' if strict else '['}{lo}, {hi}]")
+    return f"{name} must be a finite number {span}, got {value!r}"
+
+
+def _bad_reals(lo, hi, strict):
+    out = [("true", True), ("false", False), ("nan", math.nan),
+           ("inf", math.inf), ("-inf", -math.inf), ("below", lo - 1),
+           ("tiny-below", Fraction(lo) - Fraction(1, 10 ** 400))]
+    if strict or lo > 0:
+        out += [("negative-zero", -0.0)]
+    if strict:
+        out += [("lo", lo)]
+    if hi < math.inf:
+        out += [("int-past-float", 10 ** 400),
+                ("fraction-past-float", Fraction(10 ** 400))]
+    if hi < INVERT_W_MAX:
+        out += [("above", hi * 2)]
+    elif hi < FLOAT_MAX:
+        out += [("above", FLOAT_MAX)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "call,name,lo,hi,strict,value",
+    [pytest.param(call, name, lo, hi, strict, value, id=f"{row}-{kind}")
+     for row, call, name, lo, hi, strict, _ in REAL_ARGS
+     for kind, value in _bad_reals(lo, hi, strict)])
+def test_a_bad_real_argument_is_one_value_error(call, name, lo, hi, strict,
+                                                value):
+    with pytest.raises(ValueError) as exc:
+        call(value)
+    assert str(exc.value) == _real_message(name, lo, hi, strict, value)
+
+
+@pytest.mark.parametrize("call,lo,strict", [
+    pytest.param(call, lo, strict, id=row)
+    for row, call, _, lo, _, strict, _ in REAL_ARGS])
+def test_the_lowest_real_argument_is_accepted(call, lo, strict):
+    # The lowest accepted value is lo, or the smallest float above it.
+    call(math.nextafter(lo, math.inf) if strict else lo)
+    if lo == 0 and not strict:
+        call(-0.0)
+
+
+@pytest.mark.parametrize("row", [pytest.param(row, id=row[0])
+                                 for row in REAL_ARGS])
+@given(value=st.one_of(
+    st.floats(), st.integers(), st.fractions(), st.booleans(),
+    st.sampled_from([10 ** 400, -10 ** 400, Fraction(10 ** 400),
+                     Fraction(1, 10 ** 400), Fraction(-1, 10 ** 400), -0.0,
+                     math.ulp(0.0), INVERT_W_MAX, FLOAT_MAX])))
+@settings(max_examples=40, deadline=None)
+def test_a_real_argument_returns_or_raises_one_value_error(row, value):
+    # Never a TypeError, an OverflowError or any other error: a value
+    # returns, or raises the one wording, or one of the row's own errors.
+    _, call, name, lo, hi, strict, also = row
+    try:
+        call(value)
+    except ValueError as exc:
+        message = str(exc)
+        assert message == _real_message(name, lo, hi, strict, value) or (
+            also is not None and re.match(also, message)), message
+
+
+#: Public parameters with a guarded name that take no checked argument.
+UNCHECKED = {("PrefixSums", "k"): "a result record that prefix_sums builds"}
+
+
+def test_every_public_real_or_count_argument_has_a_row():
+    # A public callable with a parameter named z, w, k, zmax or tol needs a
+    # row in INT_ARGS or REAL_ARGS, whose id starts with the callable's
+    # name and whose name is the parameter's (bound_value's k is its z).
+    rows = {(row.partition("-")[0], name)
+            for row, _, name, *_ in INT_ARGS + REAL_ARGS}
+    rows.add(("bound_value", "z"))
+    missing = []
+    for attr in spectral_riesz.__all__:
+        try:
+            params = inspect.signature(getattr(spectral_riesz, attr))
+        except (TypeError, ValueError):  # not a callable with a signature
+            continue
+        missing += [(attr, p) for p in params.parameters
+                    if p in ("z", "w", "k", "zmax", "tol")
+                    and (attr, p) not in rows and (attr, p) not in UNCHECKED]
+    assert not missing
+
+
 @pytest.mark.parametrize("z", [10 ** 400, Fraction(10 ** 400), math.inf,
                                math.nan, -1, Fraction(-1, 10 ** 400)],
                          ids=["int-past-float", "fraction-past-float", "inf",
                               "nan", "negative", "tiny-negative-fraction"])
 def test_invert_w_refuses_z_outside_float_range_or_below_zero(z):
-    with pytest.raises(ValueError, match=r"invert_w requires z >= 0, got "
-                       r".*: z must be finite, nonnegative and in float range"):
+    with pytest.raises(ValueError) as exc:
         invert_w(3, z)
+    assert str(exc.value) == _real_message("z", 0, INVERT_W_MAX, False, z)
 
 
 @pytest.mark.parametrize("w", [math.inf, math.nan, -0.5, Fraction(-1, 3)],
                          ids=["inf", "nan", "negative", "negative-fraction"])
 def test_fluctuation_refuses_w_that_is_not_finite_and_nonnegative(w):
-    with pytest.raises(ValueError,
-                       match=r"fluctuation requires a finite w >= 0, got "):
+    with pytest.raises(ValueError) as exc:
         fluctuation(w)
+    assert str(exc.value) == _real_message("w", 0, math.inf, False, w)
 
 
 def test_fluctuation_keeps_its_values():
@@ -156,7 +328,8 @@ def test_fluctuation_keeps_its_values():
 
 
 def test_legendre_average_bound_refuses_a_bool_k():
-    with pytest.raises(ValueError, match="k must be finite and >= 1, got True"):
+    with pytest.raises(ValueError,
+                       match="k must be a finite number >= 1, got True"):
         bounds.legendre_average_bound("sd.r1.upper.shift", {"d": 2}, True)
 
 
@@ -164,14 +337,17 @@ def test_legendre_average_bound_refuses_a_bool_k():
 def test_bound_value_is_finite_or_one_value_error_at_huge_z(z):
     # The float path of a side can overflow to inf or reach inf - inf =
     # NaN without an OverflowError; either is the one beyond-float-range
-    # ValueError, as an OverflowError already is.
+    # ValueError, as an OverflowError already is.  An average side takes
+    # the int k.
     refused = 0
     for bound_id, params in bounds.entry_matrix():
+        arg = int(z) if bounds.get(bound_id).quantity == "average" else z
         for rule in bounds.get(bound_id).sides:
             try:
-                value = bounds.bound_value(bound_id, params, z, side=rule.side)
+                value = bounds.bound_value(bound_id, params, arg,
+                                           side=rule.side)
             except ValueError as exc:
-                assert str(exc) == f"z={z!r} is beyond float range for " \
+                assert str(exc) == f"z={arg!r} is beyond float range for " \
                     f"the {rule.side} side of {bound_id}"
                 refused += 1
             else:
@@ -228,3 +404,46 @@ def test_optimal_shift_at_a_dimension_past_float_range(d):
         d / (d + 2) * (_decimal_root(Fraction(x * x, 4), d) - (d + 1)),
         rel=1e-12)
     assert all(0 < b < d * (2 * d - 1) / 12 for b in shifts)
+
+
+def test_verify_refuses_a_side_past_float_range_as_bound_value_does():
+    # At d = 300 the shifted S^d upper side c (z + b)^(d/2 + 1) overflows
+    # at every grid point: verify raises bound_value's ValueError at the
+    # first one, not the OverflowError of the float power.
+    with pytest.raises(ValueError) as exc:
+        bounds.verify("sd.r1.upper.shift", {"d": 300}, points=50)
+    assert str(exc.value) == ("z=0.0 is beyond float range for the upper "
+                              "side of sd.r1.upper.shift")
+    with pytest.raises(ValueError) as again:
+        bounds.bound_value("sd.r1.upper.shift", {"d": 300}, 0.0)
+    assert str(again.value) == str(exc.value)
+
+
+@pytest.mark.parametrize("family", [
+    family for family in Family if family is not Family.CAYLEY_PLANE])
+def test_a_dimension_past_the_cap_is_refused(family):
+    # DIMENSION_CAP is a multiple of 4, so every family but the Cayley
+    # plane admits it and DIMENSION_CAP + 4: only the cap refuses the last.
+    assert Space(family, DIMENSION_CAP).dim == DIMENSION_CAP
+    for d in (DIMENSION_CAP + 4, 10 ** 400):
+        with pytest.raises(ValueError) as exc:
+            Space(family, d)
+        assert str(exc.value) == \
+            f"dimension {d} out of range for {family.value}"
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: parse_space(f"sphere:{d}"),
+    lambda d: hemisphere_dirichlet(d),
+    lambda d: lclass(1, d),
+    lambda d: sphere_volume(d),
+    lambda d: bounds.bound_value("sd.r1.upper.shift", {"d": d}, 5),
+    lambda d: bounds.verify("sd.r1.upper.shift", {"d": d}, points=3),
+], ids=["parse_space", "hemisphere_dirichlet", "lclass", "sphere_volume",
+        "bound_value", "verify"])
+def test_entry_points_inherit_the_dimension_range(call):
+    call(4)
+    for d in (DIMENSION_CAP + 1, 10 ** 5, 10 ** 400):
+        with pytest.raises(ValueError, match=f"^dimension {d} out of range "
+                           "for (sphere|hemisphere-d)$"):
+            call(d)

@@ -497,14 +497,14 @@ def test_non_finite_z_is_a_value_error(fn, z):
 
 
 @pytest.mark.parametrize("z,message", [
-    (math.nan, "z must be finite, got nan"),
-    (math.inf, "z must be finite, got inf"),
-    (-math.inf, "z must be finite, got -inf"),
-    (-1, "z must be >= 0, got -1"),
-    (Fraction(-1, 3), "z must be >= 0, got Fraction(-1, 3)"),
+    (math.nan, "z must be a finite number >= 0, got nan"),
+    (math.inf, "z must be a finite number >= 0, got inf"),
+    (-math.inf, "z must be a finite number >= 0, got -inf"),
+    (-1, "z must be a finite number >= 0, got -1"),
+    (Fraction(-1, 3), "z must be a finite number >= 0, got Fraction(-1, 3)"),
     (-Fraction(1, 2 ** 70),
-     f"z must be >= 0, got Fraction(-1, {2 ** 70})"),
-    (-5e-324, "z must be >= 0, got -5e-324"),
+     f"z must be a finite number >= 0, got Fraction(-1, {2 ** 70})"),
+    (-5e-324, "z must be a finite number >= 0, got -5e-324"),
 ], ids=["nan", "+inf", "-inf", "-1", "-1/3", "-2^-70", "-min-subnormal"])
 @pytest.mark.parametrize("fn", [
     lambda z: counting(S2, z),
