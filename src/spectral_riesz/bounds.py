@@ -25,11 +25,11 @@ c (z + b)^q is one Power, which also gives Legendre its closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 from operator import truediv
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .riesz import (SpectrumQuery, Variant, eigenvalue_sums, evaluate_grid,
                     level_values_upto, prefix_sums)
@@ -118,8 +118,7 @@ def _closed_space(name: str, value, lo, hi) -> Space:
     return value
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """One declared entry parameter.
 
     `kind(name, value, lo, hi)` checks a given value, inclusively within
@@ -141,13 +140,11 @@ def _area(full: Callable[[dict], float]) -> Param:
                  hi=lambda prm: full(prm) * (1 + 1e-12), default=full)
 
 
-@dataclass(frozen=True)
-class SideRule:
+class SideRule(NamedTuple):
     side: str  # 'lower' or 'upper'
     bind: Callable[..., Callable]  # (**params) -> the side, a function of z
 
 
-@dataclass(frozen=True)
 class Power:
     """The side c (z + b)^q as data; `legendre` is its closed-form transform.
 
@@ -156,25 +153,39 @@ class Power:
     bf = float(b), kept from construction: Python evaluates float (+)
     Fraction as float (+) float(Fraction), so a float z gets the value the
     exact expression gives, without Fraction's dispatch.  Otherwise (2q =
-    `halves`) int and Fraction z stay exact whenever the value is.
+    `halves`) int and Fraction z stay exact whenever the value is.  When
+    a float power overflows and 2q is an integer, the value is the float of
+    the exact c (z + b)^floor(q), times the root of z + b for an odd 2q: a
+    value in float range is returned, not an overflow.  The attributes are
+    slots, read on every call: a NamedTuple field read is a descriptor
+    call, about 12 ns more than a slot read.
     """
 
-    c: Any
-    q: float
-    b: Any = 0
+    __slots__ = ("c", "q", "b", "cf", "bf", "halves")
 
-    def __post_init__(self):
-        halves = round(2 * self.q)
-        exact = halves == 2 * self.q and not any(
-            isinstance(v, float) for v in (self.c, self.b))
-        object.__setattr__(self, "cf", float(self.c))
-        object.__setattr__(self, "bf", float(self.b))
-        object.__setattr__(self, "halves", halves if exact else None)
+    def __init__(self, c, q: float, b=0):
+        self.c, self.q, self.b = c, q, b
+        halves = round(2 * q)
+        exact = halves == 2 * q and not any(
+            isinstance(v, float) for v in (c, b))
+        self.cf, self.bf = float(c), float(b)
+        self.halves = halves if exact else None
+
+    def __repr__(self):
+        return (f"{type(self).__name__}(c={self.c!r}, q={self.q!r}, "
+                f"b={self.b!r})")
 
     def __call__(self, z):
-        if self.halves is None or type(z) is float:
-            return self.cf * (float(z) + self.bf) ** self.q
-        return self.c * _pow_half(z + self.b, self.halves)
+        try:
+            if self.halves is None or type(z) is float:
+                return self.cf * (float(z) + self.bf) ** self.q
+            return self.c * _pow_half(z + self.b, self.halves)
+        except OverflowError:  # in the float power
+            if self.halves is None:
+                raise
+        x = Fraction(z) + self.b
+        v = self.c * x ** (self.halves // 2)
+        return float(v * _root(x) if self.halves % 2 else v)
 
     def legendre(self, k: int) -> float:
         """max over z >= 0 of (k z - c (z + b)^q) / k, for q > 1."""
@@ -188,25 +199,27 @@ class Power:
 class _HalfSquare(Power):
     """z^2 / 2 in ints, z * z / 2: x ** 2 and x * x differ in binary64."""
 
+    __slots__ = ()
+
     def __call__(self, z):
         return z * z / 2
 
 
-@dataclass(frozen=True)
 class _HalfSquareShifted(Power):
     """(z + b)^2 / 2 with 2b an integer m, spelled (2z + m)^2 / 8."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "m", int(2 * self.b))
+    __slots__ = ("m",)
+
+    def __init__(self, c, q: float, b=0):
+        super().__init__(c, q, b)
+        self.m = int(2 * b)
 
     def __call__(self, z):
         t = 2 * z + self.m
         return t * t / 8
 
 
-@dataclass(frozen=True)
-class BoundSpec:
+class BoundSpec(NamedTuple):
     id: str
     title: str
     quantity: str  # 'N' | 'R1' | 'R2' | 'average'
@@ -217,8 +230,9 @@ class BoundSpec:
     equality: Optional[Callable[[dict, int], list]] = None
     equality_side: Optional[str] = None  # None: applies to every side
     witnesses: Optional[Callable[[dict, float], list]] = None
-    # The representative parameter sets the catalog sweep verifies.
-    matrix: Tuple[dict, ...] = field(default=({},), compare=False)
+    # The representative parameter sets the catalog sweep verifies, each
+    # as (name, value) pairs, so that a spec stays hashable.
+    matrix: Tuple[Tuple[Tuple[str, Any], ...], ...] = ((),)
 
     @property
     def param_names(self) -> Tuple[str, ...]:
@@ -282,9 +296,9 @@ def _ld(d: int, p: int = 1) -> Fraction:  # L^class_{1,d,p} |S^d|
     return lclass_volume(sphere(d), 1, p)
 
 
-def _each(name: str, values) -> Tuple[dict, ...]:
+def _each(name: str, values) -> Tuple[Tuple[Tuple[str, Any]], ...]:
     """A parameter matrix with one row per value of one parameter."""
-    return tuple({name: v} for v in values)
+    return tuple(((name, v),) for v in values)
 
 
 def _upper_env_points(count: int):
@@ -304,8 +318,7 @@ def optimal_shift(d: int, l: int) -> float:
     return float(Fraction(d, d + 2) * (val - l * (l + d)))
 
 
-@dataclass(frozen=True)
-class Bly345Diagnostics:
+class Bly345Diagnostics(NamedTuple):
     """Interior-maximum diagnostics of the hemisphere gap ratio, any d >= 2.
 
     The Berezin-Li-Yau check on S^d_+ reduces to the per-gap maximum of
@@ -658,7 +671,7 @@ def _build_catalog():
         # The corollary allows p = 1 at d = 2 only; the theorem needs p >= 2.
         (Param("d", lo=2),
          Param("p", lo=lambda prm: 1 if prm["d"] == 2 else 2)),
-        matrix=tuple({"d": d, "p": p} for d, p in (
+        matrix=tuple((("d", d), ("p", p)) for d, p in (
             (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)))))
 
     r1p_weyl = lambda d, p: Power(float(_ld(d, p)), 1 + d / (2 * p))
@@ -786,8 +799,7 @@ def _beyond_float_range(z, side: str, spec: BoundSpec) -> ValueError:
                       f"of {spec.id}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     z: float
     target: float
     bound: float
@@ -795,8 +807,7 @@ class Violation:
     side: str
 
 
-@dataclass(frozen=True)
-class SideReport:
+class SideReport(NamedTuple):
     side: str
     n_points: int
     min_slack: float
@@ -808,15 +819,13 @@ class SideReport:
     points: Tuple[Tuple[float, float, float, float], ...]  # (z, target, bound, slack)
 
 
-@dataclass(frozen=True)
-class EqualityCheck:
+class EqualityCheck(NamedTuple):
     z: float
     side: str
     slack: float
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     bound_id: str
     params: str
     expected_valid: bool
@@ -832,9 +841,14 @@ class ScanReport:
         return all(s.n_violations >= 1 for s in self.sides)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["passed"] = self.passed
-        return d
+        """The report as plain dicts and tuples, with `passed`: the JSON
+        that `verify` writes."""
+        sides = tuple(dict(
+            s._asdict(), violations=tuple(v._asdict() for v in s.violations),
+            first_witness=None if s.first_witness is None
+            else s.first_witness._asdict()) for s in self.sides)
+        return dict(self._asdict(), sides=sides, equality_checks=tuple(
+            e._asdict() for e in self.equality_checks), passed=self.passed)
 
 
 def standard_grid(bound_id: str, params: Optional[dict] = None,
@@ -896,12 +910,14 @@ def _scan_side(side: str, bound: Callable, grid: Sequence, zs: List[float],
                 gap_min[g] = s
     # -tol * max(1, |b|) < 0 for 0 < tol < inf, so s < 0 decides most rows,
     # and a minimum that is not negative leaves none (NaN is never it).
-    violations = [] if min_slack >= 0 else [
-        Violation(zf, tgt, b, s, side) for zf, tgt, b, s in rows
+    # The violating rows are counted, and only the first 20 kept as records.
+    hits = [] if min_slack >= 0 else [
+        row for row, s, b in zip(rows, slacks, bnds)
         if s < 0 and s < -tol * max(1.0, abs(b))]
+    violations = tuple(Violation(*row, side) for row in hits[:20])
     return SideReport(
-        side, len(rows), min_slack, arg, len(violations),
-        violations[0] if violations else None, tuple(violations[:20]),
+        side, len(rows), min_slack, arg, len(hits),
+        violations[0] if violations else None, violations,
         tuple(sorted(gap_min.items())), rows)
 
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List
+from typing import Callable, List, NamedTuple
 
 from . import bounds, scan, sumrules
 from .riesz import (SpectrumQuery, closed_form, counting, eigenvalue_average,
@@ -27,8 +26,7 @@ from .weyl import BoundExpansion
 _SEED = 20250809
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool
@@ -42,8 +40,7 @@ class CriterionResult:
                 f"({self.seconds:.2f}s) {self.detail}")
 
 
-@dataclass(frozen=True)
-class AcceptanceReport:
+class AcceptanceReport(NamedTuple):
     results: tuple
 
     @property

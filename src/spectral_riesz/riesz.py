@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
@@ -62,7 +61,6 @@ class Variant(Enum):
     BUCKLING = "buckling"
 
 
-@dataclass(frozen=True)
 class SpectrumQuery:
     """Spectrum selector: space, operator power p for (-Delta)^p, variant.
 
@@ -70,32 +68,44 @@ class SpectrumQuery:
     Laplacian spectrum with the l = 0 level removed.  Construction keeps
     min_level, the key of the query's prefix table and the constants of
     its level inversion (p, a, b, s), in plain ints and strs: a lookup
-    hashes no dataclass or Enum, and a pickled query keeps its table.
+    hashes no record or Enum, and a pickled query keeps its table.  They
+    are slots, not tuple fields, because every exact lookup reads them: a
+    slot read is specialised by the interpreter, a NamedTuple field read
+    is a descriptor call.  Queries compare and hash by their table key,
+    which determines space, power and variant.
     """
 
-    space: Space
-    power: int = 1
-    variant: Variant = Variant.STANDARD
+    __slots__ = ("space", "power", "variant", "min_level", "table_key",
+                 "inversion")
 
-    def __post_init__(self):
-        require_int("power", self.power, 1)
-        if self.variant is Variant.BUCKLING and self.space.family is not Family.SPHERE:
+    def __init__(self, space: Space, power: int = 1,
+                 variant: Variant = Variant.STANDARD):
+        require_int("power", power, 1)
+        if variant is Variant.BUCKLING and space.family is not Family.SPHERE:
             raise ValueError("buckling spectrum is only defined on spheres")
-        space = self.space
-        object.__setattr__(self, "min_level", 1 if self.variant is
-                           Variant.BUCKLING else space.min_level)
-        object.__setattr__(self, "table_key", (
-            space.family.value, space.dim, self.power, self.variant.value))
-        object.__setattr__(self, "inversion",
-                           (self.power, *space.record.quadratic(space.dim)))
+        self.space, self.power, self.variant = space, power, variant
+        self.min_level = (1 if variant is Variant.BUCKLING
+                          else space.min_level)
+        self.table_key = (space.family.value, space.dim, power, variant.value)
+        self.inversion = (power, *space.record.quadratic(space.dim))
+
+    def __eq__(self, other):
+        return (type(other) is SpectrumQuery
+                and self.table_key == other.table_key)
+
+    def __hash__(self):
+        return hash(self.table_key)
+
+    def __repr__(self):
+        return (f"SpectrumQuery(space={self.space!r}, power={self.power!r}, "
+                f"variant={self.variant!r})")
 
     def level_value(self, l: int) -> int:
         """Exact eigenvalue lambda_(l)^p of level l for this query."""
         return eigenvalue(self.space, l) ** self.power
 
 
-@dataclass(frozen=True)
-class PrefixSums:
+class PrefixSums(NamedTuple):
     """Exact prefix sums over the first k eigenvalues (multiplicities expanded)."""
 
     k: int

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import lt, sub, truediv
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import bounds
 from .riesz import SpectrumQuery, counting, evaluate_grid, riesz_mean
@@ -31,15 +30,18 @@ class GridPolicy(Enum):
     LEVELS_PLUS_MIDPOINTS = "levels-plus-midpoints"
 
 
-@dataclass(frozen=True)
-class Series:
-    """One labelled curve: finite, strictly increasing z; finite values."""
-
+class _SeriesFields(NamedTuple):
     label: str
     points: Tuple[Tuple[float, float], ...]
 
-    def __post_init__(self):
-        zs, vs = tuple(zip(*self.points)) or ((), ())
+
+class Series(_SeriesFields):
+    """One labelled curve: finite, strictly increasing z; finite values."""
+
+    __slots__ = ()
+
+    def __new__(cls, label: str, points: Tuple[Tuple[float, float], ...]):
+        zs, vs = tuple(zip(*points)) or ((), ())
         if not all(map(lt, zs, zs[1:])):
             raise ValueError("series grid must be strictly increasing")
         # Increasing pairs hold no NaN, and inf can sit only at an end.
@@ -47,10 +49,10 @@ class Series:
             raise ValueError("series grid must be finite")
         if not all(map(math.isfinite, vs)):
             raise ValueError("series values must be finite")
+        return super().__new__(cls, label, points)
 
 
-@dataclass(frozen=True)
-class GapExtremum:
+class GapExtremum(NamedTuple):
     level: int
     z_star: float
     ratio_star: float

@@ -11,9 +11,8 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .riesz import SpectrumQuery, _table
 from .spaces import DEFAULT_LEVEL_CAP, Space, level_cap_exceeded, require_int
@@ -34,8 +33,7 @@ def _levels(space: Space, l_max: int):
     return _table(q, "lam", q.level_value(l_max))
 
 
-@dataclass(frozen=True)
-class PQReport:
+class PQReport(NamedTuple):
     space: str
     gap_indices: Tuple[int, ...]
     mismatches: Tuple[int, ...]
@@ -76,8 +74,7 @@ def natural_shift(space: Space) -> Fraction:
 # Trace identity series
 
 
-@dataclass(frozen=True)
-class TraceReport:
+class TraceReport(NamedTuple):
     space: str
     l_max: int
     partial_sum: float

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .spaces import (INVERT_W_MAX, Family, Real, Space, _fluctuation,
                      _invert_w, require_int, require_real, sphere)
@@ -57,10 +56,16 @@ def lclass(gamma: int, d: int, p: int = 1) -> float:
 
 
 def sphere_volume(d: int) -> float:
-    """|S^d| = 2 pi^((d+1)/2) / Gamma((d+1)/2), rounded once from its
-    exact rational and pi power."""
+    """|S^d| = 2 pi^((d+1)/2) / Gamma((d+1)/2), from its exact rational c
+    and pi^(h/2), h even: float(c) times the float power of pi or, where
+    that power leaves float range (d >= 1,241), c times the exact power
+    of the float pi, rounded once (0.0: |S^d| < 1e-1000 there)."""
     c, h = _sphere_volume_exact(sphere(d).dim)  # sphere(d) checks d
-    return float(c) * math.pi ** (h / 2)
+    try:
+        return float(c) * math.pi ** (h / 2)
+    except OverflowError:
+        a, b = math.pi.as_integer_ratio()
+        return c.numerator * a ** (h // 2) / (c.denominator * b ** (h // 2))
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -95,8 +100,7 @@ def snapped_fluctuation(w: float) -> float:
 # Two/three-term expansions
 
 
-@dataclass(frozen=True)
-class ExpansionEval:
+class ExpansionEval(NamedTuple):
     """Truncated expansion at z: approximation to the raw quantity.
 
     `ratio` is the truncated bracket (raw approx divided by the leading

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -599,11 +598,8 @@ def _scan_side_per_point(side, bound, grid, zs, targets, gaps, tol):
 
 def _same(a, b):
     """Equal in type and value (NaN equal to NaN), recursively."""
-    if dataclasses.is_dataclass(a):
-        return type(a) is type(b) and _same(dataclasses.astuple(a),
-                                            dataclasses.astuple(b))
-    if isinstance(a, tuple):
-        return (type(b) is tuple and len(a) == len(b)
+    if isinstance(a, tuple):  # a record or a plain tuple
+        return (type(b) is type(a) and len(a) == len(b)
                 and all(_same(x, y) for x, y in zip(a, b)))
     if type(a) is not type(b):
         return False
@@ -611,10 +607,10 @@ def _same(a, b):
 
 
 def _assert_same_report(got, want):
-    for field in dataclasses.fields(bounds.SideReport):
-        g, w = getattr(got, field.name), getattr(want, field.name)
-        assert repr(g) == repr(w), field.name
-        assert _same(g, w), field.name
+    for name in bounds.SideReport._fields:
+        g, w = getattr(got, name), getattr(want, name)
+        assert repr(g) == repr(w), name
+        assert _same(g, w), name
 
 
 _NAN = float("nan")

@@ -38,6 +38,20 @@ def run_guarded(*argv, seconds=60, memory=1 << 30):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_importing_the_engine_loads_neither_dataclasses_nor_inspect():
+    # Every CLI call, script and benchmark worker pays the engine import
+    # first; its records are NamedTuples or slot classes, and together
+    # dataclasses and inspect took 8-13 ms of it.  -S: no site-packages
+    # file imports one first (the engine needs none).
+    src = os.path.dirname(os.path.dirname(spectral_riesz.__file__))
+    code = ("import sys, spectral_riesz, spectral_riesz.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_levels_csv(capsys):
     code, out, _ = run(capsys, "levels", "sphere:2", "--lmax", "3")
     assert code == 0
@@ -505,11 +519,13 @@ def test_verify_runs_at_a_dimension_whose_shift_root_passes_float_range(
 
 
 def test_verify_of_a_side_past_float_range_exits_two():
-    # The shifted S^d upper side overflows at every point for d = 300.
-    code, out, err = run_guarded("verify", "sphere:300", "sd.r1.upper.shift",
-                                 "--points", "50")
+    # The b_d-shifted S^d lower side overflows at every point for d = 300:
+    # its float constant c rounds to 0.0 and its power leaves float range.
+    code, out, err = run_guarded("verify", "sphere:300",
+                                 "fail.sd.r1.lower.bdshift", "--points", "50")
     assert (code, out, err) == (2, "", "error: z=0.0 is beyond float range "
-                                "for the upper side of sd.r1.upper.shift\n")
+                                "for the lower side of "
+                                "fail.sd.r1.lower.bdshift\n")
 
 
 def test_verify_past_the_dimension_cap_exits_two_at_once():

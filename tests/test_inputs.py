@@ -407,15 +407,16 @@ def test_optimal_shift_at_a_dimension_past_float_range(d):
 
 
 def test_verify_refuses_a_side_past_float_range_as_bound_value_does():
-    # At d = 300 the shifted S^d upper side c (z + b)^(d/2 + 1) overflows
-    # at every grid point: verify raises bound_value's ValueError at the
-    # first one, not the OverflowError of the float power.
+    # At d = 300 the b_d-shifted S^d lower side float(c) (z + b)^(d/2 + 1)
+    # has c = 0.0 and a power past float range at every grid point: verify
+    # raises bound_value's ValueError at the first one, not the
+    # OverflowError of the float power.
     with pytest.raises(ValueError) as exc:
-        bounds.verify("sd.r1.upper.shift", {"d": 300}, points=50)
-    assert str(exc.value) == ("z=0.0 is beyond float range for the upper "
-                              "side of sd.r1.upper.shift")
+        bounds.verify("fail.sd.r1.lower.bdshift", {"d": 300}, points=50)
+    assert str(exc.value) == ("z=0.0 is beyond float range for the lower "
+                              "side of fail.sd.r1.lower.bdshift")
     with pytest.raises(ValueError) as again:
-        bounds.bound_value("sd.r1.upper.shift", {"d": 300}, 0.0)
+        bounds.bound_value("fail.sd.r1.lower.bdshift", {"d": 300}, 0.0)
     assert str(again.value) == str(exc.value)
 
 
@@ -447,3 +448,22 @@ def test_entry_points_inherit_the_dimension_range(call):
         with pytest.raises(ValueError, match=f"^dimension {d} out of range "
                            "for (sphere|hemisphere-d)$"):
             call(d)
+
+
+@pytest.mark.parametrize("d", [1240, 1241, 1300, 5000, DIMENSION_CAP])
+def test_sphere_volume_past_the_float_pi_power_is_zero(d):
+    # pi^(h/2) leaves float range from d = 1,241, where |S^d| < 1e-1000
+    # rounds to 0.0: no OverflowError inside the declared range.
+    assert sphere_volume(d) == 0.0
+
+
+@pytest.mark.parametrize("d", [300, 301])
+def test_a_power_side_whose_float_power_overflows_takes_the_exact_path(d):
+    # (z + b)^(d/2 + 1) of the shifted S^d upper side leaves float range at
+    # d = 300 (2q even) and 301 (2q odd) while c (z + b)^(d/2 + 1) is about
+    # 1.4e14: float and Fraction z give the float of the exact value.
+    value = bounds.bound_value("sd.r1.upper.shift", {"d": d}, 5.0)
+    exact = bounds.bound_value("sd.r1.upper.shift", {"d": d}, Fraction(5))
+    assert value == float(exact) == pytest.approx(
+        1.38e14 if d == 300 else 1.53e14, rel=0.01)
+    assert bounds.verify("sd.r1.upper.shift", {"d": d}, points=50).passed

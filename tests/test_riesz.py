@@ -771,6 +771,20 @@ def test_level_inversion_is_the_bisect_of_lam(q, cold_tables):
             f"level cap {DEFAULT_LEVEL_CAP} exceeded at z={z!r}")
 
 
+def test_queries_compare_and_hash_by_space_power_and_variant():
+    q = SpectrumQuery(sphere(2))
+    same = SpectrumQuery(sphere(2), 1, Variant.STANDARD)
+    assert q == same and hash(q) == hash(same) and not q != same
+    for other in (SpectrumQuery(sphere(3)), SpectrumQuery(sphere(2), power=2),
+                  SpectrumQuery(sphere(2), variant=Variant.BUCKLING),
+                  SpectrumQuery(hemisphere_neumann(2)),
+                  (sphere(2), 1, Variant.STANDARD)):
+        assert q != other and not q == other
+    assert repr(q) == ("SpectrumQuery(space=Space(family=<Family.SPHERE: "
+                       "'sphere'>, dim=2), power=1, "
+                       "variant=<Variant.STANDARD: 'standard'>)")
+
+
 def test_pickled_query_finds_the_same_table():
     q = SpectrumQuery(sphere(3), power=2)
     back = pickle.loads(pickle.dumps(q))

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectral_riesz.spaces import (Family, Space, eigenvalue, fluctuation,
+from spectral_riesz.spaces import (Family, Space, _integer_nth_root,
+                                   eigenvalue, fluctuation,
                                    hemisphere_dirichlet, hemisphere_neumann,
                                    invert_w, max_level_index, multiplicity,
                                    parse_space, sphere)
@@ -187,3 +188,36 @@ def test_parse_space():
         parse_space("torus:2")
     with pytest.raises(ValueError):
         parse_space("sphere:x")
+
+
+def _reference_nth_root(m, n):
+    """floor(m^(1/n)) by integer Newton iteration from 1 << ceil(bits / n),
+    at most twice the root: exact, and slow for large n."""
+    if m < 2:
+        return m
+    r = 1 << -(-m.bit_length() // n)
+    while True:
+        nr = ((n - 1) * r + m // r ** (n - 1)) // n
+        if nr >= r:
+            return r
+        r = nr
+
+
+@given(st.integers(1, 60), st.integers(0, 2 ** 64), st.integers(0, 80),
+       st.sampled_from([-1, 0, 1]))
+@settings(max_examples=400, deadline=None)
+def test_integer_nth_root_matches_the_reference_loop(n, root, scale, step):
+    # m near an exact n-th power, where a float seed is easiest to get
+    # wrong by one, and the bits of m spread from 0 up to 64 n + 80.
+    m = max(root ** n + step, 0) << scale
+    assert _integer_nth_root(m, n) == _reference_nth_root(m, n)
+
+
+@pytest.mark.parametrize("n", [3, 100, 1000, 2000])
+def test_integer_nth_root_of_a_root_just_above_a_power_of_two(n):
+    # The reference loop starts at twice such a root and takes about 0.7 n
+    # steps (seconds at n = 2,000); the root must still be exact.
+    for root in (2 ** 64 + 12345, 2 ** 53 + 1, 3 ** 40):
+        for m in (root ** n - 1, root ** n, (root + 1) ** n - 1):
+            r = _integer_nth_root(m, n)
+            assert r ** n <= m < (r + 1) ** n
