@@ -8,8 +8,9 @@ times it in a fresh interpreter, so every table starts cold, and reads the
 process's peak resident set (`ru_maxrss`) right after the build; one more
 fresh run, untimed, counts the rows built and the evaluations of the
 multiplicity formulas (`record.mult` of each family).  Every run also
-counts the distinct int objects that the tables (`riesz._tables`) and the
-level columns (`riesz._spectra`) hold, and their bytes (`sys.getsizeof`).
+counts the distinct int objects that the tables (`riesz._tables`, with
+the level columns `riesz._spectra` where an engine keeps them) hold, and
+their bytes (`sys.getsizeof`).
 Prints one JSON object: the median and every run of the seconds and of
 the peak RSS in MB, rows, evaluations, ints and their bytes.
 
@@ -60,7 +61,8 @@ for q in queries:
 seconds = time.perf_counter() - start
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 held = {id(v): sys.getsizeof(v)
-        for cols in [*riesz._tables.values(), *riesz._spectra.values()]
+        for cols in [*riesz._tables.values(),
+                     *getattr(riesz, "_spectra", {}).values()]
         for col in cols for v in col}
 print(json.dumps({"seconds": seconds, "peak_rss_mb": rss_mb,
                   "rows": sum(len(t[0]) for t in riesz._tables.values()),

@@ -33,8 +33,8 @@ from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 from .riesz import (SpectrumQuery, Variant, eigenvalue_sums, evaluate_grid,
                     level_values_upto, prefix_sums)
-from .spaces import (DEFAULT_LEVEL_CAP, FLOAT_MAX, Family, Real, Space,
-                     _fluctuation, _integer_nth_root, _invert_w,
+from .spaces import (DEFAULT_LEVEL_CAP, FLOAT_MAX, INVERT_W_MAX, Family, Real,
+                     Space, _fluctuation, _integer_nth_root, _invert_w,
                      hemisphere_dirichlet, hemisphere_neumann, require_int,
                      require_real, sphere)
 from .sumrules import natural_shift
@@ -90,7 +90,10 @@ def _w_of(d: int, z):
         r = _root(disc)
         if not isinstance(r, float):
             return (r - (d - 1)) / 2
-    return _invert_w(d, float(z))  # float(z) past float range: OverflowError
+    zf = float(z)  # float(z) past float range: OverflowError
+    if zf > INVERT_W_MAX:  # 4 z would be inf, and w NaN
+        raise OverflowError(f"z={z!r} is beyond invert_w's range")
+    return _invert_w(d, zf)
 
 
 def _psi_of(d: int, z):

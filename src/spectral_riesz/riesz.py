@@ -5,15 +5,17 @@ int/Fraction arguments every result is an exact rational (the oracle of
 record); with float arguments the same expression runs in plain binary64
 and is tested to stay within 1e-12 relative of the rational path.  A
 Fraction z = a / b runs the same formula on the integers a and b and
-divides once, so each exact R_1 or R_2 builds a single Fraction.
+divides once, so each exact R_1 or R_2 builds a single Fraction.  A float
+R_1 or R_2 whose formula leaves float range on the way is the exact value
+rounded once, and past float range one ValueError naming z.
 
 Every quantity is read off one exact prefix table per spectrum (`_table`,
-one row per level with named columns lam, count, s1, s2; found by the
-query's plain `table_key`) in one of two exact ways.  By value, for
-N, R_1, R_2 and the level inversion: the row count is the closed-form
-integer level inversion of floor(z) (`spaces._level_inversion`), with no
-search of the lam column; level values are ints, so lambda^p <= z iff
-lambda^p <= floor(z), and no float ever seeds a lookup.  By count,
+one row per level with named columns count, s1, s2; found by the query's
+plain `table_key`) in one of two exact ways.  By value, for N, R_1, R_2
+and the level inversion: the row count is the closed-form integer level
+inversion of floor(z) (`spaces._level_inversion`), with no search;
+level values are ints, so lambda^p <= z iff lambda^p <= floor(z), and no
+float ever seeds a lookup.  By count,
 `bisect_left` on count, for the prefix sums and averages over the first
 k eigenvalues (k an int).
 
@@ -28,16 +30,18 @@ correctly rounded int division.
 
 Each table is plain single-threaded state: one growth rule (`_table`)
 extends its columns in place by doubling, up to level
-DEFAULT_LEVEL_CAP + 1.  It builds them in columns, not row by row: the
-levels of a space (eigenvalue and multiplicity, kept once per `Space` and
-grown with the deepest table of that space) are shared by all its powers
-and variants, which slice them and raise lam to the power p.  The
+DEFAULT_LEVEL_CAP + 1.  It builds them in columns, not row by row.  The
 columns count, s1 and s2 at power p are the running sums S_0, S_p and
 S_2p of m lambda^j over the levels, and the powers of one space and
 variant have moments in common: count at every p is S_0, and s2 at p is
 s1 at 2p.  So each S_j is built once, by running sums in C, and the tables
 that hold it later copy references to its int objects (`_moments`); a
 table never grows another's columns, so each query keeps its own depth.
+The tables hold nothing else.  Level values lambda^p come from the
+closed form s lambda = a l^2 + b l, built in C for just the rows a caller
+reads (`_level_values`), and the multiplicities of a growth step from the
+differences of a space's S_0 column where it holds those levels, so each
+multiplicity is evaluated once per space (`_multiplicities`).
 """
 
 from __future__ import annotations
@@ -50,10 +54,10 @@ from itertools import accumulate, chain, islice, repeat
 from operator import add, ge, le, mul, sub
 from typing import List, NamedTuple, Optional, Sequence
 
-from .spaces import (DEFAULT_LEVEL_CAP, Family, Real, Space, _level_inversion,
-                     eigenvalue, level_cap_exceeded, level_columns,
-                     max_level_index, require_int, require_real, sphere,
-                     hemisphere_dirichlet)
+from .spaces import (DEFAULT_LEVEL_CAP, FLOAT_MAX, Family, Real, Space,
+                     _level_inversion, eigenvalue, level_cap_exceeded,
+                     level_columns, level_values, max_level_index,
+                     require_int, require_real, sphere, hemisphere_dirichlet)
 
 
 class Variant(Enum):
@@ -116,72 +120,84 @@ class PrefixSums(NamedTuple):
 class _Table(NamedTuple):
     """Per-query prefix table, one row per level from min_level on.
 
-    lam: level value lambda_(l)^p; count, s1, s2: the running sums S_0,
-    S_p and S_2p, with S_j the sum of m lambda^j over the levels so far
-    (m the multiplicity).  The int objects of a running sum are shared with
-    every table of the same space and variant that holds the same S_j.
+    count, s1, s2: the running sums S_0, S_p and S_2p, with S_j the sum of
+    m lambda^j over the levels so far (m the multiplicity).  The int
+    objects of a running sum are shared with every table of the same space
+    and variant that holds the same S_j.  Level values are not stored:
+    `_level_values` rebuilds those a caller reads from the closed form.
     """
 
-    lam: List[int]
     count: List[int]
     s1: List[int]
     s2: List[int]
 
 
 _tables: dict = {}
-#: Space -> (lam, mult) of its levels from space.min_level on: the
-#: Laplacian level columns that every table of the space slices.
-_spectra: dict = {}
 #: (family, dim, variant, j) -> the longest table column that holds the
 #: running sum S_j of that space and variant (count is S_0 at every power,
 #: and s2 at power p is s1 at power 2p).
 _moments: dict = {}
 
 
-def _level_rows(space: Space, start: int, stop: int):
-    """(lam, mult) of levels start..stop-1, sliced from the shared level
-    columns of space after growing them through level stop - 1."""
-    lam, mult = _spectra.setdefault(space, ([], []))
-    base = space.min_level
-    if base + len(lam) < stop:
-        new_lam, new_mult = level_columns(space, base + len(lam), stop)
-        lam += new_lam
-        mult += new_mult
-    return lam[start - base:stop - base], mult[start - base:stop - base]
+def _level_values(q: SpectrumQuery, start: int, stop: int):
+    """lambda_(l)^p of levels start..stop-1, an iterator built in C from the
+    closed form s lambda = a l^2 + b l (`q.inversion`)."""
+    p, a, b, s = q.inversion
+    lam = level_values(a, b, s, start, stop)
+    return lam if p == 1 else map(pow, lam, repeat(p))
 
 
-def _table(q: SpectrumQuery, column: str, x) -> _Table:
-    """The prefix table of q, grown until its last `column` entry exceeds x.
+def _multiplicities(space: Space, start: int, stop: int) -> List[int]:
+    """m of levels start..stop-1: differences of the deepest S_0 column of
+    space (`_moments`, either variant) over the levels it holds, and
+    `level_columns` past them, so each is evaluated once per space."""
+    family, dim = space.family.value, space.dim
+    s0 = lambda variant: _moments.get((family, dim, variant, 0), ())
+    base, col = max((space.min_level, s0("standard")), (1, s0("buckling")),
+                    key=lambda c: c[0] + len(c[1]))  # the deepest level held
+    lo, hi = max(start, base), min(stop, base + len(col))
+    if lo >= hi:
+        return level_columns(space, start, stop)[1]
+    # S_0 from the level before lo (0 before the first) through hi - 1.
+    sums = (col[lo - base - 1:hi - base] if lo > base
+            else [0, *col[:hi - base]])
+    return (level_columns(space, start, lo)[1]
+            + list(map(sub, sums[1:], sums))
+            + level_columns(space, hi, stop)[1])
+
+
+def _table(q: SpectrumQuery, rows: int, k: int = 0) -> _Table:
+    """The prefix table of q, grown to `rows` rows or more and until its
+    last count reaches k.
 
     Row i is level min_level + i.  The columns grow in place, doubling the
     row count, and growth stops at level DEFAULT_LEVEL_CAP + 1, so a lookup
     past the cap finds its answer in the last row and raises, without
-    building further.  Each step appends a run of levels at once: lam from
-    `_level_rows`, raised to the power p, and for each of count, s1 and s2
-    (the running sums S_0, S_p and S_2p) the same rows of the `_moments`
-    column of that S_j when it holds them, else its own running sum of m,
-    m lam or m lam^2.  A table only reads other tables' columns, and
-    registers its own once built.
+    building further.  Each step appends a run of levels at once: for each
+    of count, s1 and s2 (the running sums S_0, S_p and S_2p) the same rows
+    of the `_moments` column of that S_j when it holds them, else its own
+    running sum of m, m lam or m lam^2, with lam from `_level_values` and
+    m from `_multiplicities`.  A table only reads other tables' columns,
+    and registers its own once built.
     """
-    tab = _tables.get(q.table_key) or _Table([], [], [], [])
+    tab = _tables.get(q.table_key) or _Table([], [], [])
     family, dim, p, variant = q.table_key
     sums = [((family, dim, variant, j), col)
-            for j, col in zip((0, p, 2 * p), tab[1:])]
-    lams, col = tab.lam, getattr(tab, column)
+            for j, col in zip((0, p, 2 * p), tab)]
+    count = tab.count
     top = DEFAULT_LEVEL_CAP + 1
-    while (not col or col[-1] <= x) and q.min_level + len(lams) <= top:
-        start = q.min_level + len(lams)
-        stop = min(q.min_level + max(2 * len(lams), 16), top + 1)
-        lam, m = _level_rows(q.space, start, stop)
-        if p > 1:
-            lam = list(map(pow, lam, repeat(p)))
-        lams += lam
+    while ((len(count) < rows or count[-1] < k)
+           and q.min_level + len(count) <= top):
+        start = q.min_level + len(count)
+        stop = min(q.min_level + max(2 * len(count), 16), top + 1)
+        lam = list(_level_values(q, start, stop))
+        m = _multiplicities(q.space, start, stop)
         m_lam = list(map(mul, m, lam))
         for (key, sums_j), terms in zip(sums, (m, m_lam,
                                               map(mul, m_lam, lam))):
             shared = _moments.get(key, ())
-            if len(shared) >= len(lams):
-                sums_j += shared[len(sums_j):len(lams)]
+            if len(shared) >= stop - q.min_level:
+                sums_j += shared[len(sums_j):stop - q.min_level]
             else:
                 # Carry on from the column's last entry: pop hands it to
                 # accumulate, whose first output puts it back (an empty
@@ -201,7 +217,7 @@ def _rows_upto(q: SpectrumQuery, z: Real):
     and z = a / b.
 
     Lookup by value: the closed-form level inversion of floor(z), no
-    search of the lam column; the table is grown past row i.  A Fraction
+    search; the table is grown past row i.  A Fraction
     z is split once, by as_integer_ratio, for its floor and for the value
     formula of `_value_at`; any other z is (z, 1).
     """
@@ -212,8 +228,8 @@ def _rows_upto(q: SpectrumQuery, z: Real):
         key = a // b if a >= 0 else require_real("z", z)
     i = _level_inversion(z, key, *q.inversion) - q.min_level + 1
     tab = _tables.get(q.table_key)
-    if tab is None or len(tab.lam) <= i:
-        tab = _table(q, "lam", key)
+    if tab is None or len(tab.count) <= i:
+        tab = _table(q, i + 1)
     return tab, i, a, b
 
 
@@ -226,7 +242,7 @@ def _row_of(q: SpectrumQuery, k: int):
     require_int("k", k, 1)
     tab = _tables.get(q.table_key)
     if tab is None or tab.count[-1] < k:
-        tab = _table(q, "count", k - 1)
+        tab = _table(q, 1, k)
     i = bisect_left(tab.count, k)
     if q.min_level + i > DEFAULT_LEVEL_CAP:
         raise level_cap_exceeded("k", k)
@@ -246,16 +262,27 @@ def _value_at(gamma: int, z: Real, tab: _Table, i: int, a: Real, b: int):
         if gamma == 1:
             return Fraction(n * a - s1 * b, b)
         return Fraction((n * a - 2 * s1 * b) * a + s2 * b * b, b * b)
-    if gamma == 1:
-        return n * z - s1
-    return (n * z - 2 * s1) * z + s2
+    try:
+        value = n * z - s1 if gamma == 1 else (n * z - 2 * s1) * z + s2
+        if value - value == 0:  # finite, as the value at an int z always is
+            return value
+    except OverflowError:  # an int past float range
+        pass
+    return _rounded_exact(gamma, z, n, s1, s2)
 
 
-def _prefix_sums_at(tab: _Table, i: int, k: int) -> PrefixSums:
-    # Row i sums its whole level; take back the eigenvalues past the k-th.
-    extra = tab.count[i] - k
-    lam = tab.lam[i]
-    return PrefixSums(k, tab.s1[i] - extra * lam, tab.s2[i] - extra * lam * lam)
+def _rounded_exact(gamma: int, z: float, n: int, s1: int, s2: int) -> float:
+    """R_gamma at a float z whose float formula leaves float range on the
+    way: the exact value, rounded once, or past float range the one error
+    naming z."""
+    a, b = z.as_integer_ratio()
+    num = (n * a - s1 * b if gamma == 1
+           else (n * a - 2 * s1 * b) * a + s2 * b * b)
+    try:
+        return num / b ** gamma  # an int division rounds correctly
+    except OverflowError:
+        raise ValueError(f"R{gamma} at z={z!r} is beyond float "
+                         "range") from None
 
 
 def _grown_table(q: SpectrumQuery, lookup, lowest: int, grid: Sequence):
@@ -286,14 +313,16 @@ def eigenvalue_sums(q: SpectrumQuery, ks: Sequence[int]) -> List[int]:
         for k in ks:
             _row_of(q, k)
     tab = _grown_table(q, _row_of, 1, ks)[0]
-    count, lam, s1 = tab.count, tab.lam, tab.s1
+    count, s1 = tab.count, tab.s1
+    rows = list(map(bisect_left, repeat(count), ks))
+    lam = list(_level_values(q, q.min_level,
+                             q.min_level + max(rows, default=-1) + 1))
     # Row i sums its whole level; take back the eigenvalues past the k-th.
-    return [s1[i] - (count[i] - k) * lam[i]
-            for k, i in zip(ks, map(bisect_left, repeat(count), ks))]
+    return [s1[i] - (count[i] - k) * lam[i] for k, i in zip(ks, rows)]
 
 
-def _float_runs(tab: _Table, top: int, gamma: int, grid: List[float],
-                below: int):
+def _float_runs(q: SpectrumQuery, tab: _Table, top: int, gamma: int,
+                grid: List[float], below: int):
     """(values, gap_levels) of a sorted, checked float grid whose largest
     point lies in row `top`, built run by run.
 
@@ -301,9 +330,11 @@ def _float_runs(tab: _Table, top: int, gamma: int, grid: List[float],
     [lam[r-1], lam[r]): one contiguous run, cut by one bisect per level (a
     float compares with an int exactly).  Each row's n, s1 and s2 are
     spread over its run and combined in the order of `_value_at`, so every
-    value is that of the per-point lookup bit for bit.
+    value is that of the per-point lookup bit for bit, where that lookup
+    stays in float range throughout.
     """
-    cuts = [bisect_left(grid, lam) for lam in tab.lam[:top]]
+    cuts = list(map(bisect_left, repeat(grid),
+                    _level_values(q, q.min_level, q.min_level + top)))
     runs = list(map(sub, cuts + [len(grid)], [0] + cuts))
 
     def spread(col):  # row r's entry, once per point of its run
@@ -332,7 +363,8 @@ def evaluate_grid(q: SpectrumQuery, quantity: str, grid: Sequence):
     One lookup at the largest point grows the table (`_grown_table`).  A
     sorted all-float grid is then read in runs of points that share a table
     row (`_float_runs`); unsorted, int, Fraction and mixed grids take the
-    per-point lookup of x for the value and of float(x) for the gap level.
+    per-point lookup of x for the value and of float(x) for the gap level,
+    as does a float grid whose run formula leaves float range.
     """
     if quantity == "average":
         return list(map(Fraction, eigenvalue_sums(q, grid), grid)), None
@@ -343,7 +375,12 @@ def evaluate_grid(q: SpectrumQuery, quantity: str, grid: Sequence):
     gamma, below = ("N", "R1", "R2").index(quantity), q.min_level - 1
     if {*map(type, grid)} == {float} and all(
             map(le, grid, islice(grid, 1, None))):
-        return _float_runs(tab, top, gamma, grid, below)
+        # Every float the formula forms is at most 2 n max(z, 1)^gamma,
+        # with n and z the largest: below float range, all are finite.
+        z = max(grid[-1], 1.0)
+        if not gamma or (tab.count[top - 1] if top else 0) < (
+                FLOAT_MAX / 4 / (z if gamma == 1 else z * z)):
+            return _float_runs(q, tab, top, gamma, grid, below)
     return ([_value_at(gamma, x, *_rows_upto(q, x)) for x in grid],
             [below + _rows_upto(q, float(x))[1] for x in grid])
 
@@ -357,8 +394,8 @@ def max_level_index_pow(q: SpectrumQuery, z: Real) -> Optional[int]:
 def level_values_upto(q: SpectrumQuery, z: Real) -> List[int]:
     """The level values lambda_(l)^p <= z in level order (exact ints), read
     off the prefix table; raises past the cap like the other lookups."""
-    tab, i, _, _ = _rows_upto(q, z)
-    return tab.lam[:i]
+    i = _rows_upto(q, z)[1]
+    return list(_level_values(q, q.min_level, q.min_level + i))
 
 
 def counting(q: SpectrumQuery, z: Real) -> int:
@@ -381,7 +418,11 @@ def riesz_mean(q: SpectrumQuery, gamma: int, z: Real):
 def prefix_sums(q: SpectrumQuery, k: int) -> PrefixSums:
     """Exact Sigma lambda_j and Sigma lambda_j^2 over the first k eigenvalues."""
     tab, i = _row_of(q, k)
-    return _prefix_sums_at(tab, i, k)
+    # Row i sums its whole level; take back the eigenvalues past the k-th.
+    extra = tab.count[i] - k
+    lam, = _level_values(q, q.min_level + i, q.min_level + i + 1)
+    return PrefixSums(k, tab.s1[i] - extra * lam,
+                      tab.s2[i] - extra * lam * lam)
 
 
 def eigenvalue_average(q: SpectrumQuery, k: int) -> Fraction:
@@ -461,7 +502,7 @@ def _pieces(q: SpectrumQuery, z: Real):
     if not i:
         return []
     k = i - 1
-    lam = tab.lam
+    lam = list(_level_values(q, q.min_level, q.min_level + i))
     return [*zip(tab.count[:k], tab.s1[:k], lam[:k], lam[1:i]),
             (tab.count[k], tab.s1[k], lam[k], z)]
 

@@ -14,7 +14,9 @@ import math
 import sys
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from itertools import repeat
+from operator import mul
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 Real = Union[int, float, Fraction]
 
@@ -182,6 +184,21 @@ def multiplicity(space: Space, l: int) -> int:
     return space.record.mult(space.dim, l) if l else 1
 
 
+def level_values(a: int, b: int, s: int, start: int,
+                 stop: int) -> Iterator[int]:
+    """The integer eigenvalues lambda(l) = (a l + b) l / s of levels start
+    to stop - 1, as an iterator built in C: one product of two ranges per
+    level once (a, b, s) is divided by its gcd, which leaves s = 1 for
+    every family.  A larger s divides each product with the
+    exact-division check of `eigenvalue`.
+    """
+    g = math.gcd(a, b, s)
+    a, b, s = a // g, b // g, s // g
+    values = map(mul, range(a * start + b, a * stop + b, a),
+                 range(start, stop))
+    return values if s == 1 else map(_exact_div, values, repeat(s))
+
+
 def level_columns(space: Space, start: int,
                   stop: int) -> Tuple[List[int], List[int]]:
     """(lam, mult): the eigenvalues and multiplicities of levels start to
@@ -189,14 +206,13 @@ def level_columns(space: Space, start: int,
 
     The same ints as `eigenvalue` and `multiplicity` level by level, read
     off the same record with the same exact-division check, in one call
-    for a whole run of levels: the prefix tables are built from it.
+    for a whole run of levels: the prefix tables take their
+    multiplicities from it.
     """
     require_int("start", start, space.min_level)
     rec, d = space.record, space.dim
-    a, b, s = rec.quadratic(d)
-    levels = range(start, stop)
-    return ([_exact_div(a * l * l + b * l, s) for l in levels],
-            [rec.mult(d, l) if l else 1 for l in levels])
+    return (list(level_values(*rec.quadratic(d), start, stop)),
+            [rec.mult(d, l) if l else 1 for l in range(start, stop)])
 
 
 def level_cap_exceeded(name: str, value) -> ValueError:

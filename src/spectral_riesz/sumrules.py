@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
-from .riesz import SpectrumQuery, _table
+from .riesz import SpectrumQuery, _level_values, _table
 from .spaces import DEFAULT_LEVEL_CAP, Space, level_cap_exceeded, require_int
 from .weyl import lclass_volume
 
@@ -24,13 +24,25 @@ def _require_closed(space: Space):
         raise ValueError("sum rules apply to closed spaces only")
 
 
-def _levels(space: Space, l_max: int):
+class _Levels(NamedTuple):
+    """Rows 0..l_max + 1 of the Laplacian's prefix table on a closed space,
+    with the level values lam of those rows from the closed form."""
+
+    count: List[int]
+    s1: List[int]
+    s2: List[int]
+    lam: List[int]
+
+
+def _levels(space: Space, l_max: int) -> _Levels:
     """The Laplacian's prefix table on closed space, through level l_max + 1."""
     _require_closed(space)
     if l_max > DEFAULT_LEVEL_CAP:
         raise level_cap_exceeded("l_max", l_max)
-    q = SpectrumQuery(space)
-    return _table(q, "lam", q.level_value(l_max))
+    q, rows = SpectrumQuery(space), l_max + 2
+    tab = _table(q, rows)
+    return _Levels(*(col[:rows] for col in tab),
+                   list(_level_values(q, 0, rows)))
 
 
 class PQReport(NamedTuple):
@@ -49,10 +61,11 @@ def check_pq_identity(space: Space, l_max: int) -> PQReport:
         P_N(z) = Sigma_{j<=N} (z - lambda_j)(z - lambda - (d+4)/d lambda_j),
         Q_N(z) = N (z - lambda_N)(z - lambda_{N+1}),
 
-    and lambda the first positive eigenvalue.  At the gap after level L (N = count[L], lambda_N = lam[L], lambda_{N+1}
-    = lam[L+1]) both c2 are N, so the identity is d P_N = d Q_N on the
-    other two coefficients, a pair of integer equalities on table rows L
-    and L + 1, for L = 0..l_max up to and including the level cap.
+    and lambda the first positive eigenvalue.  At the gap after level L
+    (N = count[L], lambda_N = lam[L], lambda_{N+1} = lam[L+1]) both c2
+    are N, so the identity is d P_N = d Q_N on the other two
+    coefficients, a pair of integer equalities on table rows L and L + 1,
+    for L = 0..l_max up to and including the level cap.
     A mismatch is a hard failure; the report carries the indices checked.
     """
     tab = _levels(space, require_int("l_max", l_max, 1))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Tuple
 
@@ -57,15 +58,15 @@ def lclass(gamma: int, d: int, p: int = 1) -> float:
 
 def sphere_volume(d: int) -> float:
     """|S^d| = 2 pi^((d+1)/2) / Gamma((d+1)/2), from its exact rational c
-    and pi^(h/2), h even: float(c) times the float power of pi or, where
-    that power leaves float range (d >= 1,241), c times the exact power
-    of the float pi, rounded once (0.0: |S^d| < 1e-1000 there)."""
+    and pi^(h/2), h even: float(c) times the float power of pi while
+    float(c) is a normal float (d <= 342), else c times the exact power
+    of the float pi, rounded once, where float(c) has lost bits or is 0.0
+    (d >= 343: |S^d| is below 1e-200 there, and 0.0 from d = 455)."""
     c, h = _sphere_volume_exact(sphere(d).dim)  # sphere(d) checks d
-    try:
+    if float(c) >= sys.float_info.min:  # a normal float: d <= 342
         return float(c) * math.pi ** (h / 2)
-    except OverflowError:
-        a, b = math.pi.as_integer_ratio()
-        return c.numerator * a ** (h // 2) / (c.denominator * b ** (h // 2))
+    a, b = math.pi.as_integer_ratio()
+    return c.numerator * a ** (h // 2) / (c.denominator * b ** (h // 2))
 
 
 @functools.lru_cache(maxsize=None, typed=True)

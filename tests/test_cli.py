@@ -528,6 +528,15 @@ def test_verify_of_a_side_past_float_range_exits_two():
                                 "fail.sd.r1.lower.bdshift\n")
 
 
+def test_verify_of_a_target_past_float_range_exits_two():
+    # On S^300 the float R1 leaves float range below zmax = 1e7: verify
+    # stops at the first such grid point with the one error naming it.
+    code, out, err = run_guarded("verify", "sphere:300", "sd.r1.upper.shift",
+                                 "--zmax", "1e7", "--points", "50")
+    assert (code, out, err) == (2, "", "error: R1 at z=1315142.0 is beyond "
+                                "float range\n")
+
+
 def test_verify_past_the_dimension_cap_exits_two_at_once():
     # d = 10^5 is past spaces.DIMENSION_CAP: refused when the space is
     # built, before any Gamma-ratio work (which took minutes at this d).

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spectral_riesz
-from spectral_riesz import bounds
+from spectral_riesz import bounds, weyl
 from spectral_riesz.riesz import (SpectrumQuery, counting, eigenvalue_average,
                                   eigenvalue_sums, evaluate_grid, lemma_sum,
                                   level_values_upto, max_level_index_pow,
@@ -455,6 +455,94 @@ def test_sphere_volume_past_the_float_pi_power_is_zero(d):
     # pi^(h/2) leaves float range from d = 1,241, where |S^d| < 1e-1000
     # rounds to 0.0: no OverflowError inside the declared range.
     assert sphere_volume(d) == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 100, 342, 343, 350, 356, 357, 400, 453,
+                               454, 455, 456, 600, 1240])
+def test_sphere_volume_is_the_exact_rational_rounded_once(d):
+    # |S^d| = c pi^(h/2), c rational: from d = 343 float(c) is subnormal
+    # or 0.0, so the value is c (float pi)^(h/2) rounded once, which is
+    # 0.0 only from d = 455.  At d <= 342 the float product
+    # float(c) pi^(h/2) is kept, bit for bit.
+    c, h = weyl._sphere_volume_exact(d)
+    exact = float(c * Fraction(math.pi) ** (h // 2))
+    value = sphere_volume(d)
+    if d <= 342:
+        assert value == float(c) * math.pi ** (h / 2)
+        assert value == pytest.approx(exact, rel=1e-13)
+    else:
+        assert value == exact
+    assert (value == 0.0) == (d >= 455)
+
+
+PSI_SIDES = [("hemi2.nd.twosided", "lower"), ("hemi2.nd.twosided", "upper"),
+             ("s2.r1.lower.imp", "lower"), ("s2.r1.upper.imp", "upper")]
+
+
+@pytest.mark.parametrize("bound_id,side", PSI_SIDES,
+                         ids=[f"{b}-{s}" for b, s in PSI_SIDES])
+@pytest.mark.parametrize("z", [math.nextafter(INVERT_W_MAX, math.inf), 1e308,
+                               FLOAT_MAX])
+def test_a_psi_side_above_invert_w_range_is_one_value_error(bound_id, side,
+                                                            z, monkeypatch):
+    # psi needs w from z, and 4 z leaves float range above INVERT_W_MAX:
+    # bound_value and verify both refuse the side by name, not with the
+    # NaN of the inversion.
+    with pytest.raises(ValueError) as exc:
+        bounds.bound_value(bound_id, None, z, side=side)
+    assert str(exc.value) == (f"z={z!r} is beyond float range for the "
+                              f"{side} side of {bound_id}")
+    # The level cap stops verify's target column far below such z; with
+    # the targets stubbed, its side scan meets the side's overflow.
+    monkeypatch.setattr(bounds, "evaluate_grid", lambda q, quantity, grid: (
+        [0.0] * len(grid), [0] * len(grid)))
+    first = bounds.get(bound_id).sides[0].side
+    with pytest.raises(ValueError) as exc:
+        bounds.verify(bound_id, grid=[1.0, z])
+    assert str(exc.value) == (f"z={z!r} is beyond float range for the "
+                              f"{first} side of {bound_id}")
+
+
+# (query, gamma, float z): at z = 2^1023 on S^2 at p = 1023,
+# R1 = 4 z - 3 lambda_1^p = 2^1023 while s1 = 3 * 2^1023 leaves float
+# range; at z = 1.5 * 2^1022 and p = 1022, s1 = 3 * 2^1022 is a float but
+# 4 z is inf, and R1 = 3 * 2^1022; at z just above lambda_1^p = 3^323 on
+# S^3, R2 is about 1.66e308 while s2 = 4 * 3^646 leaves float range.
+OVERFLOW_INTERMEDIATE = [
+    (SpectrumQuery(sphere(2), power=1023), 1, 2.0 ** 1023),
+    (SpectrumQuery(sphere(2), power=1022), 1, 1.5 * 2.0 ** 1022),
+    (SpectrumQuery(sphere(3), power=323), 2,
+     float(3 ** 323) * (1 + 2 ** -40)),
+]
+
+
+@pytest.mark.parametrize("q,gamma,z", OVERFLOW_INTERMEDIATE,
+                         ids=["R1-s2-p1023", "R1-inf-s2-p1022", "R2-s3-p323"])
+def test_a_float_riesz_mean_past_float_range_on_the_way_is_the_exact_value(
+        q, gamma, z):
+    exact = riesz_mean(q, gamma, Fraction(z))
+    assert riesz_mean(q, gamma, z) == float(exact)
+    assert float(exact) > 1e307
+    quantity = f"R{gamma}"
+    assert evaluate_grid(q, quantity, [0.0, 1.0, z])[0] == [
+        riesz_mean(q, gamma, x) for x in (0.0, 1.0, z)]
+
+
+@pytest.mark.parametrize("gamma", [1, 2])
+@pytest.mark.parametrize("z", [1e7, 1315142.0])
+def test_a_float_riesz_mean_past_float_range_is_one_value_error(gamma, z):
+    # On S^300 the count at z = 1e7 is about 1e400: R1 and R2 are past
+    # float range, so the float path refuses them with one error naming z,
+    # point by point and on a sorted grid alike (the first bad point).
+    q = SpectrumQuery(sphere(300))
+    message = f"R{gamma} at z={z!r} is beyond float range"
+    with pytest.raises(ValueError) as exc:
+        riesz_mean(q, gamma, z)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        evaluate_grid(q, f"R{gamma}", [1.0, z, 2e7])
+    assert str(exc.value) == message
+    assert riesz_mean(q, gamma, 1.0) == riesz_mean(q, gamma, 1)
 
 
 @pytest.mark.parametrize("d", [300, 301])

@@ -335,10 +335,9 @@ TOP_LEVEL = DEFAULT_LEVEL_CAP + 1  # the last row a table builds
 
 @pytest.fixture
 def cold_tables(monkeypatch):
-    """Empty prefix tables, level columns and moment registry for the test,
-    the process's own restored after it."""
+    """Empty prefix tables and moment registry for the test, the process's
+    own restored after it."""
     monkeypatch.setattr(riesz, "_tables", {})
-    monkeypatch.setattr(riesz, "_spectra", {})
     monkeypatch.setattr(riesz, "_moments", {})
 
 
@@ -350,21 +349,27 @@ def _reference_levels(space):
 
 
 @functools.cache
+def _reference_lams(q):
+    """lambda_(l)^p of q's levels through TOP_LEVEL, from `eigenvalue`."""
+    return [v ** q.power for v, _ in
+            _reference_levels(q.space)[q.min_level - q.space.min_level:]]
+
+
+@functools.cache
 def _reference_table(q):
-    """q's prefix table through TOP_LEVEL, row by row from eigenvalue,
-    multiplicity and running sums."""
+    """q's prefix table (count, s1, s2) through TOP_LEVEL, row by row from
+    eigenvalue, multiplicity and running sums."""
     rows = _reference_levels(q.space)[q.min_level - q.space.min_level:]
-    lam = [v ** q.power for v, _ in rows]
     cols, n, s1, s2 = ([], [], []), 0, 0, 0
-    for v, (_, m) in zip(lam, rows):
+    for v, (_, m) in zip(_reference_lams(q), rows):
         n, s1, s2 = n + m, s1 + m * v, s2 + m * v * v
         for col, value in zip(cols, (n, s1, s2)):
             col.append(value)
-    return (lam, *cols)
+    return cols
 
 
 def _assert_matches_reference(tab, q):
-    rows = len(tab.lam)
+    rows = len(tab.count)
     for name, col, ref in zip(tab._fields, tab, _reference_table(q)):
         assert len(col) == rows <= len(ref), name
         # The first wrong row only: a diff of whole columns is too slow.
@@ -377,16 +382,32 @@ def _assert_matches_reference(tab, q):
     f"{q.space.describe()}-{q.variant.value}-p{q.power}"))
 def test_columnar_table_matches_row_by_row_reference(q, cold_tables):
     # Grow one doubling step per call, checking every step, to the cap.
-    sizes, tab = [], _table(q, "lam", -1)
-    while not sizes or len(tab.lam) > sizes[-1]:
-        sizes.append(len(tab.lam))
+    sizes, tab = [], _table(q, 1)
+    while not sizes or len(tab.count) > sizes[-1]:
+        sizes.append(len(tab.count))
         _assert_matches_reference(tab, q)
-        tab = _table(q, "lam", tab.lam[-1])
+        tab = _table(q, len(tab.count) + 1)
     assert sizes[:3] == [16, 32, 64]
     assert q.min_level + sizes[-1] - 1 == TOP_LEVEL
     # Growth by count stops at the same last row.
-    assert _table(q, "count", tab.count[-1]) is tab
-    assert len(tab.lam) == sizes[-1]
+    assert _table(q, 1, tab.count[-1] + 1) is tab
+    assert len(tab.count) == sizes[-1]
+
+
+@pytest.mark.parametrize("q", DEEP_QUERIES, ids=lambda q: (
+    f"{q.space.describe()}-{q.variant.value}-p{q.power}"))
+def test_closed_form_level_values_are_the_eigenvalue_powers(q):
+    """Every level value the tables no longer hold, rebuilt from the closed
+    form, is eigenvalue(space, l) ** p, in whole columns and in runs that
+    start and stop anywhere."""
+    ref = _reference_lams(q)
+    assert list(riesz._level_values(q, q.min_level, TOP_LEVEL + 1)) == ref
+    rng = random.Random(repr(q.table_key))
+    for _ in range(20):
+        start = rng.randrange(q.min_level, TOP_LEVEL + 1)
+        stop = start + rng.choice([0, 1, 2, 3, rng.randrange(500)])
+        assert list(riesz._level_values(q, start, stop)) == ref[
+            start - q.min_level:stop - q.min_level], (start, stop)
 
 
 @pytest.mark.parametrize("desc", ["sphere:2", "sphere:8"])
@@ -411,8 +432,8 @@ def test_tables_of_one_space_share_its_levels(desc, order, cold_tables,
     queries = [SpectrumQuery(space, power=p, variant=Variant(variant))
                for p, variant, _ in order]
     for q, (_, _, rows) in zip(queries, order):
-        _table(q, "lam", q.level_value(q.min_level + rows))
-    tables = [_table(q, "lam", math.inf) for q in queries]
+        _table(q, rows + 2)
+    tables = [_table(q, math.inf) for q in queries]
     assert len(evaluations) == TOP_LEVEL  # levels 1..TOP_LEVEL, once each
     assert set(evaluations) == set(range(1, TOP_LEVEL + 1))
     for tab, q in zip(tables, queries):
@@ -437,9 +458,8 @@ def test_tables_of_one_space_share_their_running_sums(desc, order,
     queries = [SpectrumQuery(space, power=p, variant=Variant(variant))
                for p, variant, _ in order]
     for q, (_, _, rows) in zip(queries, order):
-        _table(q, "lam", q.level_value(q.min_level + rows))
-    tables = {(q.power, q.variant): _table(q, "lam", math.inf)
-              for q in queries}
+        _table(q, rows + 2)
+    tables = {(q.power, q.variant): _table(q, math.inf) for q in queries}
     for q in queries:
         _assert_matches_reference(tables[q.power, q.variant], q)
     shared = 0
@@ -460,11 +480,11 @@ def test_tables_of_one_space_share_their_running_sums(desc, order,
 def test_a_deep_table_leaves_the_other_powers_at_their_depth(cold_tables):
     # Sharing copies what a column already holds; it grows no other table.
     others = [SpectrumQuery(sphere(2), power=p) for p in range(2, 6)]
-    depths = [len(_table(q, "lam", q.level_value(60)).lam) for q in others]
-    deep = _table(S2, "lam", S2.level_value(9000))
-    assert len(deep.lam) > 9000
+    depths = [len(_table(q, 62).count) for q in others]
+    deep = _table(S2, 9002)
+    assert len(deep.count) > 9000
     assert [[len(col) for col in riesz._tables[q.table_key]]
-            for q in others] == [[n] * 4 for n in depths]
+            for q in others] == [[n] * 3 for n in depths]
     for q in others:
         _assert_matches_reference(riesz._tables[q.table_key], q)
 
@@ -478,10 +498,60 @@ def test_column_build_keeps_the_exact_division_check(cold_tables,
         quadratic=lambda d: (1, d - 1, 3)))  # lambda(1) = 2/3 on S^2
     with pytest.raises(ArithmeticError, match="non-integer quotient 2/3"):
         eigenvalue(sphere(2), 1)
-    for _ in range(2):  # no table or moment is left behind half built
-        with pytest.raises(ArithmeticError, match="non-integer quotient 2/3"):
-            counting(S2, 5)
-    assert riesz._tables == {} and riesz._moments == {}
+    # S2 was built before the patch, so it keeps the old closed form: the
+    # multiplicities' level columns fail.  A query built after it fails in
+    # its own level values.
+    for q in (S2, SpectrumQuery(sphere(2))):
+        for _ in range(2):  # no table or moment is left behind half built
+            with pytest.raises(ArithmeticError,
+                               match="non-integer quotient 2/3"):
+                counting(q, 5)
+        assert riesz._tables == {} and riesz._moments == {}
+
+
+@pytest.mark.parametrize("a,b,s,exact", [
+    (1, 1, 3, False),   # lambda(1) = 2/3
+    (1, 3, 4, False),   # lambda(0) = 0 and lambda(1) = 1, but lambda(2) = 10/4
+    (1, 1, 1, True), (4, 6, 1, True), (2, 6, 2, True),
+])
+def test_closed_form_checks_every_level_it_builds(a, b, s, exact):
+    """Where s does not divide a and b, each level's division is checked,
+    so a run of closed-form values holds a non-integer only by raising."""
+    for start in (0, 1, 7):
+        if exact:
+            assert list(spaces.level_values(a, b, s, start, start + 5)) == [
+                (a * l * l + b * l) // s for l in range(start, start + 5)]
+        else:
+            with pytest.raises(ArithmeticError, match="non-integer quotient"):
+                list(spaces.level_values(a, b, s, start, start + 5))
+
+
+def test_deep_tables_hold_four_ints_per_level(cold_tables):
+    """After the exact-deep workload's build (nine spaces at p = 1 and 2,
+    to the cap), the tables of each space hold four int objects per row:
+    S_0, S_1, S_2 and S_4, each once, and no level value or multiplicity."""
+    queries = [SpectrumQuery(space, power=p)
+               for space in map(parse_space, DEEP_SPACES) for p in (1, 2)]
+    for q in queries:
+        counting(q, q.level_value(9901))
+    total = 0
+    for space in {q.space for q in queries}:
+        rows = TOP_LEVEL - space.min_level + 1
+        key = (space.family.value, space.dim, "standard")
+        assert sorted(k[3] for k in riesz._moments if k[:3] == key) == [
+            0, 1, 2, 4]
+        moments = [riesz._moments[(*key, j)] for j in (0, 1, 2, 4)]
+        assert [len(col) for col in moments] == [rows] * 4
+        tables = [riesz._tables[q.table_key] for q in queries
+                  if q.space == space]
+        assert [[len(col) for col in tab] for tab in tables] == [
+            [rows] * 3] * 2
+        held = {id(v) for tab in tables for col in tab for v in col}
+        assert held == {id(v) for col in moments for v in col}
+        total += rows
+    held = {id(v) for tab in riesz._tables.values() for col in tab
+            for v in col}
+    assert 4 * total - 100 < len(held) <= 4 * total  # small ints are shared
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
@@ -578,7 +648,8 @@ def _value_grids(q):
     shuffled and duplicated; float grids also hold -0.0 and 5e-324.  Then
     single-point grids of the smallest and the largest points."""
     lams = [q.level_value(l) for l in range(q.min_level, q.min_level + 15)]
-    *_, prev, last = _table(q, "lam", lams[-1]).lam
+    rows = len(_table(q, 16).count)
+    prev, last = (q.level_value(q.min_level + rows - e) for e in (2, 1))
     tiny = Fraction(1, 2 ** 70)
     kinds = {
         "float": [0.0, 5e-324, lams[0] / 2,
@@ -749,7 +820,8 @@ INVERSION_QUERIES = [SpectrumQuery(q.space, power=p, variant=q.variant)
 @pytest.mark.parametrize("q", INVERSION_QUERIES, ids=lambda q: (
     f"{q.space.describe()}-{q.variant.value}-p{q.power}"))
 def test_level_inversion_is_the_bisect_of_lam(q, cold_tables):
-    lam = _table(q, "lam", q.level_value(TOP_LEVEL)).lam
+    lam = _reference_lams(q)
+    assert len(_table(q, math.inf).count) == len(lam)
     tiny, step = Fraction(1, 2 ** 70), Fraction(1, 997)
     zs = []
     for v in lam[:40]:

@@ -7,7 +7,7 @@ import pytest
 
 from spectral_riesz import sumrules
 from spectral_riesz.bounds import verify
-from spectral_riesz.riesz import (SpectrumQuery, _Table, _tables, prefix_sums,
+from spectral_riesz.riesz import (SpectrumQuery, _tables, prefix_sums,
                                   riesz_mean)
 from spectral_riesz.spaces import (DEFAULT_LEVEL_CAP, Family, Space,
                                    eigenvalue, hemisphere_dirichlet,
@@ -150,7 +150,7 @@ def _perturbed_levels(column, row):
     levels = sumrules._levels
 
     def fake(space, l_max):
-        tab = _Table(*(list(col) for col in levels(space, l_max)))
+        tab = sumrules._Levels(*(list(col) for col in levels(space, l_max)))
         getattr(tab, column)[row] += 1
         return tab
     return fake
