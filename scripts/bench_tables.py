@@ -14,28 +14,56 @@ their bytes (`sys.getsizeof`).
 Prints one JSON object: the median and every run of the seconds and of
 the peak RSS in MB, rows, evaluations, ints and their bytes.
 
+With --parent REV it times this checkout's engine against REV's instead
+(`git archive REV src`), in pairs of fresh-interpreter runs whose first
+tree flips at every pair: PAIRS cold builds, then COLUMN_PAIRS calls of
+`spaces.level_columns` for each run of COLUMN_RUNS.  One JSON line per
+stage, as `scripts/ab.py` prints them: the median ratio of parent time
+over change time, its quartiles, the pairs the change won and each tree's
+median seconds; a last line gives each tree's formula evaluations.
+
 Usage, from the root of a checkout:
 
     python scripts/bench_tables.py [--src PATH]
+    python scripts/bench_tables.py --parent REV
 
 --src is the engine's source directory (default: this checkout's src), so
 the same script measures another commit's engine.
 """
 
 import argparse
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 RUNS = 5
+PAIRS = 10
+COLUMN_PAIRS = 8
+#: (d, start, stop) of the timed `level_columns` runs on S^d: at d = 1,000
+#: a run of 4,000 levels, long enough for the method of differences; at
+#: d = 9,000 the last 100 levels below the cap, which no run of a table
+#: reaches by differences (at most 10,002 levels, under 2 d).
+COLUMN_RUNS = ((1000, 1, 4001), (9000, 9902, 10002))
 
-#: Runs in the fresh interpreter; argv[1] is "time" or "count".
+#: Runs in the fresh interpreter; argv[1] is "time", "count" or
+#: "columns" (then argv[2:] is d, start, stop of `COLUMN_RUNS`).
 CHILD = r'''
 import json, resource, sys, time
 from spectral_riesz import riesz, spaces
+
+if sys.argv[1] == "columns":
+    d, start, stop = map(int, sys.argv[2:])
+    space = spaces.sphere(d)
+    begin = time.perf_counter()
+    spaces.level_columns(space, start, stop)
+    print(json.dumps({"seconds": time.perf_counter() - begin}))
+    sys.exit()
 
 SPACES = ("sphere:1", "sphere:2", "sphere:8", "hemisphere-d:5",
           "hemisphere-n:4", "rp:3", "cp:6", "hp:12", "cayley:16")
@@ -71,18 +99,60 @@ print(json.dumps({"seconds": seconds, "peak_rss_mb": rss_mb,
 '''
 
 
-def _child(mode, src):
+def _child(mode, src, *args):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, "-c", CHILD, mode], env=env,
-                         capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", CHILD, mode, *map(str, args)],
+                         env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def _paired(stage, pairs, parent_src, mode, *args):
+    """One ab.py-style record: `pairs` pairs of fresh-interpreter runs of
+    each tree, the first tree flipping at every pair."""
+    sides = {parent_src: [], SRC: []}
+    for pair in range(pairs):
+        for src in (parent_src, SRC)[::1 if pair % 2 else -1]:
+            sides[src].append(_child(mode, src, *args)["seconds"])
+    b, a = sides[parent_src], sides[SRC]
+    ratios = [x / y for x, y in zip(b, a)]
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    return {"stage": stage, "ratio": round(statistics.median(ratios), 4),
+            "q1": round(q1, 4), "q3": round(q3, 4),
+            "change_faster": sum(r > 1 for r in ratios), "pairs": pairs,
+            "parent": statistics.median(b), "change": statistics.median(a)}
+
+
+def compare(rev):
+    """The --parent report, one JSON line per stage."""
+    archive = subprocess.run(["git", "-C", os.path.dirname(SRC), "archive",
+                              rev, "src"], stdout=subprocess.PIPE, check=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        parent_src = os.path.join(tmp, "src")
+        print(json.dumps(_paired("build", PAIRS, parent_src, "time")),
+              flush=True)
+        for d, start, stop in COLUMN_RUNS:
+            print(json.dumps(_paired(f"level_columns d={d} "
+                                     f"levels {start}..{stop - 1}",
+                                     COLUMN_PAIRS, parent_src, "columns", d,
+                                     start, stop)), flush=True)
+        print(json.dumps({"stage": "mult_evaluations",
+                          "parent": _child("count", parent_src)[
+                              "mult_evaluations"],
+                          "change": _child("count", SRC)[
+                              "mult_evaluations"]}))
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", default=SRC,
                     help="engine source directory (default: this checkout's)")
+    ap.add_argument("--parent", metavar="REV",
+                    help="time this checkout against REV's engine, paired")
     args = ap.parse_args()
+    if args.parent:
+        return compare(args.parent)
     runs = [_child("time", args.src) for _ in range(RUNS)]
     seconds = [run["seconds"] for run in runs]
     rss = [round(run["peak_rss_mb"], 2) for run in runs]

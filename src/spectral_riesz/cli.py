@@ -28,8 +28,8 @@ from .output import (dumps_json, fmt_number, table_csv, atomic_write,
                      series_csv, write_json, write_series_csv,
                      write_series_svg)
 from .scan import GridPolicy, Series
-from .spaces import DEFAULT_LEVEL_CAP, Space, eigenvalue, invert_w, \
-    is_space_descriptor, level_cap_exceeded, multiplicity, parse_space, \
+from .spaces import DEFAULT_LEVEL_CAP, Space, invert_w, \
+    is_space_descriptor, level_cap_exceeded, level_columns, parse_space, \
     require_int, require_real
 from .weyl import BoundExpansion
 
@@ -56,8 +56,9 @@ def cmd_levels(args) -> int:
     if args.lmax < space.min_level:
         raise ValueError(f"--lmax {args.lmax} is below the minimum level "
                          f"{space.min_level} of {space.describe()}")
-    rows = [(l, eigenvalue(space, l), multiplicity(space, l))
-            for l in range(space.min_level, args.lmax + 1)]
+    levels = range(space.min_level, args.lmax + 1)
+    rows = list(zip(levels, *level_columns(space, levels.start,
+                                           levels.stop)))
     return _emit_table(args, ("l", "lambda", "mult"), rows, lambda r: {
         "l": r[0], "lambda": r[1], "mult": str(r[2])})
 

@@ -39,9 +39,11 @@ that hold it later copy references to its int objects (`_moments`); a
 table never grows another's columns, so each query keeps its own depth.
 The tables hold nothing else.  Level values lambda^p come from the
 closed form s lambda = a l^2 + b l, built in C for just the rows a caller
-reads (`_level_values`), and the multiplicities of a growth step from the
-differences of a space's S_0 column where it holds those levels, so each
-multiplicity is evaluated once per space (`_multiplicities`).
+reads (`_level_values`).  The multiplicities of a growth step are the
+differences of a space's S_0 column where it holds those levels
+(`_multiplicities`), and past them one `spaces.level_columns` run: the
+formula at d levels and one check per long run, the rest by the method
+of differences.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from operator import add, ge, le, mul, sub
 from typing import List, NamedTuple, Optional, Sequence
 
 from .spaces import (DEFAULT_LEVEL_CAP, FLOAT_MAX, Family, Real, Space,
-                     _level_inversion, eigenvalue, level_cap_exceeded,
+                     _exact_div, _level_inversion, level_cap_exceeded,
                      level_columns, level_values, max_level_index,
                      require_int, require_real, sphere, hemisphere_dirichlet)
 
@@ -105,8 +107,13 @@ class SpectrumQuery:
                 f"variant={self.variant!r})")
 
     def level_value(self, l: int) -> int:
-        """Exact eigenvalue lambda_(l)^p of level l for this query."""
-        return eigenvalue(self.space, l) ** self.power
+        """Exact eigenvalue lambda_(l)^p of level l for this query, from
+        `inversion`: the checks and the int of `eigenvalue(space, l) ** p`
+        (levels below a buckling query's min_level included)."""
+        p, a, b, s = self.inversion
+        require_int("level", l, 0 if self.variant is Variant.BUCKLING
+                    else self.min_level)
+        return _exact_div(a * l * l + b * l, s) ** p
 
 
 class PrefixSums(NamedTuple):
@@ -150,7 +157,8 @@ def _level_values(q: SpectrumQuery, start: int, stop: int):
 def _multiplicities(space: Space, start: int, stop: int) -> List[int]:
     """m of levels start..stop-1: differences of the deepest S_0 column of
     space (`_moments`, either variant) over the levels it holds, and
-    `level_columns` past them, so each is evaluated once per space."""
+    `level_columns` past them, so no level's formula is evaluated twice
+    per space."""
     family, dim = space.family.value, space.dim
     s0 = lambda variant: _moments.get((family, dim, variant, 0), ())
     base, col = max((space.min_level, s0("standard")), (1, s0("buckling")),

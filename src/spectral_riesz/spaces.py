@@ -5,6 +5,13 @@ Neumann on the equator) and the four projective families.  Everything is
 exact integer arithmetic; multiplicities are built from binomials, never
 from floating Gamma ratios, since they overflow 64-bit integers already
 around l ~ 40 in dimension 16.
+
+For l >= 1 the multiplicity of every family is a polynomial of degree
+d - 1 in l.  A long run of levels (`level_columns`) evaluates the
+binomial formula at its first d levels only, and extends them by their
+forward differences, d - 1 nested running sums in C; one more evaluation,
+at the run's last level, checks the run.  A short run evaluates the formula
+level by level.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ import math
 import sys
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
+from itertools import accumulate, islice, repeat
+from operator import mul, sub
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 Real = Union[int, float, Fraction]
@@ -199,20 +206,56 @@ def level_values(a: int, b: int, s: int, start: int,
     return values if s == 1 else map(_exact_div, values, repeat(s))
 
 
+#: A run of multiplicities is extended by differences once it holds at
+#: least 2 d + DIFFERENCE_RUN_SLACK levels: below that, its d seeds and
+#: their d^2 / 2 differences cost more than the formula at every level.
+DIFFERENCE_RUN_SLACK = 128
+
+
+def _multiplicity_run(space: Space, start: int, stop: int) -> List[int]:
+    """The multiplicities m(l) of levels start..stop-1, all >= 1.
+
+    A run of at least 2 d + DIFFERENCE_RUN_SLACK levels evaluates the
+    formula at its first d levels, takes their forward differences and
+    extends them by d - 1 nested running sums: the method of differences
+    for a polynomial of degree d - 1.  The run's last value is then checked
+    against the formula, and ArithmeticError raised if they differ.
+    """
+    mult, d = space.record.mult, space.dim
+    n = stop - start
+    if n < 2 * d + DIFFERENCE_RUN_SLACK:
+        return [mult(d, l) for l in range(start, stop)]
+    diffs, row = [], [mult(d, l) for l in range(start, start + d)]
+    while row:  # diffs[k] is the k-th forward difference at start
+        diffs.append(row[0])
+        row = list(map(sub, islice(row, 1, None), row))
+    run = repeat(diffs.pop(), n - d + 1)  # the constant (d-1)-th difference
+    for first in reversed(diffs):
+        run = accumulate(run, initial=first)
+    run = list(run)
+    if run[-1] != mult(d, stop - 1):
+        raise ArithmeticError(f"the multiplicities of {space.describe()} "
+                              f"are not of degree {d - 1} at level "
+                              f"{stop - 1}")
+    return run
+
+
 def level_columns(space: Space, start: int,
                   stop: int) -> Tuple[List[int], List[int]]:
     """(lam, mult): the eigenvalues and multiplicities of levels start to
     stop - 1, as two lists.
 
-    The same ints as `eigenvalue` and `multiplicity` level by level, read
-    off the same record with the same exact-division check, in one call
-    for a whole run of levels: the prefix tables take their
-    multiplicities from it.
+    The same ints as `eigenvalue` and `multiplicity` level by level, with
+    the same exact-division check, in one call for a whole run of levels:
+    the prefix tables take their multiplicities from it.  The formula is
+    evaluated at every level of a short run, and at d levels and the last
+    of a long one (`_multiplicity_run`).
     """
     require_int("start", start, space.min_level)
-    rec, d = space.record, space.dim
-    return (list(level_values(*rec.quadratic(d), start, stop)),
-            [rec.mult(d, l) if l else 1 for l in range(start, stop)])
+    lo = max(start, 1)  # m_0 = 1
+    return (list(level_values(*space.record.quadratic(space.dim), start,
+                              stop)),
+            [1] * (start < lo <= stop) + _multiplicity_run(space, lo, stop))
 
 
 def level_cap_exceeded(name: str, value) -> ValueError:
@@ -323,6 +366,7 @@ def invert_w(d: int, z: Real) -> float:
     """Nonnegative root w of w(w+d-1) = z, for z in [0, INVERT_W_MAX],
     refined by one Newton step, which keeps |w(w+d-1) - z| within a few
     ulp of z."""
+    require_int("d", d, 1)
     return _invert_w(d, float(require_real("z", z, 0, INVERT_W_MAX)))
 
 

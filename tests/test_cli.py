@@ -9,7 +9,7 @@ import pytest
 import spectral_riesz
 from spectral_riesz.cli import main
 from spectral_riesz.output import dumps_json
-from spectral_riesz.spaces import eigenvalue, parse_space
+from spectral_riesz.spaces import eigenvalue, multiplicity, parse_space
 
 
 BAD_ZMAX = "zmax must be a finite number in (0, 1.7976931348623157e+308], got "
@@ -57,6 +57,20 @@ def test_levels_csv(capsys):
     assert code == 0
     assert out.splitlines() == ["l,lambda,mult", "0,0,1", "1,2,3",
                                 "2,6,5", "3,12,7"]
+
+
+@pytest.mark.parametrize("desc", ["circle", "sphere:3", "hemisphere-d:4",
+                                  "hemisphere-n:3", "rp:5", "cp:8", "hp:8",
+                                  "cayley:16"])
+def test_levels_csv_rows_are_the_per_level_values(capsys, desc):
+    # levels has no line in tests/output_digests.txt: its rows are checked
+    # here against eigenvalue and multiplicity, level by level.
+    space = parse_space(desc)
+    code, out, _ = run(capsys, "levels", desc, "--lmax", "200")
+    assert code == 0
+    assert out.splitlines() == ["l,lambda,mult"] + [
+        f"{l},{eigenvalue(space, l)},{multiplicity(space, l)}"
+        for l in range(space.min_level, 201)]
 
 
 def test_levels_json_roundtrip(tmp_path, capsys):

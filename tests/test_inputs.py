@@ -48,6 +48,12 @@ INT_ARGS = [
     ("eigenvalue-dirichlet",
      lambda v: eigenvalue(hemisphere_dirichlet(3), v), "level", 1, None),
     ("multiplicity", lambda v: multiplicity(sphere(3), v), "level", 0, None),
+    ("level_value", lambda v: SpectrumQuery(sphere(3)).level_value(v),
+     "level", 0, None),
+    ("level_value-dirichlet",
+     lambda v: SpectrumQuery(hemisphere_dirichlet(3)).level_value(v),
+     "level", 1, None),
+    ("invert_w-d", lambda v: invert_w(v, 1.0), "d", 1, None),
     ("level_columns",
      lambda v: level_columns(hemisphere_dirichlet(2), v, 5), "start", 1,
      None),

@@ -410,6 +410,17 @@ def test_closed_form_level_values_are_the_eigenvalue_powers(q):
             start - q.min_level:stop - q.min_level], (start, stop)
 
 
+#: Formula evaluations of a cold build to TOP_LEVEL, by space and by
+#: the first table's variant.  Runs of 16 to 128 levels evaluate each level
+#: (255 levels from a standard table, 256 from a buckling one, whose runs
+#: start at level 1); the six runs past them, at least 2 d + 128 levels
+#: long, evaluate d seeds and one check each.
+SHARED_LEVEL_EVALUATIONS = {("sphere:2", "standard"): 255 + 6 * 3,
+                            ("sphere:2", "buckling"): 256 + 6 * 3,
+                            ("sphere:8", "standard"): 255 + 6 * 9,
+                            ("sphere:8", "buckling"): 256 + 6 * 9}
+
+
 @pytest.mark.parametrize("desc", ["sphere:2", "sphere:8"])
 @pytest.mark.parametrize("order", [
     ((2, "standard", 64), (1, "buckling", 0), (1, "standard", 0)),
@@ -419,7 +430,8 @@ def test_closed_form_level_values_are_the_eigenvalue_powers(q):
 def test_tables_of_one_space_share_its_levels(desc, order, cold_tables,
                                                monkeypatch):
     """Tables of one space built in any order, each to a partial depth
-    first, equal the reference, and each multiplicity is computed once."""
+    first, equal the reference, and no level's multiplicity formula is
+    evaluated twice: the long runs take d seeds and one check."""
     space = parse_space(desc)
     record = spaces._FAMILIES[space.family]
     evaluations = []
@@ -434,10 +446,26 @@ def test_tables_of_one_space_share_its_levels(desc, order, cold_tables,
     for q, (_, _, rows) in zip(queries, order):
         _table(q, rows + 2)
     tables = [_table(q, math.inf) for q in queries]
-    assert len(evaluations) == TOP_LEVEL  # levels 1..TOP_LEVEL, once each
-    assert set(evaluations) == set(range(1, TOP_LEVEL + 1))
+    assert len(evaluations) == SHARED_LEVEL_EVALUATIONS[desc, order[0][1]]
+    assert len(set(evaluations)) == len(evaluations)
+    assert set(evaluations) <= set(range(1, TOP_LEVEL + 1))
+    assert TOP_LEVEL in evaluations  # the last run's check
     for tab, q in zip(tables, queries):
         _assert_matches_reference(tab, q)
+
+
+def test_a_buckling_table_built_from_a_standard_one_at_large_d(
+        cold_tables):
+    """On S^61 a standard table to level 1,023 takes its runs of 256 and
+    512 levels by differences; a buckling table then reads its S_0 column
+    and extends it by differences too.  Both equal the reference."""
+    space = sphere(61)
+    standard = SpectrumQuery(space)
+    buckling = SpectrumQuery(space, power=2, variant=Variant.BUCKLING)
+    assert len(_table(standard, 1000).count) == 1024
+    assert len(_table(buckling, 3000).count) == 4096
+    for q in (standard, buckling):
+        _assert_matches_reference(riesz._tables[q.table_key], q)
 
 
 @pytest.mark.parametrize("desc", ["sphere:2", "sphere:8"])

@@ -1,14 +1,17 @@
+import functools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectral_riesz.spaces import (Family, Space, _integer_nth_root,
+from spectral_riesz import spaces
+from spectral_riesz.spaces import (DEFAULT_LEVEL_CAP, DIFFERENCE_RUN_SLACK,
+                                   Family, Space, _integer_nth_root,
                                    eigenvalue, fluctuation,
                                    hemisphere_dirichlet, hemisphere_neumann,
-                                   invert_w, max_level_index, multiplicity,
-                                   parse_space, sphere)
+                                   invert_w, level_columns, max_level_index,
+                                   multiplicity, parse_space, sphere)
 
 ALL_SPACES = [
     sphere(1), sphere(2), sphere(3), sphere(6),
@@ -221,3 +224,94 @@ def test_integer_nth_root_of_a_root_just_above_a_power_of_two(n):
         for m in (root ** n - 1, root ** n, (root + 1) ** n - 1):
             r = _integer_nth_root(m, n)
             assert r ** n <= m < (r + 1) ** n
+
+
+#: Every family, one space with d >= 60 among them.
+COLUMN_SPACES = [sphere(1), sphere(2), sphere(7), sphere(61),
+                 hemisphere_dirichlet(3), hemisphere_neumann(6),
+                 Space(Family.REAL_PROJECTIVE, 4),
+                 Space(Family.COMPLEX_PROJECTIVE, 6),
+                 Space(Family.QUATERNION_PROJECTIVE, 12),
+                 Space(Family.CAYLEY_PLANE, 16)]
+TOP = DEFAULT_LEVEL_CAP + 1  # the last level a prefix table builds
+
+
+@functools.cache
+def _per_level(space):
+    """(eigenvalue, multiplicity) of each level from 0 through TOP, level
+    by level; min_level - 1 of them (None) below the first level."""
+    below = [None] * space.min_level
+    return below + [(eigenvalue(space, l), multiplicity(space, l))
+                    for l in range(space.min_level, TOP + 1)]
+
+
+def _assert_columns(space, start, stop):
+    lam, mult = level_columns(space, start, stop)
+    ref = _per_level(space)[start:stop]
+    assert lam == [v for v, _ in ref], (space.describe(), start, stop)
+    assert mult == [m for _, m in ref], (space.describe(), start, stop)
+
+
+@given(st.sampled_from(COLUMN_SPACES), st.integers(0, TOP), st.data())
+@settings(max_examples=150, deadline=None)
+def test_level_columns_are_the_per_level_values(space, start, data):
+    """Runs that start anywhere (level 0 too) and are short, about d long,
+    a few times d long or reach the last level."""
+    start = max(start, space.min_level)
+    long_run = 2 * space.dim + DIFFERENCE_RUN_SLACK
+    length = data.draw(st.one_of(st.integers(0, space.dim + 1),
+                                 st.integers(long_run - 2, long_run + 2),
+                                 st.integers(0, 4 * long_run),
+                                 st.just(TOP + 1 - start)))
+    _assert_columns(space, start, min(start + length, TOP + 1))
+
+
+@pytest.mark.parametrize("space", COLUMN_SPACES, ids=Space.describe)
+def test_level_columns_of_edge_runs(space):
+    """Runs no longer than d, runs either side of the difference rule,
+    and runs that reach the level cap, from level 0 or 1 and elsewhere."""
+    d, lo = space.dim, space.min_level
+    long_run = 2 * d + DIFFERENCE_RUN_SLACK
+    for start in {0, 1, 2, d, 5000, TOP - long_run} - set(range(lo)):
+        for length in (0, 1, d - 1, d, d + 1, long_run - 1, long_run,
+                       long_run + 1):
+            _assert_columns(space, start, min(start + length, TOP + 1))
+    for start in {0, 1, TOP - long_run - 7} - set(range(lo)):
+        _assert_columns(space, start, TOP + 1)
+
+
+def test_a_long_run_evaluates_d_levels_and_its_last(monkeypatch):
+    space = sphere(7)
+    record, evaluations = space.record, []
+
+    def counted_mult(d, l):
+        evaluations.append(l)
+        return record.mult(d, l)
+    monkeypatch.setitem(spaces._FAMILIES, Family.SPHERE,
+                        record._replace(mult=counted_mult))
+    short = 2 * 7 + DIFFERENCE_RUN_SLACK - 1
+    level_columns(space, 0, 1 + short)  # level 0 is 1 by definition
+    assert evaluations == list(range(1, 1 + short))
+    evaluations.clear()
+    level_columns(space, 100, TOP + 1)
+    assert evaluations == [*range(100, 107), TOP]
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda mult, d, l: mult(d, l) + l ** d,         # one degree too many
+    lambda mult, d, l: mult(d, l) + (l > 300),      # a step
+    lambda mult, d, l: mult(d, l) * 2 ** (l // 64),  # exponential
+], ids=["degree-d", "step", "exponential"])
+def test_a_formula_of_another_degree_trips_the_run_check(monkeypatch,
+                                                         mutant):
+    """The method of differences trusts the formula to be a polynomial of
+    degree d - 1; a long run whose last value is off raises instead of
+    returning a wrong column, and a short run is the formula itself."""
+    space = Space(Family.REAL_PROJECTIVE, 5)
+    record = space.record
+    monkeypatch.setitem(spaces._FAMILIES, space.family, record._replace(
+        mult=lambda d, l: mutant(record.mult, d, l)))
+    with pytest.raises(ArithmeticError, match="not of degree 4 at level 1000"):
+        level_columns(space, 1, 1001)
+    assert level_columns(space, 400, 410)[1] == [
+        mutant(record.mult, 5, l) for l in range(400, 410)]
