@@ -148,36 +148,48 @@ def time_pairs(parent_src, stage, seed, out_dir, change_first):
     return passes
 
 
+def parent_src(rev, tmp):
+    """The `src` tree of commit rev (`git archive`), extracted under tmp."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
+                             stdout=subprocess.PIPE, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(tmp, filter="data")
+    return os.path.join(tmp, "src")
+
+
+def ratio_record(stage, parent, change):
+    """One stage's line from paired times: the median ratio of parent over
+    change time, its quartiles, the pairs the change won and each tree's
+    median."""
+    ratios = [x / y for x, y in zip(parent, change)]
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    return {"stage": stage, "ratio": round(statistics.median(ratios), 4),
+            "q1": round(q1, 4), "q3": round(q3, 4),
+            "change_faster": sum(r > 1 for r in ratios),
+            "pairs": len(ratios), "parent": statistics.median(parent),
+            "change": statistics.median(change)}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", default="HEAD", help="commit to compare with")
     ap.add_argument("--stage", choices=sorted(SPLITS), help="one workload")
     ap.add_argument("--seed", type=int, default=0, help="workload seed")
     args = ap.parse_args()
-    archive = subprocess.run(["git", "-C", ROOT, "archive", args.parent,
-                              "src"], stdout=subprocess.PIPE, check=True)
     with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
+        parent = parent_src(args.parent, tmp)
         for stage in [args.stage] if args.stage else sorted(SPLITS):
             # A fresh worker for each build order, one after the other.
             with multiprocessing.get_context("spawn").Pool(
                     1, maxtasksperchild=1) as pool:
-                halves = [pool.apply(time_pairs, (os.path.join(tmp, "src"),
-                                                  stage, args.seed, tmp,
-                                                  first))
+                halves = [pool.apply(time_pairs, (parent, stage, args.seed,
+                                                  tmp, first))
                           for first in (False, True)]
             passes = [[p for half in halves for p in half[i]] for i in (0, 1)]
             for key in passes[1][0]:
-                b, a = ([p[key] for p in runs] for runs in passes)
-                ratios = [x / y for x, y in zip(b, a)]
-                q1, _, q3 = statistics.quantiles(ratios, n=4)
-                print(json.dumps({
-                    "stage": key, "ratio": round(statistics.median(ratios), 4),
-                    "q1": round(q1, 4), "q3": round(q3, 4),
-                    "change_faster": sum(r > 1 for r in ratios),
-                    "pairs": len(ratios), "parent": statistics.median(b),
-                    "change": statistics.median(a)}), flush=True)
+                print(json.dumps(ratio_record(
+                    key, *([p[key] for p in runs] for runs in passes))),
+                    flush=True)
 
 
 if __name__ == "__main__":

@@ -22,44 +22,57 @@ stage, as `scripts/ab.py` prints them: the median ratio of parent time
 over change time, its quartiles, the pairs the change won and each tree's
 median seconds; a last line gives each tree's formula evaluations.
 
+With --crossover SPACE... it times, in one process, the two ways this
+engine builds a run of multiplicities: the formula at every level and the
+method of differences (`spaces._difference_run`), best of CROSSOVER_REPS,
+for each run length of --lengths from level 1 and from level n.  One JSON
+line per run; `spaces.DIFFERENCE_RUN_MIN` cites these numbers.
+
 Usage, from the root of a checkout:
 
     python scripts/bench_tables.py [--src PATH]
     python scripts/bench_tables.py --parent REV
+    python scripts/bench_tables.py --crossover SPACE... --lengths N...
 
 --src is the engine's source directory (default: this checkout's src), so
 the same script measures another commit's engine.
 """
 
 import argparse
-import io
+import gc
 import json
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
+import time
+
+from ab import parent_src, ratio_record
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 RUNS = 5
 PAIRS = 10
 COLUMN_PAIRS = 8
-#: (d, start, stop) of the timed `level_columns` runs on S^d: at d = 1,000
-#: a run of 4,000 levels, long enough for the method of differences; at
-#: d = 9,000 the last 100 levels below the cap, which no run of a table
-#: reaches by differences (at most 10,002 levels, under 2 d).
-COLUMN_RUNS = ((1000, 1, 4001), (9000, 9902, 10002))
+CROSSOVER_REPS = 3
+#: (space, start, stop) of the timed `level_columns` runs, one level
+#: either side of the difference rule (`spaces.DIFFERENCE_RUN_MIN`): on
+#: the Cayley plane the exact-deep build's run from level 1,024, over
+#: 1,023 and 1,024 levels, and on the one-binomial hemisphere at d = 1,000,
+#: the family slowest to pay, 3,999 and 4,000 levels from level 1.  The
+#: shorter run takes the formula on both trees.
+COLUMN_RUNS = (("cayley:16", 1024, 2047), ("cayley:16", 1024, 2048),
+               ("hemisphere-n:1000", 1, 4000), ("hemisphere-n:1000", 1, 4001))
 
 #: Runs in the fresh interpreter; argv[1] is "time", "count" or
-#: "columns" (then argv[2:] is d, start, stop of `COLUMN_RUNS`).
+#: "columns" (then argv[2:] is a space, start and stop of `COLUMN_RUNS`).
 CHILD = r'''
 import json, resource, sys, time
 from spectral_riesz import riesz, spaces
 
 if sys.argv[1] == "columns":
-    d, start, stop = map(int, sys.argv[2:])
-    space = spaces.sphere(d)
+    space = spaces.parse_space(sys.argv[2])
+    start, stop = map(int, sys.argv[3:])
     begin = time.perf_counter()
     spaces.level_columns(space, start, stop)
     print(json.dumps({"seconds": time.perf_counter() - begin}))
@@ -106,42 +119,67 @@ def _child(mode, src, *args):
     return json.loads(out.stdout)
 
 
-def _paired(stage, pairs, parent_src, mode, *args):
-    """One ab.py-style record: `pairs` pairs of fresh-interpreter runs of
-    each tree, the first tree flipping at every pair."""
-    sides = {parent_src: [], SRC: []}
+def _paired(stage, pairs, parent, mode, *args):
+    """One `ratio_record`: `pairs` pairs of fresh-interpreter runs of each
+    tree, the first tree flipping at every pair."""
+    sides = {parent: [], SRC: []}
     for pair in range(pairs):
-        for src in (parent_src, SRC)[::1 if pair % 2 else -1]:
+        for src in (parent, SRC)[::1 if pair % 2 else -1]:
             sides[src].append(_child(mode, src, *args)["seconds"])
-    b, a = sides[parent_src], sides[SRC]
-    ratios = [x / y for x, y in zip(b, a)]
-    q1, _, q3 = statistics.quantiles(ratios, n=4)
-    return {"stage": stage, "ratio": round(statistics.median(ratios), 4),
-            "q1": round(q1, 4), "q3": round(q3, 4),
-            "change_faster": sum(r > 1 for r in ratios), "pairs": pairs,
-            "parent": statistics.median(b), "change": statistics.median(a)}
+    return ratio_record(stage, sides[parent], sides[SRC])
 
 
 def compare(rev):
     """The --parent report, one JSON line per stage."""
-    archive = subprocess.run(["git", "-C", os.path.dirname(SRC), "archive",
-                              rev, "src"], stdout=subprocess.PIPE, check=True)
     with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp, filter="data")
-        parent_src = os.path.join(tmp, "src")
-        print(json.dumps(_paired("build", PAIRS, parent_src, "time")),
+        parent = parent_src(rev, tmp)
+        print(json.dumps(_paired("build", PAIRS, parent, "time")),
               flush=True)
-        for d, start, stop in COLUMN_RUNS:
-            print(json.dumps(_paired(f"level_columns d={d} "
-                                     f"levels {start}..{stop - 1}",
-                                     COLUMN_PAIRS, parent_src, "columns", d,
-                                     start, stop)), flush=True)
+        for desc, start, stop in COLUMN_RUNS:
+            print(json.dumps(_paired(f"level_columns {desc} levels "
+                                     f"{start}..{stop - 1}", COLUMN_PAIRS,
+                                     parent, "columns", desc, start, stop)),
+                  flush=True)
         print(json.dumps({"stage": "mult_evaluations",
-                          "parent": _child("count", parent_src)[
+                          "parent": _child("count", parent)[
                               "mult_evaluations"],
                           "change": _child("count", SRC)[
                               "mult_evaluations"]}))
+
+
+def _best(run):
+    """The fastest of CROSSOVER_REPS calls of run, in seconds."""
+    times = []
+    for _ in range(CROSSOVER_REPS):
+        gc.collect()
+        begin = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - begin)
+    return min(times)
+
+
+def crossover(src, descs, lengths):
+    """The --crossover report: a run of multiplicities by the formula at
+    every level and by differences, one JSON line per run."""
+    sys.path.insert(0, os.path.abspath(src))
+    from spectral_riesz import spaces
+    for desc in descs:
+        space = spaces.parse_space(desc)
+        mult, d = space.record.mult, space.dim
+        for n in lengths:
+            for start in sorted({1, n}):
+                stop = start + n
+                if n < d or stop > spaces.DEFAULT_LEVEL_CAP + 2:
+                    continue
+                per_level = _best(lambda: [mult(d, l)
+                                           for l in range(start, stop)])
+                diffs = _best(lambda: spaces._difference_run(space, start,
+                                                             stop))
+                print(json.dumps({"space": desc, "levels": n,
+                                  "start": start, "per_level_s": per_level,
+                                  "differences_s": diffs,
+                                  "ratio": round(per_level / diffs, 3)}),
+                      flush=True)
 
 
 def main():
@@ -150,9 +188,16 @@ def main():
                     help="engine source directory (default: this checkout's)")
     ap.add_argument("--parent", metavar="REV",
                     help="time this checkout against REV's engine, paired")
+    ap.add_argument("--crossover", nargs="+", metavar="SPACE",
+                    help="time runs by the formula and by differences")
+    ap.add_argument("--lengths", nargs="+", type=int,
+                    default=[256, 512, 1024, 2048, 4096],
+                    help="run lengths of --crossover (levels)")
     args = ap.parse_args()
     if args.parent:
         return compare(args.parent)
+    if args.crossover:
+        return crossover(args.src, args.crossover, args.lengths)
     runs = [_child("time", args.src) for _ in range(RUNS)]
     seconds = [run["seconds"] for run in runs]
     rss = [round(run["peak_rss_mb"], 2) for run in runs]

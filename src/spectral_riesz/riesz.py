@@ -57,7 +57,7 @@ from operator import add, ge, le, mul, sub
 from typing import List, NamedTuple, Optional, Sequence
 
 from .spaces import (DEFAULT_LEVEL_CAP, FLOAT_MAX, Family, Real, Space,
-                     _exact_div, _level_inversion, level_cap_exceeded,
+                     _eigenvalue_at, _level_inversion, level_cap_exceeded,
                      level_columns, level_values, max_level_index,
                      require_int, require_real, sphere, hemisphere_dirichlet)
 
@@ -111,9 +111,8 @@ class SpectrumQuery:
         `inversion`: the checks and the int of `eigenvalue(space, l) ** p`
         (levels below a buckling query's min_level included)."""
         p, a, b, s = self.inversion
-        require_int("level", l, 0 if self.variant is Variant.BUCKLING
-                    else self.min_level)
-        return _exact_div(a * l * l + b * l, s) ** p
+        return _eigenvalue_at(a, b, s, l, 0 if self.variant is
+                              Variant.BUCKLING else self.min_level) ** p
 
 
 class PrefixSums(NamedTuple):

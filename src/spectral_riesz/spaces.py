@@ -176,8 +176,14 @@ def hemisphere_neumann(d: int) -> Space:
 def eigenvalue(space: Space, l: int) -> int:
     """Exact integer eigenvalue lambda_(l) = (a l^2 + b l) / s of the
     Laplacian, from the same quadratic as the level inversion."""
-    require_int("level", l, space.min_level)
-    a, b, s = space.record.quadratic(space.dim)
+    return _eigenvalue_at(*space.record.quadratic(space.dim), l,
+                          space.min_level)
+
+
+def _eigenvalue_at(a: int, b: int, s: int, l: int, lo: int) -> int:
+    """(a l^2 + b l) / s for an int level l >= lo, with the exact-division
+    check: `eigenvalue` and `SpectrumQuery.level_value`."""
+    require_int("level", l, lo)
     return _exact_div(a * l * l + b * l, s)
 
 
@@ -206,30 +212,49 @@ def level_values(a: int, b: int, s: int, start: int,
     return values if s == 1 else map(_exact_div, values, repeat(s))
 
 
-#: A run of multiplicities is extended by differences once it holds at
-#: least 2 d + DIFFERENCE_RUN_SLACK levels: below that, its d seeds and
-#: their d^2 / 2 differences cost more than the formula at every level.
-DIFFERENCE_RUN_SLACK = 128
+#: A run of multiplicities is built by differences once it holds at least
+#: DIFFERENCE_RUN_MIN and DIFFERENCE_RUN_PER_DIM d levels; a shorter run
+#: evaluates the formula at every level.  Per-level time over difference
+#: time (`scripts/bench_tables.py --crossover`, best of 3, 2-core x86-64,
+#: CPython 3.11), from level 1 and from level n for a run of n levels:
+#: - every space of the exact-deep workload (d <= 16) reads x1.28-x5.8
+#:   over 1,024 levels, and x0.86-x4.4 over 512;
+#: - the one-binomial hemisphere pays last: hemisphere-n:16 reads x0.69
+#:   and x1.09 over 1,024 levels, hemisphere-n:60 x0.73 and x1.34;
+#: - at large d the difference table's d^2 / 2 subtractions need runs of
+#:   a few d: at d = 1,000 over 4,000 levels the sphere reads x2.19 and
+#:   x1.71, hemisphere-n x1.28 and x0.99, and over 1,500 levels x1.15 and
+#:   x0.98 against x0.74 and x0.75; at d = 3,000 over 4,500 levels the
+#:   sphere reads x1.16 and x0.98.
+#: The tables and `cli levels` ask for at most DEFAULT_LEVEL_CAP + 2
+#: levels at once, so from d = 2,501 on they take the formula throughout.
+DIFFERENCE_RUN_MIN = 1024
+DIFFERENCE_RUN_PER_DIM = 4
 
 
 def _multiplicity_run(space: Space, start: int, stop: int) -> List[int]:
-    """The multiplicities m(l) of levels start..stop-1, all >= 1.
+    """The multiplicities m(l) of levels start..stop-1, all >= 1: by
+    differences (`_difference_run`) for a run long enough to pay, else by
+    the formula at every level."""
+    mult, d = space.record.mult, space.dim
+    if stop - start < max(DIFFERENCE_RUN_MIN, DIFFERENCE_RUN_PER_DIM * d):
+        return [mult(d, l) for l in range(start, stop)]
+    return _difference_run(space, start, stop)
 
-    A run of at least 2 d + DIFFERENCE_RUN_SLACK levels evaluates the
-    formula at its first d levels, takes their forward differences and
-    extends them by d - 1 nested running sums: the method of differences
-    for a polynomial of degree d - 1.  The run's last value is then checked
+
+def _difference_run(space: Space, start: int, stop: int) -> List[int]:
+    """The multiplicities of levels start..stop-1 (all >= 1, and at least
+    d of them) by the method of differences for a polynomial of degree
+    d - 1: the formula at the first d levels, their forward differences,
+    and d - 1 nested running sums.  The run's last value is then checked
     against the formula, and ArithmeticError raised if they differ.
     """
     mult, d = space.record.mult, space.dim
-    n = stop - start
-    if n < 2 * d + DIFFERENCE_RUN_SLACK:
-        return [mult(d, l) for l in range(start, stop)]
     diffs, row = [], [mult(d, l) for l in range(start, start + d)]
     while row:  # diffs[k] is the k-th forward difference at start
         diffs.append(row[0])
         row = list(map(sub, islice(row, 1, None), row))
-    run = repeat(diffs.pop(), n - d + 1)  # the constant (d-1)-th difference
+    run = repeat(diffs.pop(), stop - start - d + 1)  # the (d-1)-th one
     for first in reversed(diffs):
         run = accumulate(run, initial=first)
     run = list(run)

@@ -411,14 +411,15 @@ def test_closed_form_level_values_are_the_eigenvalue_powers(q):
 
 
 #: Formula evaluations of a cold build to TOP_LEVEL, by space and by
-#: the first table's variant.  Runs of 16 to 128 levels evaluate each level
-#: (255 levels from a standard table, 256 from a buckling one, whose runs
-#: start at level 1); the six runs past them, at least 2 d + 128 levels
-#: long, evaluate d seeds and one check each.
-SHARED_LEVEL_EVALUATIONS = {("sphere:2", "standard"): 255 + 6 * 3,
-                            ("sphere:2", "buckling"): 256 + 6 * 3,
-                            ("sphere:8", "standard"): 255 + 6 * 9,
-                            ("sphere:8", "buckling"): 256 + 6 * 9}
+#: the first table's variant.  Runs of 16 to 512 levels evaluate each level
+#: (1,023 levels from a standard table, 1,024 from a buckling one, whose
+#: runs start at level 1); the four runs past them, at least
+#: `spaces.DIFFERENCE_RUN_MIN` levels long, evaluate d seeds and one check
+#: each.
+SHARED_LEVEL_EVALUATIONS = {("sphere:2", "standard"): 1023 + 4 * 3,
+                            ("sphere:2", "buckling"): 1024 + 4 * 3,
+                            ("sphere:8", "standard"): 1023 + 4 * 9,
+                            ("sphere:8", "buckling"): 1024 + 4 * 9}
 
 
 @pytest.mark.parametrize("desc", ["sphere:2", "sphere:8"])
@@ -456,13 +457,13 @@ def test_tables_of_one_space_share_its_levels(desc, order, cold_tables,
 
 def test_a_buckling_table_built_from_a_standard_one_at_large_d(
         cold_tables):
-    """On S^61 a standard table to level 1,023 takes its runs of 256 and
-    512 levels by differences; a buckling table then reads its S_0 column
-    and extends it by differences too.  Both equal the reference."""
+    """On S^61 a standard table to level 2,047 takes its run of 1,024
+    levels by differences; a buckling table then reads its S_0 column and
+    extends it by differences too.  Both equal the reference."""
     space = sphere(61)
     standard = SpectrumQuery(space)
     buckling = SpectrumQuery(space, power=2, variant=Variant.BUCKLING)
-    assert len(_table(standard, 1000).count) == 1024
+    assert len(_table(standard, 2000).count) == 2048
     assert len(_table(buckling, 3000).count) == 4096
     for q in (standard, buckling):
         _assert_matches_reference(riesz._tables[q.table_key], q)

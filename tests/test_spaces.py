@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectral_riesz import spaces
-from spectral_riesz.spaces import (DEFAULT_LEVEL_CAP, DIFFERENCE_RUN_SLACK,
+from spectral_riesz.spaces import (DEFAULT_LEVEL_CAP, DIFFERENCE_RUN_MIN,
+                                   DIFFERENCE_RUN_PER_DIM,
                                    Family, Space, _integer_nth_root,
                                    eigenvalue, fluctuation,
                                    hemisphere_dirichlet, hemisphere_neumann,
@@ -236,6 +237,11 @@ COLUMN_SPACES = [sphere(1), sphere(2), sphere(7), sphere(61),
 TOP = DEFAULT_LEVEL_CAP + 1  # the last level a prefix table builds
 
 
+def _long_run(d):
+    """The shortest run that `level_columns` builds by differences."""
+    return max(DIFFERENCE_RUN_MIN, DIFFERENCE_RUN_PER_DIM * d)
+
+
 @functools.cache
 def _per_level(space):
     """(eigenvalue, multiplicity) of each level from 0 through TOP, level
@@ -258,7 +264,7 @@ def test_level_columns_are_the_per_level_values(space, start, data):
     """Runs that start anywhere (level 0 too) and are short, about d long,
     a few times d long or reach the last level."""
     start = max(start, space.min_level)
-    long_run = 2 * space.dim + DIFFERENCE_RUN_SLACK
+    long_run = _long_run(space.dim)
     length = data.draw(st.one_of(st.integers(0, space.dim + 1),
                                  st.integers(long_run - 2, long_run + 2),
                                  st.integers(0, 4 * long_run),
@@ -271,7 +277,7 @@ def test_level_columns_of_edge_runs(space):
     """Runs no longer than d, runs either side of the difference rule,
     and runs that reach the level cap, from level 0 or 1 and elsewhere."""
     d, lo = space.dim, space.min_level
-    long_run = 2 * d + DIFFERENCE_RUN_SLACK
+    long_run = _long_run(d)
     for start in {0, 1, 2, d, 5000, TOP - long_run} - set(range(lo)):
         for length in (0, 1, d - 1, d, d + 1, long_run - 1, long_run,
                        long_run + 1):
@@ -289,7 +295,7 @@ def test_a_long_run_evaluates_d_levels_and_its_last(monkeypatch):
         return record.mult(d, l)
     monkeypatch.setitem(spaces._FAMILIES, Family.SPHERE,
                         record._replace(mult=counted_mult))
-    short = 2 * 7 + DIFFERENCE_RUN_SLACK - 1
+    short = _long_run(7) - 1
     level_columns(space, 0, 1 + short)  # level 0 is 1 by definition
     assert evaluations == list(range(1, 1 + short))
     evaluations.clear()
@@ -311,7 +317,7 @@ def test_a_formula_of_another_degree_trips_the_run_check(monkeypatch,
     record = space.record
     monkeypatch.setitem(spaces._FAMILIES, space.family, record._replace(
         mult=lambda d, l: mutant(record.mult, d, l)))
-    with pytest.raises(ArithmeticError, match="not of degree 4 at level 1000"):
-        level_columns(space, 1, 1001)
+    with pytest.raises(ArithmeticError, match="not of degree 4 at level 1024"):
+        level_columns(space, 1, 1025)
     assert level_columns(space, 400, 410)[1] == [
         mutant(record.mult, 5, l) for l in range(400, 410)]
