@@ -217,15 +217,17 @@ def level_values(a: int, b: int, s: int, start: int,
 #: evaluates the formula at every level.  Per-level time over difference
 #: time (`scripts/bench_tables.py --crossover`, best of 3, 2-core x86-64,
 #: CPython 3.11), from level 1 and from level n for a run of n levels:
-#: - every space of the exact-deep workload (d <= 16) reads x1.28-x5.8
+#: - every space of the exact-deep workload (d <= 16) reads x1.28-x8.7
 #:   over 1,024 levels, and x0.86-x4.4 over 512;
 #: - the one-binomial hemisphere pays last: hemisphere-n:16 reads x0.69
-#:   and x1.09 over 1,024 levels, hemisphere-n:60 x0.73 and x1.34;
+#:   and x1.09 over 1,024 levels, hemisphere-n:60 x0.61 and x0.95 over
+#:   1,024 and x1.02 and x1.15 over 4,096;
 #: - at large d the difference table's d^2 / 2 subtractions need runs of
 #:   a few d: at d = 1,000 over 4,000 levels the sphere reads x2.19 and
 #:   x1.71, hemisphere-n x1.28 and x0.99, and over 1,500 levels x1.15 and
-#:   x0.98 against x0.74 and x0.75; at d = 3,000 over 4,500 levels the
-#:   sphere reads x1.16 and x0.98.
+#:   x0.98 against x0.74 and x0.75; from level 1 at d = 3,000 over 6,128
+#:   levels x1.54 against x0.97, at d = 4,900 over 9,928 x1.52 against
+#:   x0.83.
 #: The tables and `cli levels` ask for at most DEFAULT_LEVEL_CAP + 2
 #: levels at once, so from d = 2,501 on they take the formula throughout.
 DIFFERENCE_RUN_MIN = 1024
