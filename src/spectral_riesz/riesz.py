@@ -165,12 +165,16 @@ def _multiplicities(space: Space, start: int, stop: int) -> List[int]:
     lo, hi = max(start, base), min(stop, base + len(col))
     if lo >= hi:
         return level_columns(space, start, stop)[1]
-    # S_0 from the level before lo (0 before the first) through hi - 1.
-    sums = (col[lo - base - 1:hi - base] if lo > base
-            else [0, *col[:hi - base]])
     return (level_columns(space, start, lo)[1]
-            + list(map(sub, sums[1:], sums))
+            + _differences(col, lo - base, hi - base)
             + level_columns(space, hi, stop)[1])
+
+
+def _differences(col: List[int], lo: int, hi: int) -> List[int]:
+    """Rows lo..hi-1 of the terms whose running sum is col (0 before
+    row 0)."""
+    sums = col[lo - 1:hi] if lo else [0, *col[:hi]]
+    return list(map(sub, sums[1:], sums))
 
 
 def _table(q: SpectrumQuery, rows: int, k: int = 0) -> _Table:
@@ -184,8 +188,10 @@ def _table(q: SpectrumQuery, rows: int, k: int = 0) -> _Table:
     of count, s1 and s2 (the running sums S_0, S_p and S_2p) the same rows
     of the `_moments` column of that S_j when it holds them, else its own
     running sum of m, m lam or m lam^2, with lam from `_level_values` and
-    m from `_multiplicities`.  A table only reads other tables' columns,
-    and registers its own once built.
+    m from `_multiplicities`; where `_moments` holds S_0 and S_p over the
+    run (a p = 2 table after the p = 1 one), m lam is the differences of
+    S_p instead, and m is not needed.  A table only reads other tables'
+    columns, and registers its own once built.
     """
     tab = _tables.get(q.table_key) or _Table([], [], [])
     family, dim, p, variant = q.table_key
@@ -198,13 +204,18 @@ def _table(q: SpectrumQuery, rows: int, k: int = 0) -> _Table:
         start = q.min_level + len(count)
         stop = min(q.min_level + max(2 * len(count), 16), top + 1)
         lam = list(_level_values(q, start, stop))
-        m = _multiplicities(q.space, start, stop)
-        m_lam = list(map(mul, m, lam))
+        lo, hi = start - q.min_level, stop - q.min_level
+        s0, sp = (_moments.get(key, ()) for key, _ in sums[:2])
+        if len(s0) >= hi and len(sp) >= hi:
+            m, m_lam = (), _differences(sp, lo, hi)
+        else:
+            m = _multiplicities(q.space, start, stop)
+            m_lam = list(map(mul, m, lam))
         for (key, sums_j), terms in zip(sums, (m, m_lam,
                                               map(mul, m_lam, lam))):
             shared = _moments.get(key, ())
-            if len(shared) >= stop - q.min_level:
-                sums_j += shared[len(sums_j):stop - q.min_level]
+            if len(shared) >= hi:
+                sums_j += shared[len(sums_j):hi]
             else:
                 # Carry on from the column's last entry: pop hands it to
                 # accumulate, whose first output puts it back (an empty
