@@ -43,7 +43,9 @@ reads (`_level_values`).  The multiplicities of a growth step are the
 differences of a space's S_0 column where it holds those levels
 (`_multiplicities`), and past them one `spaces.level_columns` run: the
 formula at d levels and one check per long run, the rest by the method
-of differences.
+of differences.  Where S_0 and S_p are both held (a p = 2 table after
+the p = 1 one), the terms m lambda^p are the differences of S_p, and no
+multiplicity is needed.
 """
 
 from __future__ import annotations
