@@ -25,8 +25,9 @@ median seconds; a last line gives each tree's formula evaluations.
 With --crossover SPACE... it times, in one process, the two ways this
 engine builds a run of multiplicities: the formula at every level and the
 method of differences (`spaces._difference_run`), best of CROSSOVER_REPS,
-for each run length of --lengths from level 1 and from level n.  One JSON
-line per run; `spaces.DIFFERENCE_RUN_MIN` cites these numbers.
+for each run length of --lengths from level 1 and from level n (a run of
+fewer than d levels, or one past level DEFAULT_LEVEL_CAP + 1, is skipped).
+One JSON line per run; `spaces.DIFFERENCE_RUN_MIN` cites these numbers.
 
 Usage, from the root of a checkout:
 
